@@ -22,8 +22,8 @@ from .flags import (
     euler_characteristic,
     fingerprint,
 )
-from .homext import dimension_checks, ext_presentation
-from .module import LambdaModule, direct_sum, validate
+from .homext import dimension_checks
+from .module import LambdaModule, validate
 from .serialize import (
     FormatError,
     dimensions_to_data,
@@ -60,6 +60,8 @@ def _parse_primes(text: str) -> List[int]:
             raise argparse.ArgumentTypeError(f"{piece!r} is not an integer")
         if not is_prime(p):
             raise argparse.ArgumentTypeError(f"{p} is not prime")
+        if p in out:
+            raise argparse.ArgumentTypeError(f"prime {p} is repeated")
         out.append(p)
     return out
 
@@ -78,16 +80,6 @@ def _parse_coeffs(text: str) -> Tuple[int, ...]:
     if any(c < 0 for c in out):
         raise argparse.ArgumentTypeError("coefficients must be nonnegative")
     return out
-
-
-def _parse_jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("jobs must be an integer")
-    if jobs < 1:
-        raise argparse.ArgumentTypeError("jobs must be at least 1")
-    return jobs
 
 
 def _parse_lambda(text: str) -> Fraction:
@@ -214,7 +206,7 @@ def _fingerprint_lines(fp: DeltaFingerprint) -> List[str]:
 
 def cmd_fingerprint(args) -> int:
     _, m = _load_named(args.module)
-    fp = fingerprint(m, prime_list=args.primes, jobs=args.jobs)
+    fp = fingerprint(m, prime_list=args.primes)
     data = fingerprint_to_data(fp, profiles=True)
     _emit(args, data, _fingerprint_lines(fp))
     return 0
@@ -246,7 +238,7 @@ def cmd_verify(args) -> int:
     _, m = _load_named(args.module_a)
     _, n = _load_named(args.module_b)
     if args.thm == "1.2":
-        rep = verify_thm_1_2(m, n, prime_list=args.primes, jobs=args.jobs)
+        rep = verify_thm_1_2(m, n, prime_list=args.primes)
     else:
         if not args.anchors_fwd or not args.anchors_bwd:
             raise FormatError(
@@ -258,7 +250,6 @@ def cmd_verify(args) -> int:
             _load_anchors(args.anchors_fwd),
             _load_anchors(args.anchors_bwd),
             prime_list=args.primes,
-            jobs=args.jobs,
         )
     _emit(args, report_to_data(rep), _report_lines(rep))
     return 0 if rep.passed else 1
@@ -286,11 +277,11 @@ def cmd_example_d4(args) -> int:
     r_anchors = {k: zoo[k] for k in ("R", "A", "B", "C")}
     rep = verify_thm_1_1(
         zoo["S4"], zoo["T"], m_anchors, r_anchors,
-        prime_list=args.primes, jobs=args.jobs,
+        prime_list=args.primes,
     )
     fps = {s.name: s.fingerprint for s in rep.strata_fwd + rep.strata_bwd}
     for extra in ("F", "G", "H"):
-        fps[extra] = fingerprint(zoo[extra], prime_list=args.primes, jobs=args.jobs)
+        fps[extra] = fingerprint(zoo[extra], prime_list=args.primes)
     words = rep.words
     lines = [f"worked example at lambda = {args.lam}", ""]
     data: Dict = {"lambda": str(args.lam), "identities": [], "passed": True}
@@ -347,13 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="P1,P2,...",
         help="override the primes used for counting",
-    )
-    common.add_argument(
-        "--jobs",
-        type=_parse_jobs,
-        default=1,
-        metavar="N",
-        help="worker processes for fingerprints (default 1)",
     )
     common.add_argument(
         "--format",

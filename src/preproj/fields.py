@@ -104,41 +104,11 @@ class Field:
         Raises:
             ZeroDivisionError: if ``a`` is zero.
         """
-        if self.is_zero(a):
+        if a == 0:
             raise ZeroDivisionError("inverting zero")
         if self.p is None:
             return Fraction(1) / a
         return pow(int(a), -1, self.p)
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0
-
-    def show(self, a: Scalar) -> str:
-        """Serialize an element: "n" for integers, "num/den" otherwise."""
-        return str(a)
-
-    def parse(self, text: str) -> Scalar:
-        return self.of(text)
-
-    def tag(self) -> str:
-        """The field tag used in data files: "Q" or "Fp:<p>"."""
-        return "Q" if self.p is None else f"Fp:{self.p}"
-
-    @classmethod
-    def from_tag(cls, tag: str) -> "Field":
-        """Inverse of :meth:`tag`.
-
-        Raises:
-            ValueError: on a malformed tag.
-        """
-        if tag == "Q":
-            return cls(None)
-        if tag.startswith("Fp:"):
-            return cls(int(tag[3:]))
-        raise ValueError(f"unknown field tag {tag!r}")
 
 
 QQ = Field(None)

@@ -11,7 +11,6 @@ with :class:`NonPolynomialCount`.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import (
@@ -278,9 +277,6 @@ class _PrimePool:
     def rows(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
         return tuple(self._rows)
 
-    def prefill(self, rows: Sequence[Tuple[int, Tuple[int, ...]]]) -> None:
-        self._rows.extend(rows)
-
     def row(self, k: int) -> Tuple[int, Tuple[int, ...]]:
         while len(self._rows) <= k:
             p = next(self._candidates, None)
@@ -306,16 +302,47 @@ def _module_sampler(module: LambdaModule, steps: Tuple[Steps, ...]):
     return sample
 
 
-def _pool_worker(
-    job: Tuple[LambdaModule, Tuple[Steps, ...], int]
-) -> Tuple[int, Optional[Tuple[int, ...]]]:
-    module, steps, p = job
-    try:
-        mp = reduce_mod_p(module, p)
-    except BadPrime:
-        return (p, None)
-    memo: Dict = {}
-    return (p, tuple(_count(mp, s, memo) for s in steps))
+def _fit_columns(
+    pool: _PrimePool,
+    columns: Sequence[int],
+    bound: int,
+    word: Word,
+    what: str,
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[Tuple[Polynomial, int], ...]]:
+    """Fit several count columns on one shared sliding window.
+
+    A column's fit through the window rows must reproduce the
+    VALIDATION_PRIMES rows after it and be integral at 1.  When a column
+    fails (typically because the module degenerates at a small prime) the
+    window of every column slides up one prime, at most MAX_WINDOW_SHIFT
+    times.  Returns the window primes, the validation primes and, per
+    column, the polynomial and its value at 1.
+    """
+    need = bound + 1
+    for shift in range(MAX_WINDOW_SHIFT + 1):
+        rows = [
+            pool.row(k) for k in range(shift, shift + need + VALIDATION_PRIMES)
+        ]
+        fits: List[Tuple[Polynomial, int]] = []
+        for j in columns:
+            poly = interpolate([(p, vec[j]) for p, vec in rows[:need]])
+            at_one = poly(1)
+            if at_one.denominator != 1 or any(
+                poly(p) != vec[j] for p, vec in rows[need:]
+            ):
+                break
+            fits.append((poly, int(at_one)))
+        else:
+            return (
+                tuple(p for p, _ in rows[:need]),
+                tuple(p for p, _ in rows[need:]),
+                tuple(fits),
+            )
+    raise NonPolynomialCount(
+        word,
+        f"{what} fail {VALIDATION_PRIMES}-prime validation "
+        f"at every window shift up to {MAX_WINDOW_SHIFT}",
+    )
 
 
 def _fit_word(
@@ -325,43 +352,20 @@ def _fit_word(
     word: Word,
     coeffs: Tuple[int, ...],
 ) -> CountProfile:
-    """Sliding-window interpolation of one word's counts.
-
-    The window starts at the smallest good primes; when validation fails
-    (typically because the module degenerates at a small prime without a
-    division by zero) the window slides up by one prime, at most
-    MAX_WINDOW_SHIFT times.
-    """
-    need = bound + 1
-    for shift in range(MAX_WINDOW_SHIFT + 1):
-        pts = [
-            (p, vec[index])
-            for p, vec in (pool.row(k) for k in range(shift, shift + need))
-        ]
-        tail = [
-            (p, vec[index])
-            for p, vec in (
-                pool.row(k)
-                for k in range(shift + need, shift + need + VALIDATION_PRIMES)
-            )
-        ]
-        poly = interpolate(pts)
-        at_one = poly(1)
-        if all(poly(p) == c for p, c in tail) and at_one.denominator == 1:
-            return CountProfile(
-                word=word,
-                coeffs=coeffs,
-                degree_bound=bound,
-                samples=tuple((p, vec[index]) for p, vec in pool.rows),
-                window=tuple(p for p, _ in pts),
-                validation=tuple(p for p, _ in tail),
-                polynomial=poly,
-                euler=int(at_one),
-            )
-    raise NonPolynomialCount(
-        word,
-        f"word {word}: counts fail {VALIDATION_PRIMES}-prime validation "
-        f"at every window shift up to {MAX_WINDOW_SHIFT}",
+    """The fit of one word's count column, with its audit trail."""
+    window, validation, fits = _fit_columns(
+        pool, (index,), bound, word, f"word {word}: counts"
+    )
+    poly, euler = fits[0]
+    return CountProfile(
+        word=word,
+        coeffs=coeffs,
+        degree_bound=bound,
+        samples=tuple((p, vec[index]) for p, vec in pool.rows),
+        window=window,
+        validation=validation,
+        polynomial=poly,
+        euler=euler,
     )
 
 
@@ -395,13 +399,11 @@ def euler_characteristic(
 def fingerprint(
     m: LambdaModule,
     prime_list: Optional[Sequence[int]] = None,
-    jobs: int = 1,
 ) -> DeltaFingerprint:
     """Euler characteristics over all words with the module's content.
 
-    With jobs > 1 the per-prime count rows are evaluated in worker
-    processes; results are keyed by prime, so the outcome is independent
-    of scheduling.
+    The count rows are computed in this process, one prime at a time and
+    only as far as the fits need them; every word's fit shares them.
 
     Raises:
         NonPolynomialCount: with the first offending word.
@@ -414,17 +416,6 @@ def fingerprint(
     bound = degree_bound(m)
     candidates = iter(prime_list) if prime_list is not None else primes()
     pool = _PrimePool(_module_sampler(m, steps), candidates)
-    if jobs > 1:
-        batch: List[int] = []
-        goal = MAX_WINDOW_SHIFT + bound + 1 + VALIDATION_PRIMES + 2
-        while len(batch) < goal:
-            p = next(candidates, None)
-            if p is None:
-                break
-            batch.append(p)
-        with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
-            rows = list(pool_exec.map(_pool_worker, [(m, steps, p) for p in batch]))
-        pool.prefill([(p, vec) for p, vec in rows if vec is not None])
     profiles = tuple(
         _fit_word(pool, j, bound, w, (1,) * len(w)) for j, w in enumerate(words)
     )
@@ -570,9 +561,9 @@ def split_euler_table(
 ) -> Dict[SplitKey, int]:
     """Per-splitting Euler characteristics of the direct sum's flags.
 
-    Each splitting type's counts are fitted and evaluated at 1 exactly
-    like a whole flag variety's; values are 0 for types realized by no
-    flag.  By the direct-sum factorization every value equals the product
+    The splitting types' counts are fitted on one shared window and
+    evaluated at 1 like a whole flag variety's; values are 0 for types
+    realized by no flag.  By the direct-sum factorization every value equals the product
     of the two subword Euler characteristics.
     """
     if not left.field.is_rational or not right.field.is_rational:
@@ -595,8 +586,7 @@ def split_euler_table(
 
     candidates = iter(prime_list) if prime_list is not None else primes()
     pool = _PrimePool(sample, candidates)
-    fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
-    table: Dict[SplitKey, int] = {}
-    for j, k in enumerate(keys):
-        table[k] = _fit_word(pool, j, bound, tuple(word), fixed).euler
-    return table
+    _, _, fits = _fit_columns(
+        pool, range(len(keys)), bound, tuple(word), f"word {tuple(word)}: counts"
+    )
+    return {k: euler for k, (_, euler) in zip(keys, fits)}

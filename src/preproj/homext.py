@@ -49,9 +49,9 @@ def _pack(field: Field, mats: Sequence[Matrix]) -> Matrix:
 
 
 def _unpack(
-    field: Field, column: Matrix, shapes: Sequence[Tuple[int, int]]
+    field: Field, flat: Sequence[Scalar], shapes: Sequence[Tuple[int, int]]
 ) -> List[Matrix]:
-    flat = [column.entries[i][0] for i in range(column.nrows)]
+    """Cut packed coordinates back into blocks of the given shapes."""
     out: List[Matrix] = []
     pos = 0
     for r, c in shapes:
@@ -132,15 +132,6 @@ class Intertwiner:
 
     def component(self, v: str) -> Matrix:
         return self.components[self.source.quiver.vertex_index[v]]
-
-    def compose(self, other: "Intertwiner") -> "Intertwiner":
-        """self after other."""
-        if other.target != self.source:
-            raise ValueError("composition endpoints do not match")
-        comps = tuple(
-            a.mul(b) for a, b in zip(self.components, other.components)
-        )
-        return Intertwiner(other.source, self.target, comps)
 
     def add(self, other: "Intertwiner") -> "Intertwiner":
         if (self.source, self.target) != (other.source, other.target):
@@ -250,18 +241,6 @@ def is_derivation(d: Derivation) -> bool:
     )
 
 
-def apply_d0(
-    m: LambdaModule, n: LambdaModule, f: Sequence[Matrix]
-) -> List[Matrix]:
-    idx = m.quiver.vertex_index
-    out: List[Matrix] = []
-    for a in m.dq.arrows:
-        out.append(
-            n.x(a.name).mul(f[idx[a.source]]).sub(f[idx[a.target]].mul(m.x(a.name)))
-        )
-    return out
-
-
 def apply_d1(
     m: LambdaModule, n: LambdaModule, g: Sequence[Matrix]
 ) -> List[Matrix]:
@@ -278,31 +257,45 @@ def apply_d1(
     return out
 
 
+def _offsets(shapes: Sequence[Tuple[int, int]]) -> List[int]:
+    """Where each block starts in the packed coordinates, then the total."""
+    out = [0]
+    for r, c in shapes:
+        out.append(out[-1] + r * c)
+    return out
+
+
 def _operator_matrix(
     field: Field,
     in_shapes: List[Tuple[int, int]],
     out_shapes: List[Tuple[int, int]],
-    apply,
+    terms: Sequence[Tuple[int, int, int, Matrix, Matrix]],
 ) -> Matrix:
-    """The matrix of a linear map between packed block spaces."""
-    in_dim = sum(r * c for r, c in in_shapes)
-    cols: List[List[Scalar]] = []
-    zero_col = Matrix.zeros(field, in_dim, 1)
-    for j in range(in_dim):
-        unit = Matrix(
-            field,
-            in_dim,
-            1,
-            tuple(
-                (field.one(),) if i == j else (field.zero(),)
-                for i in range(in_dim)
-            ),
-        )
-        blocks = _unpack(field, unit, in_shapes)
-        image = apply(blocks)
-        cols.append([x for mat in image for row in mat.entries for x in row])
-    out_dim = sum(r * c for r, c in out_shapes)
-    return Matrix.from_cols(field, cols, nrows=out_dim)
+    """The matrix of a sum of block maps X -> sign * left X right.
+
+    A term (sign, out_block, in_block, left, right) reads input block
+    ``in_block`` and adds into output block ``out_block``.  Only pairs of
+    nonzero entries of ``left`` and ``right`` are visited.
+    """
+    in_at, out_at = _offsets(in_shapes), _offsets(out_shapes)
+    rows = [[field.zero()] * in_at[-1] for _ in range(out_at[-1])]
+    for sign, out_block, in_block, left, right in terms:
+        nonzero = [
+            (k, c, sign * b)
+            for k, right_row in enumerate(right.entries)
+            for c, b in enumerate(right_row)
+            if b != 0
+        ]
+        for r, left_row in enumerate(left.entries):
+            row = out_at[out_block] + r * right.ncols
+            for i, a in enumerate(left_row):
+                if a != 0:
+                    col = in_at[in_block] + i * right.nrows
+                    for k, c, b in nonzero:
+                        rows[row + c][col + k] += a * b
+    if field.p is not None:
+        rows = [[x % field.p for x in r] for r in rows]
+    return Matrix(field, out_at[-1], in_at[-1], tuple(tuple(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -349,12 +342,22 @@ def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
     field = m.field
     c0_shapes = _c0_shapes(m, n)
     c1_shapes = _c1_shapes(m, n)
-    d0 = _operator_matrix(
-        field, c0_shapes, c1_shapes, lambda f: apply_d0(m, n, f)
-    )
-    d1 = _operator_matrix(
-        field, c1_shapes, c0_shapes, lambda g: apply_d1(m, n, g)
-    )
+    # d0 and d1 term by term from their formulas (module docstring)
+    idx = m.quiver.vertex_index
+    aidx = m.dq.arrow_index
+    ident_m = [Matrix.identity(field, d) for d in m.dim]
+    ident_n = [Matrix.identity(field, d) for d in n.dim]
+    d0_terms = []
+    d1_terms = []
+    for j, a in enumerate(m.dq.arrows):
+        s, e = idx[a.source], idx[a.target]
+        d0_terms.append((1, j, s, n.x(a.name), ident_m[s]))
+        d0_terms.append((-1, j, e, ident_n[e], m.x(a.name)))
+        sign = -1 if a.sign else 1
+        d1_terms.append((sign, s, j, n.x(a.bar), ident_m[s]))
+        d1_terms.append((sign, s, aidx[a.bar], ident_n[s], m.x(a.name)))
+    d0 = _operator_matrix(field, c0_shapes, c1_shapes, d0_terms)
+    d1 = _operator_matrix(field, c1_shapes, c0_shapes, d1_terms)
     hom = Subspace.span(kernel_basis(d0))
     ker1 = column_echelon(kernel_basis(d1))
     inner = column_echelon(d0)
@@ -367,9 +370,7 @@ def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
     chosen = [j - inner.ncols for j in pivots if j >= inner.ncols]
     basis: List[Derivation] = []
     for j in chosen:
-        col = Matrix.from_cols(field, [ker1.col(j)], nrows=c1_dim)
-        basis.append(Derivation(m, n, tuple(_unpack(field, col, c1_shapes))))
-    c2_dim = sum(r * c for r, c in c0_shapes)
+        basis.append(Derivation(m, n, tuple(_unpack(field, ker1.col(j), c1_shapes))))
     return ExtPresentation(
         source=m,
         target=n,
@@ -379,7 +380,7 @@ def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
         derivations=Subspace(c1_dim, ker1),
         inner=Subspace(c1_dim, inner),
         ext1_basis=tuple(basis),
-        ext2_cokernel=c2_dim - rank(d1),
+        ext2_cokernel=d1.nrows - rank(d1),
         ext2_exact=not has_dynkin_component(m.quiver),
     )
 
@@ -390,10 +391,7 @@ def hom_basis(m: LambdaModule, n: LambdaModule) -> Tuple[Intertwiner, ...]:
     shapes = _c0_shapes(m, n)
     out: List[Intertwiner] = []
     for j in range(pres.hom.dim):
-        col = Matrix.from_cols(
-            m.field, [pres.hom.basis.col(j)], nrows=pres.hom.basis.nrows
-        )
-        comps = _unpack(m.field, col, shapes)
+        comps = _unpack(m.field, pres.hom.basis.col(j), shapes)
         out.append(Intertwiner.build(m, n, comps, check=True))
     return tuple(out)
 
@@ -403,18 +401,8 @@ def derivation_basis(pres: ExtPresentation) -> Tuple[Derivation, ...]:
     shapes = _c1_shapes(pres.source, pres.target)
     out: List[Derivation] = []
     for j in range(pres.derivations.dim):
-        col = Matrix.from_cols(
-            pres.source.field,
-            [pres.derivations.basis.col(j)],
-            nrows=pres.derivations.basis.nrows,
-        )
-        out.append(
-            Derivation(
-                pres.source,
-                pres.target,
-                tuple(_unpack(pres.source.field, col, shapes)),
-            )
-        )
+        blocks = _unpack(pres.source.field, pres.derivations.basis.col(j), shapes)
+        out.append(Derivation(pres.source, pres.target, tuple(blocks)))
     return tuple(out)
 
 

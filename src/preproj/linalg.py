@@ -321,11 +321,6 @@ def column_echelon(m: Matrix) -> Matrix:
     return Matrix.from_cols(m.field, cols, nrows=m.nrows)
 
 
-def image_basis(m: Matrix) -> Matrix:
-    """Canonical basis of the column space, as columns."""
-    return column_echelon(m)
-
-
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """Solve a X = b exactly, columnwise.
 

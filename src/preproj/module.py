@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
-from .fields import Field, Scalar
-from .linalg import Matrix, Subspace, hstack, image_basis, solve
-from .quiver import DimVector, DoubleQuiver, Quiver, double
+from .fields import Field
+from .linalg import Matrix, Subspace, hstack, solve
+from .quiver import DimVector, DoubleQuiver, Quiver
 
 GradedSubspace = Tuple[Subspace, ...]
 
@@ -214,7 +214,6 @@ def direct_sum(m: LambdaModule, n: LambdaModule) -> LambdaModule:
     if m.field != n.field:
         raise ValueError("direct sum over different fields")
     dim = tuple(a + b for a, b in zip(m.dim, n.dim))
-    idx = m.quiver.vertex_index
     mats: List[Matrix] = []
     for i, arrow in enumerate(m.dq.arrows):
         a, b = m.action[i], n.action[i]

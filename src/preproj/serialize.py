@@ -17,7 +17,7 @@ from .flags import CountProfile, DeltaFingerprint
 from .homext import DimensionReport
 from .linalg import Matrix, Polynomial
 from .module import LambdaModule, ValidationReport
-from .quiver import DoubleQuiver, Quiver, double
+from .quiver import Quiver, double
 from .verify import Stratum, VerificationReport
 
 
@@ -33,7 +33,7 @@ def _field_tag(field: Field) -> str:
     return "Q" if field.is_rational else f"F{field.p}"
 
 
-def _field_from_tag(tag) -> Field:
+def _parse_field_tag(tag) -> Field:
     if tag == "Q":
         return QQ
     if isinstance(tag, str):
@@ -105,7 +105,7 @@ def module_from_data(data) -> Tuple[Optional[str], LambdaModule]:
     for key in ("field", "quiver", "dim", "action"):
         if key not in data:
             raise FormatError(f"module data lacks the {key!r} key")
-    field = _field_from_tag(data["field"])
+    field = _parse_field_tag(data["field"])
     q = quiver_from_data(data["quiver"])
     dq = double(q)
     if not isinstance(data["dim"], dict):

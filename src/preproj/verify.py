@@ -25,17 +25,15 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 from .fields import primes
 from .flags import (
-    MAX_WINDOW_SHIFT,
-    VALIDATION_PRIMES,
     DeltaFingerprint,
     InsufficientPrimes,
-    NonPolynomialCount,
+    _fit_columns,
     _PrimePool,
     count_flags_fp,
     fingerprint,
 )
 from .homext import Derivation, ext_presentation, is_inner, middle_term
-from .linalg import Polynomial, interpolate
+from .linalg import Polynomial
 from .module import BadPrime, LambdaModule, direct_sum, reduce_mod_p
 from .quiver import Word
 
@@ -229,40 +227,17 @@ def stratify_proj_ext(
     else:
         candidates = islice(primes(), CANDIDATE_CAP)
     pool = _PrimePool(sample, candidates)
-    need = n  # degree bound n - 1, so n window points
-    accepted = None
     try:
-        for shift in range(MAX_WINDOW_SHIFT + 1):
-            rows = [
-                pool.row(k)
-                for k in range(shift, shift + need + VALIDATION_PRIMES)
-            ]
-            fits: List[Tuple[Polynomial, int]] = []
-            for j in range(len(names)):
-                poly = interpolate([(p, vec[j]) for p, vec in rows[:need]])
-                at_one = poly(1)
-                good = at_one.denominator == 1 and all(
-                    poly(p) == vec[j] for p, vec in rows[need:]
-                )
-                if not good:
-                    break
-                fits.append((poly, int(at_one)))
-            if len(fits) == len(names):
-                accepted = (rows, fits)
-                break
+        # group sizes are polynomials of degree below n = dim Ext^1
+        window, validation, fits = _fit_columns(
+            pool, range(len(names)), n - 1, (), "stratum sizes"
+        )
     except InsufficientPrimes:
         if collisions:
             raise AnchorCollision(
                 f"anchors stayed indistinguishable at primes {tuple(collisions)}"
             ) from None
         raise
-    if accepted is None:
-        raise NonPolynomialCount(
-            (),
-            f"stratum sizes fail {VALIDATION_PRIMES}-prime validation "
-            f"at every window shift up to {MAX_WINDOW_SHIFT}",
-        )
-    rows, fits = accepted
     sampled = pool.rows
     return tuple(
         Stratum(
@@ -270,8 +245,8 @@ def stratify_proj_ext(
             anchor=mod,
             fingerprint=fp,
             sizes=tuple((p, vec[j]) for p, vec in sampled),
-            window=tuple(p for p, _ in rows[:need]),
-            validation=tuple(p for p, _ in rows[need:]),
+            window=window,
+            validation=validation,
             polynomial=fits[j][0],
             chi_proj=fits[j][1],
         )
@@ -303,7 +278,6 @@ def verify_thm_1_1(
     anchors_fwd: Mapping[str, LambdaModule],
     anchors_bwd: Mapping[str, LambdaModule],
     prime_list: Optional[Sequence[int]] = None,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Check the pairwise identity for one module pair.
 
@@ -324,7 +298,7 @@ def verify_thm_1_1(
         raise ValueError("Ext^1(x', x'') = 0: the pairwise identity is meaningless")
     strata_fwd = stratify_proj_ext(xp, xpp, anchors_fwd, prime_list)
     strata_bwd = stratify_proj_ext(xpp, xp, anchors_bwd, prime_list)
-    total = fingerprint(direct_sum(xp, xpp), prime_list, jobs=jobs)
+    total = fingerprint(direct_sum(xp, xpp), prime_list)
     merged = _merge_strata(strata_fwd + strata_bwd)
     left = tuple(n * c for c in total.chi)
     right = tuple(
@@ -355,7 +329,6 @@ def verify_thm_1_2(
     d: Optional[Derivation] = None,
     g: Optional[Derivation] = None,
     prime_list: Optional[Sequence[int]] = None,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Check the unique-extension identity for one module pair.
 
@@ -394,9 +367,9 @@ def verify_thm_1_2(
         raise ValueError("class d is split, its middle term is the direct sum")
     if is_inner(back, g):
         raise ValueError("class g is split, its middle term is the direct sum")
-    total = fingerprint(direct_sum(xp, xpp), prime_list, jobs=jobs)
-    fx = fingerprint(middle_term(d).module, prime_list, jobs=jobs)
-    fy = fingerprint(middle_term(g).module, prime_list, jobs=jobs)
+    total = fingerprint(direct_sum(xp, xpp), prime_list)
+    fx = fingerprint(middle_term(d).module, prime_list)
+    fy = fingerprint(middle_term(g).module, prime_list)
     right = tuple(
         fx.chi_of(word) + fy.chi_of(word) for word in total.words
     )

@@ -121,6 +121,14 @@ def test_non_prime_override_is_a_usage_error(files):
     assert exc.value.code == 2
 
 
+def test_repeated_prime_override_is_a_usage_error(files, capsys):
+    argv = ["euler", files["T"], "--word", "1,2,3,4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--primes", "3,3,5,7,11,13,17"])
+    assert exc.value.code == 2
+    assert "prime 3 is repeated" in capsys.readouterr().err
+
+
 def test_fingerprint_json_round_trips(files, capsys):
     assert main(["fingerprint", files["x"], "--format", "json"]) == 0
     first = capsys.readouterr().out

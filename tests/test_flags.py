@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from preproj import d4, flags
-from preproj.fields import QQ, Field
+from preproj.fields import QQ, Field, primes
 from preproj.flags import (
     InsufficientPrimes,
     NonPolynomialCount,
@@ -360,14 +360,28 @@ def test_accepted_fit_matches_its_primes():
         assert profile.polynomial(p) == table[p]
 
 
-def test_fingerprint_parallel_matches_sequential():
-    dq = a2_double()
-    seq = fingerprint(x_module(dq))
-    par = fingerprint(x_module(dq), jobs=2)
-    assert par.chi == seq.chi
-    assert [pr.window for pr in par.profiles] == [
-        pr.window for pr in seq.profiles
-    ]
-    assert [pr.validation for pr in par.profiles] == [
-        pr.validation for pr in seq.profiles
-    ]
+def test_shared_fit_window_slides_every_column():
+    # column 0 counts p + 1 everywhere, column 1 degenerates at 2: on its
+    # own column 0 fits on (2, 3), together both columns leave 2 behind
+    def sampler(p):
+        return (p + 1, 1 if p == 2 else p + 1)
+
+    pool = flags._PrimePool(sampler, primes())
+    window, validation, fits = flags._fit_columns(pool, (0, 1), 1, ("1",), "both")
+    assert window == (3, 5)
+    assert validation == (7, 11)
+    assert [euler for _, euler in fits] == [2, 2]
+    assert [p for p, _ in pool.rows] == [2, 3, 5, 7, 11]
+    alone = flags._PrimePool(sampler, primes())
+    assert flags._fit_columns(alone, (0,), 1, ("1",), "one")[0] == (2, 3)
+
+
+def test_shared_fit_raises_when_no_window_validates():
+    pool = flags._PrimePool(lambda p: (p + 1, 2**p), primes())
+    with pytest.raises(NonPolynomialCount) as err:
+        flags._fit_columns(pool, (0, 1), 1, ("1", "2"), "synthetic counts")
+    assert err.value.word == ("1", "2")
+    assert str(err.value) == (
+        "synthetic counts fail 2-prime validation at every window shift up to 6"
+    )
+    assert len(pool.rows) == flags.MAX_WINDOW_SHIFT + 2 + flags.VALIDATION_PRIMES

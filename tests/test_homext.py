@@ -26,8 +26,16 @@ from preproj.homext import (
     pushout,
 )
 from preproj.linalg import Matrix, rank, solve
-from preproj.module import LambdaModule, direct_sum, simple, validate
+from preproj.module import (
+    BadPrime,
+    LambdaModule,
+    direct_sum,
+    reduce_mod_p,
+    simple,
+    validate,
+)
 from preproj.quiver import Quiver, double
+from preproj.randgen import random_nilpotent_module
 
 
 def a2_double():
@@ -334,3 +342,51 @@ def test_residual_expression_matches_d1_on_arbitrary_tuples(rng_seed):
         images = apply_d1(m, n, list(d.maps))
         for v, image in zip(m.quiver.vertices, images):
             assert derivation_residual(d, v) == image
+
+
+def _probe(field, in_shapes, out_rows, apply):
+    """The matrix of a block map, one unit input block at a time."""
+    total = sum(r * c for r, c in in_shapes)
+    cols = []
+    for j in range(total):
+        flat = [1 if i == j else 0 for i in range(total)]
+        blocks, pos = [], 0
+        for r, c in in_shapes:
+            rows = [flat[pos + i * c : pos + (i + 1) * c] for i in range(r)]
+            blocks.append(Matrix.from_rows(field, rows, ncols=c))
+            pos += r * c
+        cols.append([x for mat in apply(blocks) for row in mat.entries for x in row])
+    return Matrix.from_cols(field, cols, nrows=out_rows)
+
+
+def test_assembled_differentials_match_unit_block_probes(rng_seed):
+    # d0 is minus the inner derivation of a vertex tuple, d1 is apply_d1
+    rng = random.Random(rng_seed + 24)
+    pairs = [(d4.s4_module(), d4.t_module()), (d4.t_module(), d4.s4_module())]
+    for dq in (a3_double(), kron_double()) * 3:
+        pairs.append(
+            (
+                random_nilpotent_module(dq, rng, steps=3),
+                random_nilpotent_module(dq, rng, steps=3),
+            )
+        )
+    for m, n in list(pairs):
+        try:
+            pairs.append((reduce_mod_p(m, 7), reduce_mod_p(n, 7)))
+        except BadPrime:
+            pass
+    assert len(pairs) >= 14
+    for m, n in pairs:
+        idx = m.quiver.vertex_index
+        c0 = [(dn, dm) for dm, dn in zip(m.dim, n.dim)]
+        c1 = [(n.dim[idx[a.target]], m.dim[idx[a.source]]) for a in m.dq.arrows]
+        pres = ext_presentation(m, n)
+        d0 = _probe(
+            m.field,
+            c0,
+            pres.d0.nrows,
+            lambda f: [x.neg() for x in inner_derivation(m, n, f).maps],
+        )
+        d1 = _probe(m.field, c1, pres.d1.nrows, lambda g: apply_d1(m, n, g))
+        assert pres.d0 == d0
+        assert pres.d1 == d1

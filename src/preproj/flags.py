@@ -24,24 +24,8 @@ from typing import (
 )
 
 from .fields import Field, primes
-from .linalg import (
-    Matrix,
-    Polynomial,
-    Subspace,
-    hstack,
-    interpolate,
-    intersect,
-    rref,
-    solve,
-)
-from .module import (
-    BadPrime,
-    LambdaModule,
-    direct_sum,
-    full_graded,
-    reduce_mod_p,
-    restrict,
-)
+from .linalg import Matrix, Polynomial, Subspace, hstack, interpolate, rref
+from .module import BadPrime, LambdaModule, direct_sum, reduce_mod_p, restrict
 from .quiver import Word, enumerate_splittings, enumerate_words, word_content
 
 # One fitted window must reproduce the counts at this many further primes.
@@ -50,7 +34,7 @@ VALIDATION_PRIMES = 2
 # module degenerates (reduction is defined but off the generic pattern).
 MAX_WINDOW_SHIFT = 6
 
-Steps = Tuple[Tuple[str, int], ...]
+Steps = Tuple[Tuple[str, int, int], ...]
 
 
 class NonPolynomialCount(RuntimeError):
@@ -122,11 +106,18 @@ class DeltaFingerprint:
         return dict(zip(self.words, self.chi))
 
 
-def _steps(word: Word, coeffs: Optional[Sequence[int]]) -> Steps:
-    """The effective (vertex, multiplicity) steps; zero coefficients drop."""
+def _steps(
+    word: Word,
+    coeffs: Optional[Sequence[int]],
+    drops: Optional[Sequence[int]] = None,
+) -> Steps:
+    """The effective (vertex, multiplicity, drop) steps; zero coefficients
+    drop out.  ``drops`` default to 0, which tracks nothing."""
     if coeffs is None:
         coeffs = [1] * len(word)
-    return tuple((v, c) for v, c in zip(word, coeffs) if c > 0)
+    if drops is None:
+        drops = [0] * len(word)
+    return tuple((v, c, d) for v, c, d in zip(word, coeffs, drops) if c > 0)
 
 
 def enumerate_subspaces(field: Field, ambient: int, dim: int) -> Iterator[Matrix]:
@@ -181,11 +172,20 @@ def _complement_columns(u: Subspace) -> Matrix:
 def _count(m: LambdaModule, steps: Steps, memo: Dict) -> int:
     """Stable flag count by peeling one semisimple quotient per step.
 
-    A flag step with multiplicity c at vertex v keeps a codimension-c
-    subspace of the v-piece that contains every incoming image (so the
-    quotient is semisimple at v) and is automatically stable; the kept
-    subspaces are enumerated explicitly and the restriction recursed on.
-    The memo is shared across words of one module family at one prime.
+    A flag step (v, c, drop) keeps a codimension-c subspace of the v-piece
+    that contains every incoming image (so the quotient is semisimple at
+    v) and is automatically stable; the kept subspaces are enumerated
+    explicitly and the restriction recursed on.
+
+    The drops grade the count by a tracked submodule.  At vertex v it is
+    spanned by the last t coordinates, where t is the sum of the remaining
+    drops at v.  A kept piece meets it in the span of the basis columns
+    that pivot in those rows, and the step counts the piece only when
+    that span has dimension t - drop.  Those columns come last in the
+    reduced column echelon basis, so in the restriction the tracked part
+    is again spanned by the last coordinates.  With every drop 0 nothing
+    is tracked.  The memo is shared across words of one module family at
+    one prime.
     """
     if not steps:
         return 1
@@ -193,18 +193,18 @@ def _count(m: LambdaModule, steps: Steps, memo: Dict) -> int:
     cached = memo.get(key)
     if cached is not None:
         return cached
-    v, c = steps[0]
+    v, c, drop = steps[0]
     u = _incoming_image(m, v)
     keep = m.dim_of(v) - c
+    tracked = sum(d for w, _, d in steps if w == v)
+    first_tracked = m.dim_of(v) - tracked
     total = 0
     if keep >= u.dim:
         comp = _complement_columns(u)
-        idx = m.quiver.vertex_index[v]
-        pieces = list(full_graded(m))
         for small in enumerate_subspaces(m.field, comp.ncols, keep - u.dim):
             kept = Subspace.span(hstack([u.basis, comp.mul(small)]))
-            pieces[idx] = kept
-            total += _count(restrict(m, tuple(pieces)), steps[1:], memo)
+            if sum(r >= first_tracked for r in kept.pivots) == tracked - drop:
+                total += _count(restrict(m, v, kept), steps[1:], memo)
     memo[key] = total
     return total
 
@@ -451,55 +451,6 @@ def split_chi_sum(
 SplitKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-def _count_split(
-    m: LambdaModule,
-    steps: Steps,
-    tracked: Tuple[Subspace, ...],
-    memo: Dict,
-) -> Mapping[Tuple[int, ...], int]:
-    """Flag counts graded by how many factors each step takes from a
-    tracked submodule.
-
-    Same recursion as :func:`_count`, but a graded subspace is carried
-    along (rewritten into the echelon coordinates of every kept piece) and
-    each step records the drop of its dimension.  Keys are the per-step
-    drop sequences.
-    """
-    if not steps:
-        return {(): 1}
-    key = (
-        m.canonical_key(),
-        steps,
-        tuple(sub.basis.entries for sub in tracked),
-    )
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    v, c = steps[0]
-    u = _incoming_image(m, v)
-    keep = m.dim_of(v) - c
-    out: Dict[Tuple[int, ...], int] = {}
-    if keep >= u.dim:
-        comp = _complement_columns(u)
-        idx = m.quiver.vertex_index[v]
-        pieces = list(full_graded(m))
-        for small in enumerate_subspaces(m.field, comp.ncols, keep - u.dim):
-            kept = Subspace.span(hstack([u.basis, comp.mul(small)]))
-            pieces[idx] = kept
-            meet = intersect(tracked[idx], kept)
-            moved = list(tracked)
-            moved[idx] = Subspace.span(solve(kept.basis, meet.basis))
-            drop = tracked[idx].dim - meet.dim
-            tails = _count_split(
-                restrict(m, tuple(pieces)), steps[1:], tuple(moved), memo
-            )
-            for tail, n in tails.items():
-                full = (drop,) + tail
-                out[full] = out.get(full, 0) + n
-    memo[key] = out
-    return out
-
-
 def count_flags_by_splitting(
     left: LambdaModule,
     right: LambdaModule,
@@ -518,6 +469,9 @@ def count_flags_by_splitting(
     counting-level face of the direct-sum factorization (the plain
     product of raw counts does NOT match the total, because the strata
     fiber over the flag pairs with positive-dimensional affine fibers).
+
+    The direct sum lists the right summand's coordinates last, so each
+    splitting type is one :func:`_count` that tracks the right summand.
     """
     if left.field.is_rational or left.field != right.field:
         raise ValueError("need two modules over one common prime field")
@@ -526,29 +480,14 @@ def count_flags_by_splitting(
     whole = direct_sum(left, right)
     if word_content(whole.quiver, word, coeffs) != whole.dim:
         raise ValueError("word content differs from the module dimension")
-    fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
-    tracked = []
-    for v in whole.quiver.vertices:
-        before, extra = left.dim_of(v), right.dim_of(v)
-        total = before + extra
-        cols = [
-            [1 if i == before + j else 0 for i in range(total)]
-            for j in range(extra)
-        ]
-        tracked.append(
-            Subspace.span(Matrix.from_cols(whole.field, cols, nrows=total))
-        )
-    dist = _count_split(
-        whole, _steps(word, fixed), tuple(tracked), {} if memo is None else memo
-    )
-    positions = [k for k, c in enumerate(fixed) if c > 0]
+    shared: Dict = {} if memo is None else memo
     out: Dict[SplitKey, int] = {}
-    for tail, n in dist.items():
-        c_right = [0] * len(word)
-        for pos, drop in zip(positions, tail):
-            c_right[pos] = drop
-        c_left = tuple(c - d for c, d in zip(fixed, c_right))
-        out[(c_left, tuple(c_right))] = n
+    for c_left, c_right in enumerate_splittings(
+        whole.quiver, word, coeffs, left.dim, right.dim
+    ):
+        n = _count(whole, _steps(word, coeffs, c_right), shared)
+        if n:
+            out[(c_left, c_right)] = n
     return out
 
 
@@ -570,11 +509,8 @@ def split_euler_table(
         raise ValueError("Euler characteristics are computed over the rationals")
     if left.dq != right.dq:
         raise ValueError("modules live over different double quivers")
-    q = left.quiver
-    keys = enumerate_splittings(q, word, coeffs, left.dim, right.dim)
-    bound = sum(
-        d * (d - 1) // 2 for d in (a + b for a, b in zip(left.dim, right.dim))
-    )
+    keys = enumerate_splittings(left.quiver, word, coeffs, left.dim, right.dim)
+    bound = degree_bound(direct_sum(left, right))
 
     def sample(p: int) -> Optional[Tuple[int, ...]]:
         try:

@@ -382,6 +382,15 @@ class Subspace:
     def field(self) -> Field:
         return self.basis.field
 
+    @property
+    def pivots(self) -> Tuple[int, ...]:
+        """The row of each basis column's leading 1, in increasing order."""
+        rows = self.basis.entries
+        return tuple(
+            next(i for i in range(self.ambient) if rows[i][j] != 0)
+            for j in range(self.dim)
+        )
+
     def contains(self, vec: Matrix) -> bool:
         """Membership test for a column vector (ambient x 1 matrix)."""
         return solve(self.basis, vec) is not None
@@ -395,17 +404,6 @@ class Subspace:
         if self.ambient != other.ambient:
             raise ValueError("subspace sum in different ambient spaces")
         return Subspace.span(hstack([self.basis, other.basis]))
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """The intersection of two subspaces of one ambient space."""
-    if a.ambient != b.ambient:
-        raise ValueError("subspace intersection in different ambient spaces")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.field, a.ambient)
-    pairs = kernel_basis(hstack([a.basis, b.basis.neg()]))
-    top = Matrix(a.field, a.dim, pairs.ncols, pairs.entries[: a.dim])
-    return Subspace.span(a.basis.mul(top))
 
 
 def perp(sub: Subspace, gram: Matrix) -> Subspace:

@@ -223,39 +223,37 @@ def direct_sum(m: LambdaModule, n: LambdaModule) -> LambdaModule:
     return LambdaModule(m.dq, m.field, dim, tuple(mats))
 
 
-def full_graded(m: LambdaModule) -> GradedSubspace:
-    return tuple(Subspace.full(m.field, d) for d in m.dim)
+def restrict(m: LambdaModule, v: str, kept: Subspace) -> LambdaModule:
+    """The module structure on the graded subspace that is ``kept`` at v
+    and whole at every other vertex.
 
-
-def restrict(m: LambdaModule, sub: GradedSubspace) -> LambdaModule:
-    """The module structure on an action-stable graded subspace.
-
-    The result is written in the echelon basis of each piece of ``sub``.
+    The result is written in the echelon basis of ``kept``, in which a
+    vector's coordinates are its entries at the pivot rows.
 
     Raises:
         ValueError: when some x(b) does not preserve the subspace; the
             message names the witnessing arrow.
     """
-    verts = m.quiver.vertices
-    idx = m.quiver.vertex_index
-    if len(sub) != len(verts):
-        raise ValueError("graded subspace has wrong number of pieces")
-    for v, piece in zip(verts, sub):
-        if piece.ambient != m.dim_of(v):
-            raise ValueError(f"piece at vertex {v} has wrong ambient dimension")
+    if kept.ambient != m.dim_of(v):
+        raise ValueError(f"piece at vertex {v} has wrong ambient dimension")
+    basis, pivots = kept.basis, kept.pivots
     mats: List[Matrix] = []
-    for arrow in m.dq.arrows:
-        src = sub[idx[arrow.source]]
-        tgt = sub[idx[arrow.target]]
-        moved = m.x(arrow.name).mul(src.basis)
-        coords = solve(tgt.basis, moved)
-        if coords is None:
-            raise ValueError(
-                f"subspace is not stable under arrow {arrow.name}"
+    for arrow, mat in zip(m.dq.arrows, m.action):
+        if arrow.source == v:
+            mat = mat.mul(basis)
+        if arrow.target == v:
+            coords = Matrix(
+                m.field, kept.dim, mat.ncols, tuple(mat.entries[i] for i in pivots)
             )
-        mats.append(coords)
-    dim = tuple(s.dim for s in sub)
-    return LambdaModule(m.dq, m.field, dim, tuple(mats))
+            if basis.mul(coords) != mat:
+                raise ValueError(
+                    f"subspace is not stable under arrow {arrow.name}"
+                )
+            mat = coords
+        mats.append(mat)
+    dim = list(m.dim)
+    dim[m.quiver.vertex_index[v]] = kept.dim
+    return LambdaModule(m.dq, m.field, tuple(dim), tuple(mats))
 
 
 def reduce_mod_p(m: LambdaModule, p: int) -> LambdaModule:

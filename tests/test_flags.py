@@ -25,8 +25,9 @@ from preproj.flags import (
     split_chi_sum,
     split_euler_table,
 )
-from preproj.linalg import Matrix, rank
+from preproj.linalg import Matrix, hstack, rank
 from preproj.module import (
+    BadPrime,
     LambdaModule,
     base_change,
     direct_sum,
@@ -35,6 +36,7 @@ from preproj.module import (
     zero_module,
 )
 from preproj.quiver import Quiver, double, enumerate_words
+from preproj.randgen import random_nilpotent_module
 
 
 def a2_double():
@@ -216,10 +218,15 @@ def test_nonpolynomial_counts_surface_after_all_shifts(monkeypatch):
         return n
 
     monkeypatch.setattr(flags, "_count", crooked)
-    with pytest.raises(NonPolynomialCount) as err:
-        euler_characteristic(x_module(dq), ("1", "2"))
-    assert err.value.word == ("1", "2")
-    assert "validation" in str(err.value)
+    s1, s2 = simple(dq, "1", QQ), simple(dq, "2", QQ)
+    for compute in (
+        lambda: euler_characteristic(x_module(dq), ("1", "2")),
+        lambda: split_euler_table(s1, s2, ("1", "2")),
+    ):
+        with pytest.raises(NonPolynomialCount) as err:
+            compute()
+        assert err.value.word == ("1", "2")
+        assert "validation" in str(err.value)
 
 
 def test_insufficient_primes_reported():
@@ -293,6 +300,115 @@ def test_raw_count_products_undercount_fibered_strata():
     assert dist == {
         ((1, 1, 1, 0, 1), (0, 0, 0, 1, 0)): p,
         ((1, 1, 1, 1, 0), (0, 0, 0, 0, 1)): 1,
+    }
+
+
+def chain_split_counts(left, right, word):
+    """Split counts of a multiplicity-one word, chain by chain.
+
+    Walks every chain of submodules of left + right in ambient
+    coordinates, one hyperplane at the word's vertex per step, and reads
+    each step's drop on the right summand R off ranks:
+    dim(F & R) = dim F + dim R - rank[F | R].
+    """
+    whole = direct_sum(left, right)
+    field, idx = whole.field, whole.quiver.vertex_index
+    summand = [
+        Matrix.from_cols(
+            field,
+            [[int(i == a + j) for i in range(a + b)] for j in range(b)],
+            nrows=a + b,
+        )
+        for a, b in zip(left.dim, right.dim)
+    ]
+
+    def meet(piece, i):
+        return piece.ncols + summand[i].ncols - rank(hstack([piece, summand[i]]))
+
+    def stable(pieces):
+        for a in whole.dq.arrows:
+            target = pieces[idx[a.target]]
+            image = whole.x(a.name).mul(pieces[idx[a.source]])
+            if rank(hstack([target, image])) != target.ncols:
+                return False
+        return True
+
+    out = {}
+
+    def descend(pieces, drops):
+        if len(drops) == len(word):
+            key = (tuple(1 - d for d in drops), tuple(drops))
+            out[key] = out.get(key, 0) + 1
+            return
+        i = idx[word[len(drops)]]
+        piece = pieces[i]
+        for small in enumerate_subspaces(field, piece.ncols, piece.ncols - 1):
+            moved = list(pieces)
+            moved[i] = piece.mul(small)
+            if stable(moved):
+                descend(moved, drops + [meet(piece, i) - meet(moved[i], i)])
+
+    descend([Matrix.identity(field, d) for d in whole.dim], [])
+    return out
+
+
+def modest_pair(dq, rng):
+    """A random pair with per-vertex sum at most 3, as in acceptance 07."""
+    while True:
+        left = random_nilpotent_module(dq, rng, steps=2, max_total=3)
+        right = random_nilpotent_module(dq, rng, steps=2, max_total=2)
+        if all(a + b <= 3 for a, b in zip(left.dim, right.dim)):
+            return left, right
+
+
+def test_split_counts_match_a_chain_by_chain_oracle(rng_seed):
+    rng = random.Random(rng_seed + 3)
+    a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
+    pairs = [(d4.t_module(), d4.s4_module())]
+    pairs += [modest_pair(dq, rng) for dq in (a3, kronecker, a3)]
+    compared = 0
+    for left, right in pairs:
+        words = enumerate_words(left.quiver, direct_sum(left, right).dim)
+        for p in (2, 3):
+            try:
+                lp, rp = reduce_mod_p(left, p), reduce_mod_p(right, p)
+            except BadPrime:
+                continue
+            memo = {}
+            for word in words:
+                want = chain_split_counts(lp, rp, word)
+                got = count_flags_by_splitting(lp, rp, word, memo=memo)
+                assert set(got) == set(want), (word, p)
+                for key, n in want.items():
+                    assert got[key] == n, (word, p, key)
+                compared += 1
+    assert compared >= 50
+
+
+def test_split_counts_with_multiplicity_two():
+    dq = a2_double()
+    s1 = simple(dq, "1", QQ)
+    pair = direct_sum(s1, s1)
+    word, coeffs = ("1", "1"), (2, 1)
+    for p in (2, 3, 5):
+        s1p, pair_p = reduce_mod_p(s1, p), reduce_mod_p(pair, p)
+        assert count_flags_by_splitting(pair_p, s1p, word, coeffs) == {
+            ((1, 1), (1, 0)): p * p + p,
+            ((2, 0), (0, 1)): 1,
+        }
+        # the right summand's plane loses both dimensions at the first step
+        assert count_flags_by_splitting(s1p, pair_p, word, coeffs) == {
+            ((0, 1), (2, 0)): p * p,
+            ((1, 0), (1, 1)): p + 1,
+        }
+    assert split_euler_table(pair, s1, word, coeffs) == {
+        ((1, 1), (1, 0)): 2,
+        ((2, 0), (0, 1)): 1,
+    }
+    assert split_euler_table(s1, pair, word, coeffs) == {
+        ((0, 1), (2, 0)): 1,
+        ((1, 0), (1, 1)): 2,
     }
 
 

@@ -13,7 +13,6 @@ from preproj.linalg import (
     column_echelon,
     hstack,
     interpolate,
-    intersect,
     kernel_basis,
     mat_pow,
     perp,
@@ -198,34 +197,3 @@ def test_hstack_width():
     a = Matrix.identity(QQ, 2)
     b = Matrix.zeros(QQ, 2, 1)
     assert hstack([a, b]).ncols == 3
-
-
-def test_intersect_frozen_planes():
-    # two planes in QQ^3 meeting in the line through (1, 1, 1)
-    a = Subspace.span(Matrix.from_cols(QQ, [[1, 0, 0], [0, 1, 1]]))
-    b = Subspace.span(Matrix.from_cols(QQ, [[0, 0, 1], [1, 1, 0]]))
-    meet = intersect(a, b)
-    assert meet.dim == 1
-    assert meet.contains(Matrix.from_cols(QQ, [[1, 1, 1]]))
-    zero = Subspace.zero(QQ, 3)
-    assert intersect(a, zero).dim == 0
-
-
-def test_intersect_dimension_formula_seeded(rng_seed):
-    rng = random.Random(rng_seed + 4)
-    field = Field(5)
-
-    def random_subspace(ambient):
-        cols = [
-            [rng.randrange(5) for _ in range(ambient)]
-            for _ in range(rng.randrange(0, 4))
-        ]
-        return Subspace.span(Matrix.from_cols(field, cols, nrows=ambient))
-
-    for _ in range(25):
-        ambient = rng.randrange(1, 5)
-        a, b = random_subspace(ambient), random_subspace(ambient)
-        meet = intersect(a, b)
-        assert meet.dim == a.dim + b.dim - a.sum_with(b).dim
-        assert a.contains_subspace(meet)
-        assert b.contains_subspace(meet)

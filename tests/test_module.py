@@ -12,7 +12,6 @@ from preproj.module import (
     LambdaModule,
     base_change,
     direct_sum,
-    full_graded,
     is_nilpotent,
     reduce_mod_p,
     relation_residual,
@@ -106,9 +105,7 @@ def test_direct_sum_blocks():
 
 def test_restrict_to_stable_subspace():
     t = d4.t_module()
-    sub = list(full_graded(t))
-    sub[0] = Subspace.zero(QQ, 1)
-    restricted = restrict(t, tuple(sub))
+    restricted = restrict(t, "1", Subspace.zero(QQ, 1))
     assert restricted.dim == (0, 1, 1, 1)
     assert restricted.x("b") == Matrix.from_rows(QQ, [[1]])
     assert validate(restricted).ok
@@ -116,10 +113,8 @@ def test_restrict_to_stable_subspace():
 
 def test_restrict_unstable_names_arrow():
     t = d4.t_module()
-    sub = list(full_graded(t))
-    sub[3] = Subspace.zero(QQ, 1)
     with pytest.raises(ValueError, match="arrow a"):
-        restrict(t, tuple(sub))
+        restrict(t, "4", Subspace.zero(QQ, 1))
 
 
 def test_reduce_mod_p_and_bad_prime():

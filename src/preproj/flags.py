@@ -24,9 +24,23 @@ from typing import (
 )
 
 from .fields import Field, primes
-from .linalg import Matrix, Polynomial, Subspace, hstack, interpolate, rref
-from .module import BadPrime, LambdaModule, direct_sum, reduce_mod_p, restrict
-from .quiver import Word, enumerate_splittings, enumerate_words, word_content
+from .linalg import Polynomial, interpolate
+from .module import (
+    BadPrime,
+    LambdaModule,
+    RowModule,
+    Rows,
+    direct_sum,
+    reduce_mod_p,
+    restrict_rows,
+)
+from .quiver import (
+    Quiver,
+    Word,
+    enumerate_splittings,
+    enumerate_words,
+    word_content,
+)
 
 # One fitted window must reproduce the counts at this many further primes.
 VALIDATION_PRIMES = 2
@@ -34,7 +48,7 @@ VALIDATION_PRIMES = 2
 # module degenerates (reduction is defined but off the generic pattern).
 MAX_WINDOW_SHIFT = 6
 
-Steps = Tuple[Tuple[str, int, int], ...]
+Steps = Tuple[Tuple[int, int, int], ...]
 
 
 class NonPolynomialCount(RuntimeError):
@@ -107,24 +121,26 @@ class DeltaFingerprint:
 
 
 def _steps(
+    q: Quiver,
     word: Word,
     coeffs: Optional[Sequence[int]],
     drops: Optional[Sequence[int]] = None,
 ) -> Steps:
-    """The effective (vertex, multiplicity, drop) steps; zero coefficients
-    drop out.  ``drops`` default to 0, which tracks nothing."""
+    """The effective (vertex index, multiplicity, drop) steps; zero
+    coefficients drop out.  ``drops`` default to 0, which tracks nothing."""
     if coeffs is None:
         coeffs = [1] * len(word)
     if drops is None:
         drops = [0] * len(word)
-    return tuple((v, c, d) for v, c, d in zip(word, coeffs, drops) if c > 0)
+    idx = q.vertex_index
+    return tuple((idx[v], c, d) for v, c, d in zip(word, coeffs, drops) if c > 0)
 
 
-def enumerate_subspaces(field: Field, ambient: int, dim: int) -> Iterator[Matrix]:
-    """All dim-dimensional subspaces of field^ambient, one basis matrix each.
+def enumerate_subspaces(field: Field, ambient: int, dim: int) -> Iterator[Rows]:
+    """All dim-dimensional subspaces of field^ambient, each exactly once.
 
-    Bases are emitted as ambient x dim matrices, each subspace exactly once
-    (the transposes run over reduced row echelon forms), in a fixed order.
+    A subspace is yielded as its reduced row echelon basis, a tuple of
+    dim rows of ints, in a fixed order.
 
     Raises:
         ValueError: when the enumeration is infinite (rational field with
@@ -133,7 +149,7 @@ def enumerate_subspaces(field: Field, ambient: int, dim: int) -> Iterator[Matrix
     if dim < 0 or dim > ambient:
         return
     if dim == 0:
-        yield Matrix.zeros(field, ambient, 0)
+        yield ()
         return
     for pivots in combinations(range(ambient), dim):
         free = [
@@ -150,61 +166,117 @@ def enumerate_subspaces(field: Field, ambient: int, dim: int) -> Iterator[Matrix
                 rows[i][pj] = 1
             for (i, j), val in zip(free, values):
                 rows[i][j] = val
-            yield Matrix.from_rows(field, rows, ncols=ambient).transpose()
+            yield tuple(map(tuple, rows))
 
 
-def _incoming_image(m: LambdaModule, v: str) -> Subspace:
-    """The sum of the images of all doubled arrows ending at v."""
-    mats = [m.x(a.name) for a in m.dq.arrows_into(v)]
-    if not mats:
-        return Subspace.zero(m.field, m.dim_of(v))
-    return Subspace.span(hstack(mats))
+def _echelon(vectors: Sequence[Sequence[int]], p: int) -> Dict[int, List[int]]:
+    """Reduced row echelon basis mod p of the span of the vectors, each
+    row keyed by its leading position."""
+    rows: Dict[int, List[int]] = {}
+    for vec in vectors:
+        vec = list(vec)
+        for q, row in rows.items():
+            f = vec[q]
+            if f:
+                vec = [(x - f * y) % p for x, y in zip(vec, row)]
+        lead = next((j for j, x in enumerate(vec) if x), None)
+        if lead is None:
+            continue
+        inv = pow(vec[lead], -1, p)
+        vec = [x * inv % p for x in vec]
+        for q, row in rows.items():
+            f = row[lead]
+            if f:
+                rows[q] = [(x - f * y) % p for x, y in zip(row, vec)]
+        rows[lead] = vec
+    return rows
 
 
-def _complement_columns(u: Subspace) -> Matrix:
-    """Standard basis columns completing u to a basis of its ambient space."""
-    ident = Matrix.identity(u.field, u.ambient)
-    _, piv = rref(hstack([u.basis, ident]))
-    cols = [ident.col(j - u.dim) for j in piv if j >= u.dim]
-    return Matrix.from_cols(u.field, cols, nrows=u.ambient)
+def _children(
+    m: RowModule, v: int, c: int, memo: Dict
+) -> List[Tuple[Tuple[int, ...], RowModule]]:
+    """Every codimension-c piece at v that contains all incoming images,
+    as (pivots, restricted module).
+
+    The incoming columns are row reduced to u.  A piece is u plus a
+    subspace in the coordinates that are not pivots of u; lifting that
+    subspace's echelon rows and clearing u's rows at their pivots gives
+    the piece's reduced row echelon basis directly.  The list is cached
+    in the memo under (p, dim, rows, v, c), so every word and splitting
+    type that reaches this node shares one enumeration.
+    """
+    p = m.field.p
+    key = (p, m.dim, m.rows, v, c)
+    children = memo.get(key)
+    if children is not None:
+        return children
+    d = m.dim[v]
+    incoming = [
+        col
+        for rows, (_, _, target) in zip(m.rows, m.arrows)
+        if target == v
+        for col in zip(*rows)
+    ]
+    u = _echelon(incoming, p)
+    children = []
+    if d - c >= len(u):
+        free = [j for j in range(d) if j not in u]
+        for small in enumerate_subspaces(m.field, len(free), d - c - len(u)):
+            basis: Dict[int, List[int]] = {}
+            for w in small:
+                lifted = [0] * d
+                for j, x in zip(free, w):
+                    lifted[j] = x
+                # an echelon row is zero before its leading 1
+                basis[free[w.index(1)]] = lifted
+            lifts = list(basis.items())
+            for r, row in u.items():
+                for q, w in lifts:
+                    f = row[q]
+                    if f:
+                        row = [(x - f * y) % p for x, y in zip(row, w)]
+                basis[r] = row
+            pivots = tuple(sorted(basis))
+            kept = tuple(tuple(basis[q]) for q in pivots)
+            children.append((pivots, restrict_rows(m, v, kept, pivots)))
+    memo[key] = children
+    return children
 
 
-def _count(m: LambdaModule, steps: Steps, memo: Dict) -> int:
+def _count(m: RowModule, steps: Steps, memo: Dict) -> int:
     """Stable flag count by peeling one semisimple quotient per step.
 
     A flag step (v, c, drop) keeps a codimension-c subspace of the v-piece
     that contains every incoming image (so the quotient is semisimple at
-    v) and is automatically stable; the kept subspaces are enumerated
-    explicitly and the restriction recursed on.
+    v) and is automatically stable; :func:`_children` lists the kept
+    pieces with their restrictions, and the count recurses on each.
 
     The drops grade the count by a tracked submodule.  At vertex v it is
     spanned by the last t coordinates, where t is the sum of the remaining
-    drops at v.  A kept piece meets it in the span of the basis columns
-    that pivot in those rows, and the step counts the piece only when
-    that span has dimension t - drop.  Those columns come last in the
-    reduced column echelon basis, so in the restriction the tracked part
-    is again spanned by the last coordinates.  With every drop 0 nothing
-    is tracked.  The memo is shared across words of one module family at
-    one prime.
+    drops at v.  A kept piece meets it in the span of the echelon rows
+    that pivot in those coordinates, and the step counts the piece only
+    when that span has dimension t - drop.  Those rows come last in the
+    echelon basis, so in the restriction the tracked part is again spanned
+    by the last coordinates.  With every drop 0 nothing is tracked.
+
+    Counts are memoized under (p, dim, rows, steps) and child lists under
+    (p, dim, rows, v, c), in one dict shared across the words and
+    splitting types of one module family at one prime.
     """
     if not steps:
         return 1
-    key = (m.canonical_key(), steps)
+    key = (m.field.p, m.dim, m.rows, steps)
     cached = memo.get(key)
     if cached is not None:
         return cached
     v, c, drop = steps[0]
-    u = _incoming_image(m, v)
-    keep = m.dim_of(v) - c
     tracked = sum(d for w, _, d in steps if w == v)
-    first_tracked = m.dim_of(v) - tracked
+    first_tracked = m.dim[v] - tracked
+    rest = steps[1:]
     total = 0
-    if keep >= u.dim:
-        comp = _complement_columns(u)
-        for small in enumerate_subspaces(m.field, comp.ncols, keep - u.dim):
-            kept = Subspace.span(hstack([u.basis, comp.mul(small)]))
-            if sum(r >= first_tracked for r in kept.pivots) == tracked - drop:
-                total += _count(restrict(m, v, kept), steps[1:], memo)
+    for pivots, child in _children(m, v, c, memo):
+        if sum(r >= first_tracked for r in pivots) == tracked - drop:
+            total += _count(child, rest, memo)
     memo[key] = total
     return total
 
@@ -230,7 +302,9 @@ def count_flags(
         raise ValueError("flag counting needs a prime field; reduce first")
     if word_content(m.quiver, word, coeffs) != m.dim:
         raise ValueError("word content differs from the module dimension")
-    n = _count(m, _steps(word, coeffs), {} if memo is None else memo)
+    n = _count(
+        RowModule.of(m), _steps(m.quiver, word, coeffs), {} if memo is None else memo
+    )
     fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
     return FlagCount(m, tuple(word), fixed, m.field.p, n)
 
@@ -244,8 +318,9 @@ def count_flags_fp(m: LambdaModule, memo: Optional[Dict] = None) -> Tuple[int, .
     if m.field.is_rational:
         raise ValueError("flag counting needs a prime field; reduce first")
     shared: Dict = {} if memo is None else memo
+    rm = RowModule.of(m)
     return tuple(
-        _count(m, _steps(w, None), shared)
+        _count(rm, _steps(m.quiver, w, None), shared)
         for w in enumerate_words(m.quiver, m.dim)
     )
 
@@ -296,8 +371,8 @@ def _module_sampler(module: LambdaModule, steps: Tuple[Steps, ...]):
             mp = reduce_mod_p(module, p)
         except BadPrime:
             return None
-        memo: Dict = {}
-        return tuple(_count(mp, s, memo) for s in steps)
+        rm, memo = RowModule.of(mp), {}
+        return tuple(_count(rm, s, memo) for s in steps)
 
     return sample
 
@@ -391,7 +466,9 @@ def euler_characteristic(
     if word_content(m.quiver, word, coeffs) != m.dim:
         raise ValueError("word content differs from the module dimension")
     candidates = iter(prime_list) if prime_list is not None else primes()
-    pool = _PrimePool(_module_sampler(m, (_steps(word, coeffs),)), candidates)
+    pool = _PrimePool(
+        _module_sampler(m, (_steps(m.quiver, word, coeffs),)), candidates
+    )
     fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
     return _fit_word(pool, 0, degree_bound(m), tuple(word), fixed)
 
@@ -412,7 +489,7 @@ def fingerprint(
     if not m.field.is_rational:
         raise ValueError("Euler characteristics are computed over the rationals")
     words = enumerate_words(m.quiver, m.dim)
-    steps = tuple(_steps(w, None) for w in words)
+    steps = tuple(_steps(m.quiver, w, None) for w in words)
     bound = degree_bound(m)
     candidates = iter(prime_list) if prime_list is not None else primes()
     pool = _PrimePool(_module_sampler(m, steps), candidates)
@@ -481,11 +558,12 @@ def count_flags_by_splitting(
     if word_content(whole.quiver, word, coeffs) != whole.dim:
         raise ValueError("word content differs from the module dimension")
     shared: Dict = {} if memo is None else memo
+    rm = RowModule.of(whole)
     out: Dict[SplitKey, int] = {}
     for c_left, c_right in enumerate_splittings(
         whole.quiver, word, coeffs, left.dim, right.dim
     ):
-        n = _count(whole, _steps(word, coeffs, c_right), shared)
+        n = _count(rm, _steps(whole.quiver, word, coeffs, c_right), shared)
         if n:
             out[(c_left, c_right)] = n
     return out

@@ -382,15 +382,6 @@ class Subspace:
     def field(self) -> Field:
         return self.basis.field
 
-    @property
-    def pivots(self) -> Tuple[int, ...]:
-        """The row of each basis column's leading 1, in increasing order."""
-        rows = self.basis.entries
-        return tuple(
-            next(i for i in range(self.ambient) if rows[i][j] != 0)
-            for j in range(self.dim)
-        )
-
     def contains(self, vec: Matrix) -> bool:
         """Membership test for a column vector (ambient x 1 matrix)."""
         return solve(self.basis, vec) is not None

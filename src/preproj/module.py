@@ -15,13 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from operator import mul
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .fields import Field
+from .fields import Field, Scalar
 from .linalg import Matrix, Subspace, hstack, solve
 from .quiver import DimVector, DoubleQuiver, Quiver
 
 GradedSubspace = Tuple[Subspace, ...]
+Rows = Tuple[Tuple[Scalar, ...], ...]
 
 
 class BadPrime(ValueError):
@@ -115,10 +117,6 @@ class LambdaModule:
     @property
     def quiver(self) -> Quiver:
         return self.dq.base
-
-    def canonical_key(self) -> Tuple:
-        """A hashable key identifying the module data exactly."""
-        return (self.field.p, self.dim, tuple(m.entries for m in self.action))
 
 
 @dataclass(frozen=True)
@@ -223,6 +221,68 @@ def direct_sum(m: LambdaModule, n: LambdaModule) -> LambdaModule:
     return LambdaModule(m.dq, m.field, dim, tuple(mats))
 
 
+class RowModule(NamedTuple):
+    """A module with each arrow's matrix held as a tuple of rows.
+
+    Flag counting works in this form: no Matrix or Field dispatch, and
+    (field.p, dim, rows) is a hashable key of the module data.
+    ``arrows`` gives each doubled arrow's name, source index and target
+    index; every module restricted from this one shares it.
+    """
+
+    field: Field
+    dim: DimVector
+    rows: Tuple[Rows, ...]
+    arrows: Tuple[Tuple[str, int, int], ...]
+
+    @classmethod
+    def of(cls, m: LambdaModule) -> "RowModule":
+        idx = m.quiver.vertex_index
+        arrows = tuple((a.name, idx[a.source], idx[a.target]) for a in m.dq.arrows)
+        return cls(m.field, m.dim, tuple(mat.entries for mat in m.action), arrows)
+
+
+def restrict_rows(
+    m: RowModule, v: int, kept: Rows, pivots: Tuple[int, ...]
+) -> RowModule:
+    """The restriction to the piece spanned by ``kept`` at vertex index v
+    and whole at every other vertex.
+
+    ``kept`` is the piece's reduced row echelon basis and ``pivots`` its
+    leading positions.  In the result a vector at v is written by its
+    entries at the pivots.  Entries are reduced mod p, or stay rational
+    over the rationals.
+
+    Raises:
+        ValueError: when some arrow into v leaves the piece; the message
+            names the witnessing arrow.
+    """
+    p = m.field.p
+    red = Fraction if p is None else p.__rmod__
+    out = list(m.rows)
+    for a, (name, source, target) in enumerate(m.arrows):
+        mat = m.rows[a]
+        if source == v:
+            out[a] = tuple(
+                tuple(red(sum(map(mul, row, k))) for k in kept) for row in mat
+            )
+        elif target == v:
+            coords = tuple(mat[i] for i in pivots)
+            cols = tuple(zip(*coords)) if coords else ((),) * m.dim[source]
+            # multiply back; rows at the pivots agree by construction
+            for i, row in enumerate(mat):
+                if i in pivots:
+                    continue
+                coeffs = [k[i] for k in kept]
+                if any(
+                    red(sum(map(mul, coeffs, col)) - x) for col, x in zip(cols, row)
+                ):
+                    raise ValueError(f"subspace is not stable under arrow {name}")
+            out[a] = coords
+    dim = m.dim[:v] + (len(kept),) + m.dim[v + 1 :]
+    return RowModule(m.field, dim, tuple(out), m.arrows)
+
+
 def restrict(m: LambdaModule, v: str, kept: Subspace) -> LambdaModule:
     """The module structure on the graded subspace that is ``kept`` at v
     and whole at every other vertex.
@@ -236,24 +296,15 @@ def restrict(m: LambdaModule, v: str, kept: Subspace) -> LambdaModule:
     """
     if kept.ambient != m.dim_of(v):
         raise ValueError(f"piece at vertex {v} has wrong ambient dimension")
-    basis, pivots = kept.basis, kept.pivots
-    mats: List[Matrix] = []
-    for arrow, mat in zip(m.dq.arrows, m.action):
-        if arrow.source == v:
-            mat = mat.mul(basis)
-        if arrow.target == v:
-            coords = Matrix(
-                m.field, kept.dim, mat.ncols, tuple(mat.entries[i] for i in pivots)
-            )
-            if basis.mul(coords) != mat:
-                raise ValueError(
-                    f"subspace is not stable under arrow {arrow.name}"
-                )
-            mat = coords
-        mats.append(mat)
-    dim = list(m.dim)
-    dim[m.quiver.vertex_index[v]] = kept.dim
-    return LambdaModule(m.dq, m.field, tuple(dim), tuple(mats))
+    rows = kept.basis.transpose().entries
+    # each echelon row is zero before its leading 1
+    pivots = tuple(row.index(1) for row in rows)
+    r = restrict_rows(RowModule.of(m), m.quiver.vertex_index[v], rows, pivots)
+    mats = tuple(
+        Matrix(m.field, r.dim[target], r.dim[source], entries)
+        for (_, source, target), entries in zip(r.arrows, r.rows)
+    )
+    return LambdaModule(m.dq, m.field, r.dim, mats)
 
 
 def reduce_mod_p(m: LambdaModule, p: int) -> LambdaModule:

@@ -124,7 +124,7 @@ def test_count_vectors_frozen_a2():
 def test_subspace_enumeration_sizes():
     found = list(enumerate_subspaces(Field(3), 3, 1))
     assert len(found) == 13
-    assert len({m.entries for m in found}) == 13
+    assert len(set(found)) == 13
     assert len(list(enumerate_subspaces(Field(2), 4, 2))) == 35
     assert len(list(enumerate_subspaces(QQ, 2, 2))) == 1
     assert len(list(enumerate_subspaces(QQ, 2, 0))) == 1
@@ -344,7 +344,7 @@ def chain_split_counts(left, right, word):
         piece = pieces[i]
         for small in enumerate_subspaces(field, piece.ncols, piece.ncols - 1):
             moved = list(pieces)
-            moved[i] = piece.mul(small)
+            moved[i] = piece.mul(Matrix.from_cols(field, small, nrows=piece.ncols))
             if stable(moved):
                 descend(moved, drops + [meet(piece, i) - meet(moved[i], i)])
 
@@ -384,6 +384,47 @@ def test_split_counts_match_a_chain_by_chain_oracle(rng_seed):
                     assert got[key] == n, (word, p, key)
                 compared += 1
     assert compared >= 50
+
+
+def test_splitting_types_share_the_enumeration(monkeypatch, rng_seed):
+    # every splitting type walks a pruned copy of the direct sum's
+    # recursion, so with shared child lists the split count enumerates
+    # no subspace that the plain count of the same word does not
+    real = flags.enumerate_subspaces
+    yielded = [0]
+
+    def counted(field, ambient, dim):
+        for rows in real(field, ambient, dim):
+            yielded[0] += 1
+            yield rows
+
+    monkeypatch.setattr(flags, "enumerate_subspaces", counted)
+
+    def enumerated(compute):
+        yielded[0] = 0
+        compute()
+        return yielded[0]
+
+    rng = random.Random(rng_seed + 5)
+    a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
+    cases = [(d4.t_module(), d4.s4_module(), p) for p in (3, 5)]
+    cases += [modest_pair(dq, rng) + (3,) for dq in (a3, kronecker)]
+    checked = 0
+    for left, right, p in cases:
+        try:
+            lp, rp = reduce_mod_p(left, p), reduce_mod_p(right, p)
+        except BadPrime:
+            continue
+        whole = direct_sum(lp, rp)
+        for word in enumerate_words(whole.quiver, whole.dim):
+            split = enumerated(
+                lambda: count_flags_by_splitting(lp, rp, word, memo={})
+            )
+            plain = enumerated(lambda: count_flags(whole, word, memo={}))
+            assert split <= plain, (word, p, split, plain)
+            checked += plain > 0
+    assert checked >= 10
 
 
 def test_split_counts_with_multiplicity_two():

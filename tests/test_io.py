@@ -46,7 +46,7 @@ def test_zoo_modules_round_trip(tmp_path):
         save_module(path, m, name=name)
         loaded_name, loaded = load_module(path)
         assert loaded_name == name
-        assert loaded.canonical_key() == m.canonical_key()
+        assert loaded == m
         again = tmp_path / "again.json"
         save_module(again, loaded, name=loaded_name)
         assert path.read_text() == again.read_text()
@@ -58,7 +58,7 @@ def test_fractional_scalars_round_trip(tmp_path):
     save_module(path, m)
     name, loaded = load_module(path)
     assert name is None
-    assert loaded.canonical_key() == m.canonical_key()
+    assert loaded == m
 
 
 def test_prime_field_modules_round_trip(tmp_path):
@@ -66,7 +66,7 @@ def test_prime_field_modules_round_trip(tmp_path):
     data = module_to_data(m)
     assert data["field"] == "F5"
     _, loaded = module_from_data(data)
-    assert loaded.canonical_key() == m.canonical_key()
+    assert loaded == m
 
 
 def test_quiver_round_trip():

@@ -10,12 +10,14 @@ from preproj.linalg import Matrix, Subspace
 from preproj.module import (
     BadPrime,
     LambdaModule,
+    RowModule,
     base_change,
     direct_sum,
     is_nilpotent,
     reduce_mod_p,
     relation_residual,
     restrict,
+    restrict_rows,
     simple,
     validate,
     zero_module,
@@ -117,6 +119,23 @@ def test_restrict_unstable_names_arrow():
         restrict(t, "4", Subspace.zero(QQ, 1))
 
 
+def test_row_restriction_is_checked_mod_p():
+    # x(a) sends the vertex-1 line onto (1, -1), which is (1, 4) mod 5
+    f5 = Field(5)
+    m = LambdaModule.build(a2_double(), f5, (1, 2), {"a": [[1], [-1]]})
+    rm, v = RowModule.of(m), m.quiver.vertex_index["2"]
+    line = restrict_rows(rm, v, ((1, 4),), (0,))
+    assert line.dim == (1, 1)
+    assert line.rows[m.dq.arrow_index["a"]] == ((1,),)
+    for kept, pivots in ((((1, 1),), (0,)), (((0, 1),), (1,)), ((), ())):
+        with pytest.raises(ValueError, match="arrow a$"):
+            restrict_rows(rm, v, kept, pivots)
+    with pytest.raises(ValueError, match="arrow a$"):
+        restrict(m, "2", Subspace.span(Matrix.from_cols(f5, [[1, 1]])))
+    line = restrict(m, "2", Subspace.span(Matrix.from_cols(f5, [[1, 4]])))
+    assert line.x("a") == Matrix.from_rows(f5, [[1]])
+
+
 def test_reduce_mod_p_and_bad_prime():
     m = d4.m_family(Fraction(1, 3))
     with pytest.raises(BadPrime, match="mod 3"):
@@ -174,6 +193,6 @@ def test_m_family_specializes_to_named_degenerations():
     assert m.x("c*") == Matrix.from_rows(QQ, [[lam, 0]])
 
 
-def test_canonical_key_distinguishes_modules():
-    assert d4.m_family(1).canonical_key() != d4.m_family(2).canonical_key()
-    assert d4.m_family(1).canonical_key() == d4.m_family(1).canonical_key()
+def test_module_equality_distinguishes_modules():
+    assert d4.m_family(1) != d4.m_family(2)
+    assert d4.m_family(1) == d4.m_family(1)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import (
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -49,6 +50,7 @@ VALIDATION_PRIMES = 2
 MAX_WINDOW_SHIFT = 6
 
 Steps = Tuple[Tuple[int, int, int], ...]
+SplitKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 class NonPolynomialCount(RuntimeError):
@@ -134,6 +136,25 @@ def _steps(
         drops = [0] * len(word)
     idx = q.vertex_index
     return tuple((idx[v], c, d) for v, c, d in zip(word, coeffs, drops) if c > 0)
+
+
+def _word_steps(
+    q: Quiver, dim: Tuple[int, ...]
+) -> Tuple[Tuple[Word, ...], Tuple[Steps, ...]]:
+    """Every word with content dim, in enumeration order, and its steps."""
+    words = enumerate_words(q, dim)
+    return words, tuple(_steps(q, w, None) for w in words)
+
+
+def _split_steps(
+    left: LambdaModule, right: LambdaModule, word: Word, coeffs: Optional[Sequence[int]]
+) -> Tuple[Tuple[SplitKey, ...], Tuple[Steps, ...]]:
+    """Every splitting type (c', c'') of (word, coeffs) between the two
+    summands, and the steps that count it on their direct sum: the drops
+    are c'', the right summand's share."""
+    q = left.quiver
+    keys = enumerate_splittings(q, word, coeffs, left.dim, right.dim)
+    return keys, tuple(_steps(q, word, coeffs, c_right) for _, c_right in keys)
 
 
 def enumerate_subspaces(field: Field, ambient: int, dim: int) -> Iterator[Rows]:
@@ -281,6 +302,16 @@ def _count(m: RowModule, steps: Steps, memo: Dict) -> int:
     return total
 
 
+def _count_row(
+    m: LambdaModule, steps: Sequence[Steps], memo: Dict
+) -> Tuple[int, ...]:
+    """The stable flag counts of a finite-field module, one per entry of
+    a step table, through one shared memo.  Every count the package takes
+    (words, fingerprint rows, split tables, strata) is taken here."""
+    rm = RowModule.of(m)
+    return tuple(_count(rm, s, memo) for s in steps)
+
+
 def count_flags(
     m: LambdaModule,
     word: Word,
@@ -302,8 +333,8 @@ def count_flags(
         raise ValueError("flag counting needs a prime field; reduce first")
     if word_content(m.quiver, word, coeffs) != m.dim:
         raise ValueError("word content differs from the module dimension")
-    n = _count(
-        RowModule.of(m), _steps(m.quiver, word, coeffs), {} if memo is None else memo
+    (n,) = _count_row(
+        m, (_steps(m.quiver, word, coeffs),), {} if memo is None else memo
     )
     fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
     return FlagCount(m, tuple(word), fixed, m.field.p, n)
@@ -317,12 +348,8 @@ def count_flags_fp(m: LambdaModule, memo: Optional[Dict] = None) -> Tuple[int, .
     """
     if m.field.is_rational:
         raise ValueError("flag counting needs a prime field; reduce first")
-    shared: Dict = {} if memo is None else memo
-    rm = RowModule.of(m)
-    return tuple(
-        _count(rm, _steps(m.quiver, w, None), shared)
-        for w in enumerate_words(m.quiver, m.dim)
-    )
+    _, steps = _word_steps(m.quiver, m.dim)
+    return _count_row(m, steps, {} if memo is None else memo)
 
 
 def degree_bound(m: LambdaModule) -> int:
@@ -337,15 +364,17 @@ def degree_bound(m: LambdaModule) -> int:
 class _PrimePool:
     """Lazily sampled count rows at successive good primes.
 
-    Row k is the k-th prime where the sampler succeeds, paired with the
-    counts it returned there.  Rows are computed on demand and shared
-    between the per-column fits, so no prime is counted twice.  A sampler
-    returns None at a prime the module does not reduce at.
+    Row k is the k-th candidate prime where the sampler succeeds, paired
+    with the counts it returned there.  Rows are computed on demand and
+    shared between the per-column fits, so no prime is counted twice.  A
+    sampler returns None at a prime the module does not reduce at.  The
+    candidates are any iterable of primes, or None for all primes in
+    ascending order.
     """
 
-    def __init__(self, sampler, candidates: Iterator[int]) -> None:
+    def __init__(self, sampler, candidates: Optional[Iterable[int]]) -> None:
         self._sampler = sampler
-        self._candidates = candidates
+        self._candidates = primes() if candidates is None else iter(candidates)
         self._rows: List[Tuple[int, Tuple[int, ...]]] = []
 
     @property
@@ -366,13 +395,15 @@ class _PrimePool:
 
 
 def _module_sampler(module: LambdaModule, steps: Tuple[Steps, ...]):
+    """The pool sampler of a rational module: its count row mod p for the
+    step table, with a fresh memo per prime, or None at a bad prime."""
+
     def sample(p: int) -> Optional[Tuple[int, ...]]:
         try:
             mp = reduce_mod_p(module, p)
         except BadPrime:
             return None
-        rm, memo = RowModule.of(mp), {}
-        return tuple(_count(rm, s, memo) for s in steps)
+        return _count_row(mp, steps, {})
 
     return sample
 
@@ -465,9 +496,8 @@ def euler_characteristic(
         raise ValueError("Euler characteristics are computed over the rationals")
     if word_content(m.quiver, word, coeffs) != m.dim:
         raise ValueError("word content differs from the module dimension")
-    candidates = iter(prime_list) if prime_list is not None else primes()
     pool = _PrimePool(
-        _module_sampler(m, (_steps(m.quiver, word, coeffs),)), candidates
+        _module_sampler(m, (_steps(m.quiver, word, coeffs),)), prime_list
     )
     fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
     return _fit_word(pool, 0, degree_bound(m), tuple(word), fixed)
@@ -488,11 +518,9 @@ def fingerprint(
     """
     if not m.field.is_rational:
         raise ValueError("Euler characteristics are computed over the rationals")
-    words = enumerate_words(m.quiver, m.dim)
-    steps = tuple(_steps(m.quiver, w, None) for w in words)
+    words, steps = _word_steps(m.quiver, m.dim)
     bound = degree_bound(m)
-    candidates = iter(prime_list) if prime_list is not None else primes()
-    pool = _PrimePool(_module_sampler(m, steps), candidates)
+    pool = _PrimePool(_module_sampler(m, steps), prime_list)
     profiles = tuple(
         _fit_word(pool, j, bound, w, (1,) * len(w)) for j, w in enumerate(words)
     )
@@ -525,9 +553,6 @@ def split_chi_sum(
     return total
 
 
-SplitKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
-
-
 def count_flags_by_splitting(
     left: LambdaModule,
     right: LambdaModule,
@@ -548,7 +573,8 @@ def count_flags_by_splitting(
     fiber over the flag pairs with positive-dimensional affine fibers).
 
     The direct sum lists the right summand's coordinates last, so each
-    splitting type is one :func:`_count` that tracks the right summand.
+    splitting type is one step sequence that tracks the right summand,
+    and the table is one :func:`_count_row` over them.
     """
     if left.field.is_rational or left.field != right.field:
         raise ValueError("need two modules over one common prime field")
@@ -557,16 +583,9 @@ def count_flags_by_splitting(
     whole = direct_sum(left, right)
     if word_content(whole.quiver, word, coeffs) != whole.dim:
         raise ValueError("word content differs from the module dimension")
-    shared: Dict = {} if memo is None else memo
-    rm = RowModule.of(whole)
-    out: Dict[SplitKey, int] = {}
-    for c_left, c_right in enumerate_splittings(
-        whole.quiver, word, coeffs, left.dim, right.dim
-    ):
-        n = _count(rm, _steps(whole.quiver, word, coeffs, c_right), shared)
-        if n:
-            out[(c_left, c_right)] = n
-    return out
+    keys, steps = _split_steps(left, right, word, coeffs)
+    counts = _count_row(whole, steps, {} if memo is None else memo)
+    return {key: n for key, n in zip(keys, counts) if n}
 
 
 def split_euler_table(
@@ -578,28 +597,23 @@ def split_euler_table(
 ) -> Dict[SplitKey, int]:
     """Per-splitting Euler characteristics of the direct sum's flags.
 
-    The splitting types' counts are fitted on one shared window and
-    evaluated at 1 like a whole flag variety's; values are 0 for types
-    realized by no flag.  By the direct-sum factorization every value equals the product
-    of the two subword Euler characteristics.
+    The direct sum is built once over the rationals and sampled like a
+    fingerprint, one column per splitting type (the step table of
+    :func:`count_flags_by_splitting`): its reduction mod p is the sum of
+    the reduced summands, and is bad exactly where one of them is.  The
+    columns are fitted on one shared window and evaluated at 1; values
+    are 0 for types realized by no flag.  By the direct-sum factorization
+    every value equals the product of the two subword Euler
+    characteristics.
     """
     if not left.field.is_rational or not right.field.is_rational:
         raise ValueError("Euler characteristics are computed over the rationals")
     if left.dq != right.dq:
         raise ValueError("modules live over different double quivers")
-    keys = enumerate_splittings(left.quiver, word, coeffs, left.dim, right.dim)
-    bound = degree_bound(direct_sum(left, right))
-
-    def sample(p: int) -> Optional[Tuple[int, ...]]:
-        try:
-            lp, rp = reduce_mod_p(left, p), reduce_mod_p(right, p)
-        except BadPrime:
-            return None
-        dist = count_flags_by_splitting(lp, rp, word, coeffs)
-        return tuple(dist.get(k, 0) for k in keys)
-
-    candidates = iter(prime_list) if prime_list is not None else primes()
-    pool = _PrimePool(sample, candidates)
+    keys, steps = _split_steps(left, right, word, coeffs)
+    whole = direct_sum(left, right)
+    bound = degree_bound(whole)
+    pool = _PrimePool(_module_sampler(whole, steps), prime_list)
     _, _, fits = _fit_columns(
         pool, range(len(keys)), bound, tuple(word), f"word {tuple(word)}: counts"
     )

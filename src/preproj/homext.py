@@ -96,9 +96,8 @@ class Intertwiner:
         source: LambdaModule,
         target: LambdaModule,
         components: Sequence[Matrix],
-        check: bool = True,
     ) -> "Intertwiner":
-        """Build and (by default) verify the commuting condition.
+        """Build and verify the commuting condition.
 
         Raises:
             ValueError: shape mismatch, or a named arrow where the map
@@ -114,14 +113,11 @@ class Intertwiner:
             want = (target.dim_of(v), source.dim_of(v))
             if (mat.nrows, mat.ncols) != want:
                 raise ValueError(f"component at vertex {v} has wrong shape")
-        if check:
-            for a in source.dq.arrows:
-                left = target.x(a.name).mul(comps[idx[a.source]])
-                right = comps[idx[a.target]].mul(source.x(a.name))
-                if left != right:
-                    raise ValueError(
-                        f"map does not commute with arrow {a.name}"
-                    )
+        for a in source.dq.arrows:
+            left = target.x(a.name).mul(comps[idx[a.source]])
+            right = comps[idx[a.target]].mul(source.x(a.name))
+            if left != right:
+                raise ValueError(f"map does not commute with arrow {a.name}")
         return cls(source, target, comps)
 
     @classmethod
@@ -392,7 +388,7 @@ def hom_basis(m: LambdaModule, n: LambdaModule) -> Tuple[Intertwiner, ...]:
     out: List[Intertwiner] = []
     for j in range(pres.hom.dim):
         comps = _unpack(m.field, pres.hom.basis.col(j), shapes)
-        out.append(Intertwiner.build(m, n, comps, check=True))
+        out.append(Intertwiner.build(m, n, comps))
     return tuple(out)
 
 

@@ -131,9 +131,6 @@ class Matrix:
                 rows.append(row)
         return cls(field, len(rows), width, tuple(rows))
 
-    def row(self, i: int) -> Tuple[Scalar, ...]:
-        return self.entries[i]
-
     def col(self, j: int) -> Tuple[Scalar, ...]:
         return tuple(self.entries[i][j] for i in range(self.nrows))
 
@@ -236,20 +233,6 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     if not mats:
         raise ValueError("hstack of nothing")
     return Matrix.block([list(mats)])
-
-
-def mat_pow(m: Matrix, k: int) -> Matrix:
-    """Matrix power by repeated squaring, k >= 0."""
-    if m.nrows != m.ncols:
-        raise ValueError("power of a non-square matrix")
-    result = Matrix.identity(m.field, m.nrows)
-    base = m
-    while k > 0:
-        if k & 1:
-            result = result.mul(base)
-        base = base.mul(base) if k > 1 else base
-        k >>= 1
-    return result
 
 
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
@@ -381,33 +364,6 @@ class Subspace:
     @property
     def field(self) -> Field:
         return self.basis.field
-
-    def contains(self, vec: Matrix) -> bool:
-        """Membership test for a column vector (ambient x 1 matrix)."""
-        return solve(self.basis, vec) is not None
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.dim == 0:
-            return True
-        return solve(self.basis, other.basis) is not None
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ValueError("subspace sum in different ambient spaces")
-        return Subspace.span(hstack([self.basis, other.basis]))
-
-
-def perp(sub: Subspace, gram: Matrix) -> Subspace:
-    """The orthogonal complement of ``sub`` under a bilinear pairing.
-
-    ``gram[i][j]`` is the pairing of basis vector i of the left space with
-    basis vector j of the right space; ``sub`` lives in the left space and the
-    returned subspace in the right space (dimension ``gram.ncols``).
-    """
-    if sub.ambient != gram.nrows:
-        raise ValueError("gram matrix height differs from left ambient dimension")
-    conditions = sub.basis.transpose().mul(gram)
-    return Subspace.span(kernel_basis(conditions))
 
 
 @dataclass(frozen=True)

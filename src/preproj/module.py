@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
 from .linalg import Matrix, Subspace, hstack, solve
 from .quiver import DimVector, DoubleQuiver, Quiver
 
-GradedSubspace = Tuple[Subspace, ...]
 Rows = Tuple[Tuple[Scalar, ...], ...]
 
 
@@ -111,10 +110,6 @@ class LambdaModule:
         return self.dim[self.dq.base.vertex_index[v]]
 
     @property
-    def total_dim(self) -> int:
-        return sum(self.dim)
-
-    @property
     def quiver(self) -> Quiver:
         return self.dq.base
 
@@ -124,11 +119,11 @@ class ValidationReport:
     """Outcome of :func:`validate`: offending residuals and nilpotency."""
 
     residuals: Tuple[Tuple[str, Matrix], ...]
-    nilpotent: Optional[bool]
+    nilpotent: bool
 
     @property
     def ok(self) -> bool:
-        return not self.residuals and self.nilpotent is not False
+        return not self.residuals and self.nilpotent
 
 
 def relation_residual(m: LambdaModule, v: str) -> Matrix:
@@ -141,21 +136,18 @@ def relation_residual(m: LambdaModule, v: str) -> Matrix:
     return acc
 
 
-def radical_filtration(m: LambdaModule) -> List[GradedSubspace]:
-    """The chain V = W_0 > W_1 > ... with W_{k+1} spanned by all x(b)(W_k).
+def is_nilpotent(m: LambdaModule) -> bool:
+    """Whether the chain V = W_0 > W_1 > ..., with W_{k+1} spanned by all
+    x(b)(W_k), reaches zero.
 
-    Stops when the chain stabilizes; the module is nilpotent exactly when the
-    last term is zero.
+    The chain is followed until it stabilizes; the module is nilpotent
+    exactly when the last term is zero.
     """
-    verts = m.quiver.vertices
     idx = m.quiver.vertex_index
-    current: GradedSubspace = tuple(
-        Subspace.full(m.field, d) for d in m.dim
-    )
-    chain = [current]
+    current = [Subspace.full(m.field, d) for d in m.dim]
     while True:
         pieces: List[Subspace] = []
-        for v in verts:
+        for v in m.quiver.vertices:
             images = [
                 m.x(a.name).mul(current[idx[a.source]].basis)
                 for a in m.dq.arrows_into(v)
@@ -165,31 +157,24 @@ def radical_filtration(m: LambdaModule) -> List[GradedSubspace]:
                 pieces.append(Subspace.span(hstack(images)))
             else:
                 pieces.append(Subspace.zero(m.field, m.dim_of(v)))
-        nxt = tuple(pieces)
-        chain.append(nxt)
-        if tuple(s.dim for s in nxt) == tuple(s.dim for s in current):
-            return chain
-        current = nxt
+        if [s.dim for s in pieces] == [s.dim for s in current]:
+            return all(s.dim == 0 for s in pieces)
+        current = pieces
 
 
-def is_nilpotent(m: LambdaModule) -> bool:
-    return all(s.dim == 0 for s in radical_filtration(m)[-1])
-
-
-def validate(m: LambdaModule, check_nilpotent: bool = True) -> ValidationReport:
-    """Check the preprojective relations and (optionally) nilpotency.
+def validate(m: LambdaModule) -> ValidationReport:
+    """Check the preprojective relations and nilpotency.
 
     Returns:
         A report listing every vertex with a nonzero relation residual,
-        plus the nilpotency verdict (None when not checked).
+        plus the nilpotency verdict.
     """
     bad: List[Tuple[str, Matrix]] = []
     for v in m.quiver.vertices:
         res = relation_residual(m, v)
         if not res.is_zero():
             bad.append((v, res))
-    nil = is_nilpotent(m) if check_nilpotent else None
-    return ValidationReport(tuple(bad), nil)
+    return ValidationReport(tuple(bad), is_nilpotent(m))
 
 
 def simple(dq: DoubleQuiver, v: str, field: Field) -> LambdaModule:

@@ -100,9 +100,6 @@ class DoubleQuiver:
     def arrow_index(self) -> Dict[str, int]:
         return {a.name: i for i, a in enumerate(self.arrows)}
 
-    def arrow(self, name: str) -> DArrow:
-        return self.arrows[self.arrow_index[name]]
-
     @cached_property
     def _from(self) -> Dict[str, Tuple[DArrow, ...]]:
         table: Dict[str, List[DArrow]] = {v: [] for v in self.base.vertices}

@@ -27,9 +27,10 @@ from .fields import primes
 from .flags import (
     DeltaFingerprint,
     InsufficientPrimes,
+    _count_row,
     _fit_columns,
     _PrimePool,
-    count_flags_fp,
+    _word_steps,
     fingerprint,
 )
 from .homext import Derivation, ext_presentation, is_inner, middle_term
@@ -140,12 +141,13 @@ def stratify_proj_ext(
     """Anchored strata of the projective space of Ext^1(xp, xpp) classes.
 
     At each usable prime every projective class is expanded against the
-    Ext^1 basis of the reduced pair, its middle term is counted, and the
-    classes are grouped by count vector; each group must match exactly
-    one anchor.  A prime is skipped when something fails to reduce, when
-    a Hom or Ext^1 dimension jumps, or when two anchors become
-    indistinguishable there.  Group sizes are then interpolated across
-    the sampled primes with a shared fit window.
+    Ext^1 basis of the reduced pair, its middle term is counted over the
+    one step table of the anchors' dimension vector, and the classes are
+    grouped by count vector; each group must match exactly one anchor.
+    A prime is skipped when something fails to reduce, when a Hom or
+    Ext^1 dimension jumps, or when two anchors become indistinguishable
+    there.  Group sizes are then interpolated across the sampled primes
+    with a shared fit window.
 
     Args:
         xp, xpp: rational modules over one double quiver; a class in
@@ -183,6 +185,7 @@ def stratify_proj_ext(
                 f"anchor {name} has dimension vector {mod.dim}, expected {want}"
             )
     fps = tuple(fingerprint(mod, prime_list) for mod in mods)
+    _, steps = _word_steps(xp.quiver, want)
     collisions: List[int] = []
 
     def sample(p: int) -> Optional[Tuple[int, ...]]:
@@ -202,7 +205,7 @@ def stratify_proj_ext(
         ):
             return None
         memo: Dict = {}
-        keys = [count_flags_fp(mod_p, memo=memo) for mod_p in mods_p]
+        keys = [_count_row(mod_p, steps, memo) for mod_p in mods_p]
         if len(set(keys)) != len(keys):
             collisions.append(p)
             return None
@@ -210,7 +213,7 @@ def stratify_proj_ext(
         witness: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         for vec in _projective_vectors(n, p):
             d = _class_derivation(pres_p.ext1_basis, vec)
-            key = count_flags_fp(middle_term(d).module, memo=memo)
+            key = _count_row(middle_term(d).module, steps, memo)
             groups[key] = groups.get(key, 0) + 1
             witness.setdefault(key, vec)
         sizes = tuple(groups.pop(key, 0) for key in keys)
@@ -222,11 +225,9 @@ def stratify_proj_ext(
             )
         return sizes
 
-    if prime_list is not None:
-        candidates = iter(prime_list)
-    else:
-        candidates = islice(primes(), CANDIDATE_CAP)
-    pool = _PrimePool(sample, candidates)
+    pool = _PrimePool(
+        sample, islice(primes(), CANDIDATE_CAP) if prime_list is None else prime_list
+    )
     try:
         # group sizes are polynomials of degree below n = dim Ext^1
         window, validation, fits = _fit_columns(

@@ -5,8 +5,10 @@ contain the incoming images, so one-dimensional pieces force unique
 choices and branching only happens in pieces of dimension two or more.
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
@@ -505,6 +507,61 @@ def test_sum_module_word_counts_frozen():
     )
     assert block.euler == 1
     assert block.coeffs == (1, 1, 1, 2)
+
+
+def q_factorial(a, p):
+    """[a]_p! = prod over j <= a of (p^j - 1) / (p - 1)."""
+    out = 1
+    for j in range(1, a + 1):
+        out *= (p**j - 1) // (p - 1)
+    return out
+
+
+def test_multiplicity_identity_on_random_modules(rng_seed):
+    # a run of a equal letters peels a semisimple top S_i^a in a steps:
+    # the flags of the expanded word are those of the block word times a
+    # complete flag of the a-dimensional top, so the counts differ by
+    # [a]_p! and the Euler characteristics by a!.  Some random Kronecker
+    # modules have counts that are not polynomial in p (they depend on
+    # whether a quadratic splits mod p); then both fits must refuse.
+    rng = random.Random(rng_seed + 6)
+    a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
+    modules = [
+        random_nilpotent_module(dq, rng, steps=3, max_total=4)
+        for dq in (a3, a3, kronecker, kronecker)
+    ]
+
+    def chi(m, word, coeffs=None):
+        try:
+            return euler_characteristic(m, word, coeffs).euler
+        except NonPolynomialCount:
+            return None
+
+    with_runs = fitted = 0
+    for m in modules:
+        for word in enumerate_words(m.quiver, m.dim):
+            blocks = [(v, len(list(run))) for v, run in groupby(word)]
+            block_word = tuple(v for v, _ in blocks)
+            coeffs = tuple(a for _, a in blocks)
+            with_runs += len(block_word) < len(word)
+            for p in (2, 3, 5):
+                try:
+                    mp = reduce_mod_p(m, p)
+                except BadPrime:
+                    continue
+                factor = math.prod(q_factorial(a, p) for a in coeffs)
+                block = count_flags(mp, block_word, coeffs).count
+                assert count_flags(mp, word).count == block * factor, (word, p)
+            block = chi(m, block_word, coeffs)
+            whole = chi(m, word)
+            assert (block is None) == (whole is None), word
+            if block is not None:
+                factor = math.prod(map(math.factorial, coeffs))
+                assert whole == block * factor, word
+                fitted += len(block_word) < len(word)
+    assert with_runs >= 5
+    assert fitted >= 3
 
 
 def test_accepted_fit_matches_its_primes():

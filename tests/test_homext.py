@@ -191,8 +191,8 @@ def test_exact_sequence_bookkeeping_is_intertwining():
     s4, t = d4.s4_module(dq), d4.t_module(dq)
     d = Derivation.build(s4, t, {"a*": [[-2]], "b*": [[1]], "c*": [[1]]})
     mt = middle_term(d)
-    Intertwiner.build(t, mt.module, mt.inclusion, check=True)
-    Intertwiner.build(mt.module, s4, mt.projection, check=True)
+    Intertwiner.build(t, mt.module, mt.inclusion)
+    Intertwiner.build(mt.module, s4, mt.projection)
 
 
 def test_inner_derivations_lie_in_image(rng_seed):

@@ -37,7 +37,6 @@ def test_build_fills_zeros_and_checks_shapes():
     dq = a2_double()
     m = LambdaModule.build(dq, QQ, (1, 1), {"a": [[1]]})
     assert m.x("a*").is_zero()
-    assert m.total_dim == 2
     with pytest.raises(ValueError, match="arrow a"):
         LambdaModule.build(dq, QQ, (1, 1), {"a": [[1], [2]]})
     with pytest.raises(ValueError, match="unknown arrow"):

@@ -9,6 +9,7 @@ projective extension line of the (S4, T) pair carries p - 2 generic
 classes and three special ones at every good prime, in both directions.
 """
 
+import random
 from collections import OrderedDict
 
 import pytest
@@ -19,6 +20,7 @@ from preproj.flags import fingerprint
 from preproj.homext import ext_presentation
 from preproj.module import LambdaModule, direct_sum, reduce_mod_p, simple
 from preproj.quiver import Quiver, double
+from preproj.randgen import random_combination, random_nilpotent_module
 from preproj.verify import (
     AnchorCollision,
     GenericVote,
@@ -88,6 +90,33 @@ def test_unique_extension_rejects_wrong_direction_class():
     forward = ext_presentation(s1, s2).ext1_basis[0]
     with pytest.raises(ValueError, match="does not live"):
         verify_thm_1_2(s1, s2, g=forward)
+
+
+def test_unique_extension_identity_on_random_pairs(rng_seed):
+    # every pair with dim Ext^1 = 1 is checked with the chosen basis
+    # classes and with random multiples of them, which stay non-split
+    rng = random.Random(rng_seed + 7)
+    quivers = (
+        a2_double(),
+        double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])),
+        double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])),
+    )
+    for dq in quivers:
+        found = 0
+        while found < 3:
+            xp = random_nilpotent_module(dq, rng, steps=3, max_total=rng.randint(1, 3))
+            xpp = random_nilpotent_module(dq, rng, steps=3, max_total=rng.randint(1, 3))
+            if sum(xp.dim) + sum(xpp.dim) > 4:
+                continue
+            pres = ext_presentation(xp, xpp)
+            if pres.ext1_dim != 1:
+                continue
+            back = ext_presentation(xpp, xp)
+            d = random_combination(pres.ext1_basis, rng)
+            g = random_combination(back.ext1_basis, rng)
+            for rep in (verify_thm_1_2(xp, xpp), verify_thm_1_2(xp, xpp, d=d, g=g)):
+                assert rep.passed, (xp.dim, xpp.dim, rep.mismatches())
+            found += 1
 
 
 def test_singleton_stratum_on_a2():

@@ -7,12 +7,19 @@ counting polynomial, whose value at 1 is the Euler characteristic.  The
 polynomial-count assumption is never trusted silently: every fit must
 reproduce the counts at extra validation primes or the computation aborts
 with :class:`NonPolynomialCount`.
+
+Interpolation is linear in the counts, so every fit through one window of
+primes shares that window's integer Lagrange weights (cached in
+:func:`~preproj.linalg.lagrange_weights`): the value at 1 and the values
+at the validation primes are integer dot products with the window counts,
+and only an accepted fit is turned into a :class:`Polynomial`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import mul
 from typing import (
     Dict,
     Iterable,
@@ -21,11 +28,12 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
 from .fields import Field, primes
-from .linalg import Polynomial, interpolate
+from .linalg import Polynomial, lagrange_weights
 from .module import (
     BadPrime,
     LambdaModule,
@@ -369,12 +377,14 @@ class _PrimePool:
     shared between the per-column fits, so no prime is counted twice.  A
     sampler returns None at a prime the module does not reduce at.  The
     candidates are any iterable of primes, or None for all primes in
-    ascending order.
+    ascending order; a candidate that repeats an earlier one raises
+    ValueError when it is drawn, before it is sampled.
     """
 
     def __init__(self, sampler, candidates: Optional[Iterable[int]]) -> None:
         self._sampler = sampler
         self._candidates = primes() if candidates is None else iter(candidates)
+        self._seen: Set[int] = set()
         self._rows: List[Tuple[int, Tuple[int, ...]]] = []
 
     @property
@@ -388,6 +398,9 @@ class _PrimePool:
                 raise InsufficientPrimes(
                     f"prime list exhausted after {len(self._rows)} usable primes"
                 )
+            if p in self._seen:
+                raise ValueError(f"prime {p} is repeated in the prime list")
+            self._seen.add(p)
             vec = self._sampler(p)
             if vec is not None:
                 self._rows.append((p, vec))
@@ -423,26 +436,39 @@ def _fit_columns(
     window of every column slides up one prime, at most MAX_WINDOW_SHIFT
     times.  Returns the window primes, the validation primes and, per
     column, the polynomial and its value at 1.
+
+    Interpolation is linear in the counts, so a window's
+    :func:`lagrange_weights` (cached) turn each check into integer dot
+    products with the column's window counts y: with common denominator
+    D, the fit is integral at 1 exactly when D divides w_1 . y, and it
+    validates at p exactly when w_p . y equals D times the count at p.
+    Polynomials are built only once every column has passed.
     """
     need = bound + 1
     for shift in range(MAX_WINDOW_SHIFT + 1):
         rows = [
             pool.row(k) for k in range(shift, shift + need + VALIDATION_PRIMES)
         ]
-        fits: List[Tuple[Polynomial, int]] = []
+        window = tuple(p for p, _ in rows[:need])
+        validation = rows[need:]
+        weights = lagrange_weights(window, (1, *(p for p, _ in validation)))
+        d = weights.denominator
+        w_one, *w_checks = weights.at
+        passed: List[Tuple[List[int], int]] = []
         for j in columns:
-            poly = interpolate([(p, vec[j]) for p, vec in rows[:need]])
-            at_one = poly(1)
-            if at_one.denominator != 1 or any(
-                poly(p) != vec[j] for p, vec in rows[need:]
+            ys = [vec[j] for _, vec in rows[:need]]
+            at_one, rem = divmod(sum(map(mul, w_one, ys)), d)
+            if rem or any(
+                sum(map(mul, w, ys)) != d * vec[j]
+                for w, (_, vec) in zip(w_checks, validation)
             ):
                 break
-            fits.append((poly, int(at_one)))
+            passed.append((ys, at_one))
         else:
             return (
-                tuple(p for p, _ in rows[:need]),
-                tuple(p for p, _ in rows[need:]),
-                tuple(fits),
+                window,
+                tuple(p for p, _ in validation),
+                tuple((weights.polynomial(ys), at_one) for ys, at_one in passed),
             )
     raise NonPolynomialCount(
         word,
@@ -490,7 +516,8 @@ def euler_characteristic(
     Raises:
         NonPolynomialCount: when no window validates.
         InsufficientPrimes: when an explicit prime list is too short.
-        ValueError: on a finite-field module or content mismatch.
+        ValueError: on a finite-field module, a content mismatch or a
+            prime repeated in the prime list.
     """
     if not m.field.is_rational:
         raise ValueError("Euler characteristics are computed over the rationals")
@@ -515,6 +542,8 @@ def fingerprint(
     Raises:
         NonPolynomialCount: with the first offending word.
         InsufficientPrimes: when an explicit prime list is too short.
+        ValueError: on a finite-field module or a prime repeated in the
+            prime list.
     """
     if not m.field.is_rational:
         raise ValueError("Euler characteristics are computed over the rationals")

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from math import lcm
+from operator import mul
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
 
@@ -390,6 +393,61 @@ class Polynomial:
         return acc
 
 
+class LagrangeWeights(NamedTuple):
+    """Interpolation through fixed abscissae as integer linear forms.
+
+    For values y at the abscissae, the interpolating polynomial P has
+    ``denominator * (coefficient of X^k) == dot(rows[k], y)`` and
+    ``denominator * P(x_i) == dot(at[i], y)`` at the i-th evaluation
+    point x_i; ``rows`` is the inverse Vandermonde matrix times
+    ``denominator``, the least positive integer that makes every entry
+    of ``rows`` and ``at`` integral.
+    """
+
+    denominator: int
+    rows: Tuple[Tuple[int, ...], ...]
+    at: Tuple[Tuple[int, ...], ...]
+
+    def polynomial(self, ys: Sequence[Union[int, Fraction]]) -> Polynomial:
+        """The interpolating polynomial of the values ys."""
+        return Polynomial.from_coeffs(
+            [Fraction(sum(map(mul, row, ys)), self.denominator) for row in self.rows]
+        )
+
+
+@lru_cache(maxsize=256)
+def lagrange_weights(
+    xs: Tuple[Scalar, ...], points: Tuple[Scalar, ...] = ()
+) -> LagrangeWeights:
+    """The integer interpolation data of the abscissae xs, evaluated at
+    the given points; cached, since fits reuse a few windows of primes.
+
+    Raises:
+        ValueError: on a repeated abscissa.
+    """
+    if len(set(xs)) != len(xs):
+        raise ValueError("repeated abscissa in interpolation data")
+    # column i of the inverse Vandermonde matrix holds the coefficients of
+    # the Lagrange basis polynomial prod_{j != i} (X - x_j) / (x_i - x_j)
+    cols: List[List[Fraction]] = []
+    for i, xi in enumerate(xs):
+        basis = [Fraction(1)]
+        den = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = [a - xj * b for a, b in zip([0, *basis], [*basis, 0])]
+                den *= xi - xj
+        cols.append([c / den for c in basis])
+    rows = [[col[k] for col in cols] for k in range(len(xs))]
+    at = [[Polynomial(tuple(col))(x) for col in cols] for x in points]
+    d = lcm(*(c.denominator for row in rows + at for c in row))
+    return LagrangeWeights(
+        d,
+        tuple(tuple(int(c * d) for c in row) for row in rows),
+        tuple(tuple(int(c * d) for c in row) for row in at),
+    )
+
+
 def interpolate(points: Sequence[Tuple[Union[int, Fraction], Union[int, Fraction]]]) -> Polynomial:
     """Lagrange interpolation through exact points.
 
@@ -399,29 +457,5 @@ def interpolate(points: Sequence[Tuple[Union[int, Fraction], Union[int, Fraction
     Raises:
         ValueError: on a repeated abscissa.
     """
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("repeated abscissa in interpolation data")
-    acc = [Fraction(0)] * max(len(points), 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = _poly_mul_linear(num, -xj)
-            den *= xi - xj
-        scale = yi / den
-        for k, c in enumerate(num):
-            acc[k] += scale * c
-    return Polynomial.from_coeffs(acc)
-
-
-def _poly_mul_linear(coeffs: List[Fraction], constant: Fraction) -> List[Fraction]:
-    """Multiply a coefficient list by (X + constant)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        out[k] += c * constant
-        out[k + 1] += c
-    return out
+    weights = lagrange_weights(tuple(x for x, _ in points))
+    return weights.polynomial([Fraction(y) for _, y in points])

@@ -197,12 +197,13 @@ def direct_sum(m: LambdaModule, n: LambdaModule) -> LambdaModule:
     if m.field != n.field:
         raise ValueError("direct sum over different fields")
     dim = tuple(a + b for a, b in zip(m.dim, n.dim))
+    z = m.field.zero()
     mats: List[Matrix] = []
-    for i, arrow in enumerate(m.dq.arrows):
-        a, b = m.action[i], n.action[i]
-        zt = Matrix.zeros(m.field, a.nrows, b.ncols)
-        zb = Matrix.zeros(m.field, b.nrows, a.ncols)
-        mats.append(Matrix.block([[a, zt], [zb, b]]))
+    for a, b in zip(m.action, n.action):
+        right, left = (z,) * b.ncols, (z,) * a.ncols
+        entries = tuple(row + right for row in a.entries)
+        entries += tuple(left + row for row in b.entries)
+        mats.append(Matrix(m.field, a.nrows + b.nrows, a.ncols + b.ncols, entries))
     return LambdaModule(m.dq, m.field, dim, tuple(mats))
 
 

@@ -163,7 +163,8 @@ def stratify_proj_ext(
         AnchorCollision: the primes ran out with anchors still colliding.
         NonPolynomialCount: the group sizes failed two-prime validation.
         InsufficientPrimes: the primes ran out for another reason.
-        ValueError: Ext^1(xp, xpp) = 0, or an anchor is unusable.
+        ValueError: Ext^1(xp, xpp) = 0, an anchor is unusable, or a prime
+            is repeated in the prime list.
     """
     if not (xp.field.is_rational and xpp.field.is_rational):
         raise ValueError("stratification starts from rational modules")

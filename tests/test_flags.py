@@ -8,7 +8,7 @@ choices and branching only happens in pieces of dimension two or more.
 import math
 import random
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, islice
 
 import pytest
 
@@ -27,7 +27,7 @@ from preproj.flags import (
     split_chi_sum,
     split_euler_table,
 )
-from preproj.linalg import Matrix, hstack, rank
+from preproj.linalg import Matrix, Polynomial, hstack, rank
 from preproj.module import (
     BadPrime,
     LambdaModule,
@@ -599,3 +599,157 @@ def test_shared_fit_raises_when_no_window_validates():
         "synthetic counts fail 2-prime validation at every window shift up to 6"
     )
     assert len(pool.rows) == flags.MAX_WINDOW_SHIFT + 2 + flags.VALIDATION_PRIMES
+
+
+def lagrange_reference(points):
+    """Plain Lagrange interpolation in Fractions:
+    sum_i y_i prod_{j != i} (X - x_j) / (x_i - x_j)."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        term = [Fraction(yi)]
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term = [
+                    (a - xj * b) / (xi - xj) for a, b in zip([0, *term], [*term, 0])
+                ]
+        for k, c in enumerate(term):
+            coeffs[k] += c
+    return Polynomial.from_coeffs(coeffs)
+
+
+def reference_fit(pool, columns, bound, word, what):
+    """The shared sliding-window fit with every column interpolated by
+    lagrange_reference and checked in Fractions."""
+    need = bound + 1
+    for shift in range(flags.MAX_WINDOW_SHIFT + 1):
+        rows = [
+            pool.row(k) for k in range(shift, shift + need + flags.VALIDATION_PRIMES)
+        ]
+        fits = []
+        for j in columns:
+            poly = lagrange_reference([(p, vec[j]) for p, vec in rows[:need]])
+            at_one = poly(1)
+            if at_one.denominator != 1 or any(
+                poly(p) != vec[j] for p, vec in rows[need:]
+            ):
+                break
+            fits.append((poly, int(at_one)))
+        else:
+            return (
+                tuple(p for p, _ in rows[:need]),
+                tuple(p for p, _ in rows[need:]),
+                tuple(fits),
+            )
+    raise NonPolynomialCount(
+        word,
+        f"{what} fail {flags.VALIDATION_PRIMES}-prime validation "
+        f"at every window shift up to {flags.MAX_WINDOW_SHIFT}",
+    )
+
+
+def fit_outcome(fit, sampler, candidates, columns, bound):
+    """What one fit returns or raises, with the rows it sampled and how
+    far its window slid."""
+    pool = flags._PrimePool(sampler, candidates)
+    try:
+        window, validation, fits = fit(pool, columns, bound, ("1",), "synthetic")
+    except (NonPolynomialCount, InsufficientPrimes) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "word", None), pool.rows
+    slide = [p for p, _ in pool.rows].index(window[0])
+    return "fit", (window, validation, fits), slide, pool.rows
+
+
+def random_polynomial(rng, degree):
+    coeffs = [rng.randrange(-6, 7) for _ in range(degree + 1)]
+    return lambda p: sum(c * p**k for k, c in enumerate(coeffs))
+
+
+def test_integer_weight_fit_matches_fraction_reference(rng_seed):
+    # columns are integer polynomials, polynomials that are integral only
+    # on the residue class of a gapped prime list (so non-integral at 1),
+    # polynomials off by one at the last validation prime or at the first
+    # window prime, and counts of too high degree; some primes are bad
+    rng = random.Random(rng_seed + 17)
+    seen = {"fit": 0, "slid": 0, "gapped fit": 0, "non-integral": 0, "late": 0}
+    refused = set()
+    for trial in range(80):
+        bound = rng.randrange(4)
+        need = bound + 1
+        gapped = trial % 2 == 1
+        if gapped:
+            k = rng.choice((3, 4, 5, 6))
+            r = rng.choice([r for r in range(2, k) if math.gcd(r, k) == 1])
+            candidates = [p for p in islice(primes(), 80) if p % k == r]
+            candidates = candidates[: rng.randrange(need + 2, need + 12)]
+            listed = candidates
+        else:
+            candidates = None
+            listed = list(islice(primes(), 40))
+        bad = set(rng.sample(listed[:4], rng.randrange(2)))
+        good = [p for p in listed if p not in bad]
+        late = good[need + 1] if len(good) > need + 1 else None
+        kinds = ["poly", "poly", "poly", "late", "early", "wild"]
+        kinds += ["rational"] * (gapped and bound > 0)
+        columns = []
+        for _ in range(rng.randrange(1, 4)):
+            kind = rng.choice(kinds)
+            if kinds[-1] == "rational" and trial % 4 == 1 and not columns:
+                kind = "rational"
+            base = random_polynomial(rng, rng.randrange(need))
+            if kind == "rational":
+                b = random_polynomial(rng, rng.randrange(bound))
+                # checked first, so every window's fit is checked at 1
+                seen["non-integral"] += not columns and b(1) * (1 - r) % k != 0
+                columns.append(
+                    lambda p, a=base, b=b, r=r, k=k: a(p) + b(p) * (p - r) // k
+                )
+            elif kind == "late":
+                columns.append(lambda p, a=base, q=late: a(p) + (p == q))
+                seen["late"] += late is not None
+            elif kind == "early":
+                columns.append(lambda p, a=base, q=good[0]: a(p) + (p == q))
+            elif kind == "wild":
+                columns.append(lambda p, e=need: p**e + 1)
+            else:
+                columns.append(base)
+
+        def sampler(p, columns=columns, bad=bad):
+            return None if p in bad else tuple(f(p) for f in columns)
+
+        ours, ref = (
+            fit_outcome(fit, sampler, candidates, range(len(columns)), bound)
+            for fit in (flags._fit_columns, reference_fit)
+        )
+        assert ours == ref, (trial, bound, candidates)
+        if ours[0] == "fit":
+            seen["fit"] += 1
+            seen["slid"] += ours[2] > 0
+            seen["gapped fit"] += gapped
+        else:
+            refused.add(ours[0])
+    assert min(seen.values()) >= 3, seen
+    assert refused == {"NonPolynomialCount", "InsufficientPrimes"}
+
+
+def test_zoo_profiles_are_exact_fits():
+    zoo = d4.zoo()
+    assert len(zoo) == 13
+    for name, m in zoo.items():
+        for profile in fingerprint(m).profiles:
+            counts = dict(profile.samples)
+            poly = lagrange_reference([(p, counts[p]) for p in profile.window])
+            assert poly == profile.polynomial, (name, profile.word)
+            assert [poly(p) for p in profile.validation] == [
+                counts[p] for p in profile.validation
+            ]
+            assert poly(1) == profile.euler
+
+
+def test_repeated_prime_in_prime_list_is_rejected():
+    m = d4.zoo()["M(lam)"]
+    word = ("1", "2", "3", "4", "4")
+    assert euler_characteristic(m, word, prime_list=[2, 3, 5, 7]).window == (2, 3)
+    # the repeat falls in the fit window, then among the validation primes
+    for prime_list, p in (([2, 2, 3, 5, 7], 2), ([2, 3, 5, 5], 5)):
+        with pytest.raises(ValueError, match=f"prime {p} is repeated"):
+            euler_characteristic(m, word, prime_list=prime_list)

@@ -7,6 +7,7 @@ import pytest
 
 from preproj.fields import QQ, Field, is_prime, primes
 from preproj.linalg import (
+    LagrangeWeights,
     Matrix,
     Polynomial,
     Subspace,
@@ -14,6 +15,7 @@ from preproj.linalg import (
     hstack,
     interpolate,
     kernel_basis,
+    lagrange_weights,
     rank,
     rref,
     solve,
@@ -144,9 +146,31 @@ def test_interpolate_frozen_quadratic():
     assert poly(7) == 57
 
 
+def test_interpolate_through_gapped_primes():
+    # 2X^3 - X + 5 sampled at primes that are not consecutive
+    poly = interpolate([(2, 19), (7, 684), (13, 4386), (23, 24316)])
+    assert poly.coeffs == (Fraction(5), Fraction(-1), Fraction(0), Fraction(2))
+    assert poly(1) == 6
+
+
 def test_interpolate_rejects_repeated_abscissa():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="repeated abscissa"):
         interpolate([(2, 1), (2, 2)])
+    with pytest.raises(ValueError, match="repeated abscissa"):
+        lagrange_weights((3, 5, 3), (1,))
+
+
+def test_lagrange_weights_frozen():
+    # the inverse Vandermonde matrix of (2, 3, 5) has denominators 3, 2, 6
+    w = lagrange_weights((2, 3, 5), (1, 7))
+    assert w.denominator == 6
+    assert w.rows == ((30, -30, 6), (-16, 21, -5), (2, -3, 1))
+    assert w.at == ((16, -12, 2), (16, -30, 20))
+    # X^2 + X + 1 through (2, 7), (3, 13), (5, 31): 3 at 1, 57 at 7
+    ys = (7, 13, 31)
+    assert [sum(a * y for a, y in zip(row, ys)) for row in w.rows] == [6, 6, 6]
+    assert [sum(a * y for a, y in zip(row, ys)) for row in w.at] == [18, 342]
+    assert lagrange_weights((), ()) == LagrangeWeights(1, (), ())
 
 
 def test_interpolate_roundtrip_seeded(rng_seed):

@@ -1,5 +1,6 @@
 """Module construction, validation, restriction, reduction, direct sums."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from preproj.module import (
     zero_module,
 )
 from preproj.quiver import Quiver, double
+from preproj.randgen import random_nilpotent_module
 
 
 def a2_double():
@@ -102,6 +104,42 @@ def test_direct_sum_blocks():
     other = LambdaModule.build(a2_double(), Field(5), (1, 0), {})
     with pytest.raises(ValueError, match="field"):
         direct_sum(s1, other)
+    with pytest.raises(ValueError, match="quivers"):
+        direct_sum(s1, simple(kronecker_double(), "1", QQ))
+
+
+def block_sum(m, n):
+    """The direct sum assembled from zero blocks with Matrix.block."""
+    mats = tuple(
+        Matrix.block(
+            [
+                [a, Matrix.zeros(m.field, a.nrows, b.ncols)],
+                [Matrix.zeros(m.field, b.nrows, a.ncols), b],
+            ]
+        )
+        for a, b in zip(m.action, n.action)
+    )
+    return LambdaModule(m.dq, m.field, tuple(map(sum, zip(m.dim, n.dim))), mats)
+
+
+def test_direct_sum_matches_block_assembly(rng_seed):
+    rng = random.Random(rng_seed + 11)
+    a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    pairs = [
+        tuple(random_nilpotent_module(dq, rng, steps=2, max_total=3) for _ in "lr")
+        for dq in (a3, kronecker_double())
+        for _ in range(4)
+    ]
+    zoo = d4.zoo()
+    pairs += [(zoo["T"], zoo["S4"]), (zoo["M(lam)"], zoo["R"]), (zoo["A"], zoo["A"])]
+    for left, right in pairs:
+        assert direct_sum(left, right) == block_sum(left, right)
+        for p in (2, 5):
+            try:
+                lp, rp = reduce_mod_p(left, p), reduce_mod_p(right, p)
+            except BadPrime:
+                continue
+            assert direct_sum(lp, rp) == block_sum(lp, rp)
 
 
 def test_restrict_to_stable_subspace():

@@ -98,17 +98,5 @@ class Field:
     def neg(self, a: Scalar) -> Scalar:
         return -a if self.p is None else (-a) % self.p
 
-    def inv(self, a: Scalar) -> Scalar:
-        """Multiplicative inverse.
-
-        Raises:
-            ZeroDivisionError: if ``a`` is zero.
-        """
-        if a == 0:
-            raise ZeroDivisionError("inverting zero")
-        if self.p is None:
-            return Fraction(1) / a
-        return pow(int(a), -1, self.p)
-
 
 QQ = Field(None)

@@ -33,7 +33,7 @@ from typing import (
 )
 
 from .fields import Field, primes
-from .linalg import Polynomial, lagrange_weights
+from .linalg import Polynomial, echelon, lagrange_weights
 from .module import (
     BadPrime,
     LambdaModule,
@@ -198,29 +198,6 @@ def enumerate_subspaces(field: Field, ambient: int, dim: int) -> Iterator[Rows]:
             yield tuple(map(tuple, rows))
 
 
-def _echelon(vectors: Sequence[Sequence[int]], p: int) -> Dict[int, List[int]]:
-    """Reduced row echelon basis mod p of the span of the vectors, each
-    row keyed by its leading position."""
-    rows: Dict[int, List[int]] = {}
-    for vec in vectors:
-        vec = list(vec)
-        for q, row in rows.items():
-            f = vec[q]
-            if f:
-                vec = [(x - f * y) % p for x, y in zip(vec, row)]
-        lead = next((j for j, x in enumerate(vec) if x), None)
-        if lead is None:
-            continue
-        inv = pow(vec[lead], -1, p)
-        vec = [x * inv % p for x in vec]
-        for q, row in rows.items():
-            f = row[lead]
-            if f:
-                rows[q] = [(x - f * y) % p for x, y in zip(row, vec)]
-        rows[lead] = vec
-    return rows
-
-
 def _children(
     m: RowModule, v: int, c: int, memo: Dict
 ) -> List[Tuple[Tuple[int, ...], RowModule]]:
@@ -246,7 +223,7 @@ def _children(
         if target == v
         for col in zip(*rows)
     ]
-    u = _echelon(incoming, p)
+    u = echelon(incoming, p)
     children = []
     if d - c >= len(u):
         free = [j for j in range(d) if j not in u]

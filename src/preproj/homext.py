@@ -34,7 +34,6 @@ from .linalg import (
     column_echelon,
     hstack,
     kernel_basis,
-    rank,
     rref,
     solve,
 )
@@ -148,7 +147,7 @@ class Derivation:
     """An arrow-indexed tuple of maps d(b): M_{s(b)} -> N_{e(b)}.
 
     Solutions of the derivation equation are exactly the kernel of d1; the
-    equation is checked through :func:`derivation_residual`.
+    equation is checked by applying d1 through :func:`apply_d1`.
     """
 
     source: LambdaModule
@@ -211,35 +210,11 @@ class Derivation:
         )
 
 
-def derivation_residual(d: Derivation, v: str) -> Matrix:
-    """The derivation equation at vertex v, written over original arrows:
-
-    sum_{a: s(a)=v} ( d(a*) x'(a) + x''(a*) d(a) )
-      - sum_{a: e(a)=v} ( d(a) x'(a*) + x''(a) d(a*) )
-    """
-    m, n = d.source, d.target
-    acc = Matrix.zeros(m.field, n.dim_of(v), m.dim_of(v))
-    for a in m.dq.arrows:
-        if a.sign:
-            continue
-        if a.source == v:
-            acc = acc.add(d.map_of(a.bar).mul(m.x(a.name)))
-            acc = acc.add(n.x(a.bar).mul(d.map_of(a.name)))
-        if a.target == v:
-            acc = acc.sub(d.map_of(a.name).mul(m.x(a.bar)))
-            acc = acc.sub(n.x(a.name).mul(d.map_of(a.bar)))
-    return acc
-
-
-def is_derivation(d: Derivation) -> bool:
-    return all(
-        derivation_residual(d, v).is_zero() for v in d.source.quiver.vertices
-    )
-
-
 def apply_d1(
     m: LambdaModule, n: LambdaModule, g: Sequence[Matrix]
 ) -> List[Matrix]:
+    """The image d1(g) of an arrow-indexed tuple g of maps M_{s(b)} ->
+    N_{e(b)}, one block per vertex in vertex order (module docstring)."""
     aidx = m.dq.arrow_index
     out: List[Matrix] = []
     for v in m.quiver.vertices:
@@ -251,6 +226,10 @@ def apply_d1(
             acc = acc.sub(term) if a.sign else acc.add(term)
         out.append(acc)
     return out
+
+
+def is_derivation(d: Derivation) -> bool:
+    return all(r.is_zero() for r in apply_d1(d.source, d.target, d.maps))
 
 
 def _offsets(shapes: Sequence[Tuple[int, int]]) -> List[int]:
@@ -358,11 +337,7 @@ def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
     ker1 = column_echelon(kernel_basis(d1))
     inner = column_echelon(d0)
     c1_dim = d0.nrows
-    if inner.ncols:
-        combined = hstack([inner, ker1])
-    else:
-        combined = ker1
-    _, pivots = rref(combined)
+    _, pivots = rref(hstack([inner, ker1]))
     chosen = [j - inner.ncols for j in pivots if j >= inner.ncols]
     basis: List[Derivation] = []
     for j in chosen:
@@ -376,7 +351,8 @@ def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
         derivations=Subspace(c1_dim, ker1),
         inner=Subspace(c1_dim, inner),
         ext1_basis=tuple(basis),
-        ext2_cokernel=d1.nrows - rank(d1),
+        # rank d1 = dim C1 - dim ker d1, so d1 is row reduced only once
+        ext2_cokernel=d1.nrows - (d1.ncols - ker1.ncols),
         ext2_exact=not has_dynkin_component(m.quiver),
     )
 
@@ -447,11 +423,9 @@ def middle_term(d: Derivation) -> MiddleTerm:
             a witnessing vertex.
     """
     m, n = d.source, d.target
-    for v in m.quiver.vertices:
-        if not derivation_residual(d, v).is_zero():
-            raise ValueError(
-                f"derivation equation violated at vertex {v}"
-            )
+    for v, r in zip(m.quiver.vertices, apply_d1(m, n, d.maps)):
+        if not r.is_zero():
+            raise ValueError(f"derivation equation violated at vertex {v}")
     field = m.field
     mats: List[Matrix] = []
     for i, a in enumerate(m.dq.arrows):

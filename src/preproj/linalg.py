@@ -1,4 +1,5 @@
-"""Exact linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields, where one
+routine, :func:`echelon`, does every row reduction for both kinds of field.
 
 Everything here follows the column-coordinate convention: an r x c matrix
 represents a linear map from a c-dimensional space to an r-dimensional space,
@@ -14,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
 
@@ -238,41 +239,58 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix.block([list(mats)])
 
 
+def echelon(
+    vectors: Iterable[Sequence[Scalar]], p: Optional[int] = None
+) -> Dict[int, List[Scalar]]:
+    """Reduced row echelon basis of the span of the vectors, each row
+    keyed by its leading position: over F_p for a prime p, over the
+    rationals when p is None.
+
+    Each vector is cleared against the rows found so far, scaled to a
+    leading 1 and cleared out of the earlier rows, so the rows are the
+    nonzero rows of the reduced row echelon form.
+    """
+    rows: Dict[int, List[Scalar]] = {}
+    for vec in vectors:
+        vec = list(vec)
+        for q, row in rows.items():
+            f = vec[q]
+            if f:
+                if p is None:
+                    vec = [x - f * y for x, y in zip(vec, row)]
+                else:
+                    vec = [(x - f * y) % p for x, y in zip(vec, row)]
+        lead = next((j for j, x in enumerate(vec) if x), None)
+        if lead is None:
+            continue
+        if p is None:
+            inv = Fraction(1) / vec[lead]
+            vec = [x * inv for x in vec]
+        else:
+            inv = pow(vec[lead], -1, p)
+            vec = [x * inv % p for x in vec]
+        for q, row in rows.items():
+            f = row[lead]
+            if f:
+                if p is None:
+                    rows[q] = [x - f * y for x, y in zip(row, vec)]
+                else:
+                    rows[q] = [(x - f * y) % p for x, y in zip(row, vec)]
+        rows[lead] = vec
+    return rows
+
+
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot column indices."""
-    f = m.field
-    rows = [list(r) for r in m.entries]
-    pivots: List[int] = []
-    r = 0
-    for c in range(m.ncols):
-        pivot_row = None
-        for i in range(r, m.nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(m.nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [
-                    f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == m.nrows:
-            break
-    return (
-        Matrix(f, m.nrows, m.ncols, tuple(tuple(row) for row in rows)),
-        tuple(pivots),
-    )
+    rows = echelon(m.entries, m.field.p)
+    pivots = tuple(sorted(rows))
+    entries = [tuple(rows[c]) for c in pivots]
+    entries += [(m.field.zero(),) * m.ncols] * (m.nrows - len(pivots))
+    return Matrix(m.field, m.nrows, m.ncols, tuple(entries)), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(echelon(m.entries, m.field.p))
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -302,9 +320,10 @@ def column_echelon(m: Matrix) -> Matrix:
     the same column space exactly when their reduced column echelon forms are
     identical.
     """
-    reduced, pivots = rref(m.transpose())
-    cols = [reduced.entries[i] for i in range(len(pivots))]
-    return Matrix.from_cols(m.field, cols, nrows=m.nrows)
+    rows = echelon(zip(*m.entries), m.field.p)
+    cols = [rows[c] for c in sorted(rows)]
+    entries = tuple(zip(*cols)) if cols else ((),) * m.nrows
+    return Matrix(m.field, m.nrows, len(cols), entries)
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:

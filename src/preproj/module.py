@@ -19,7 +19,7 @@ from operator import mul
 from typing import List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
-from .linalg import Matrix, Subspace, hstack, solve
+from .linalg import Matrix, Subspace, hstack
 from .quiver import DimVector, DoubleQuiver, Quiver
 
 Rows = Tuple[Tuple[Scalar, ...], ...]
@@ -182,10 +182,6 @@ def simple(dq: DoubleQuiver, v: str, field: Field) -> LambdaModule:
     return LambdaModule.build(dq, field, dq.base.unit_vector(v), {})
 
 
-def zero_module(dq: DoubleQuiver, field: Field) -> LambdaModule:
-    return LambdaModule.build(dq, field, (0,) * len(dq.base.vertices), {})
-
-
 def direct_sum(m: LambdaModule, n: LambdaModule) -> LambdaModule:
     """Blockwise direct sum; both summands first, per vertex, in order.
 
@@ -316,30 +312,3 @@ def reduce_mod_p(m: LambdaModule, p: int) -> LambdaModule:
                 f"arrow {arrow.name}: {exc} while reducing mod {p}"
             ) from exc
     return LambdaModule(m.dq, target, m.dim, tuple(mats))
-
-
-def base_change(m: LambdaModule, g: Sequence[Matrix]) -> LambdaModule:
-    """Conjugate by per-vertex invertible matrices: x(b) -> g_t x(b) g_s^-1.
-
-    Raises:
-        ValueError: when some g_v is not square invertible of size d_v.
-    """
-    verts = m.quiver.vertices
-    idx = m.quiver.vertex_index
-    if len(g) != len(verts):
-        raise ValueError("one change of basis per vertex required")
-    inverses: List[Matrix] = []
-    for v, gv in zip(verts, g):
-        d = m.dim_of(v)
-        if (gv.nrows, gv.ncols) != (d, d):
-            raise ValueError(f"base change at vertex {v} has wrong shape")
-        inv = solve(gv, Matrix.identity(m.field, d))
-        if inv is None or gv.mul(inv) != Matrix.identity(m.field, d):
-            raise ValueError(f"base change at vertex {v} is not invertible")
-        inverses.append(inv)
-    mats: List[Matrix] = []
-    for arrow, mat in zip(m.dq.arrows, m.action):
-        gs_inv = inverses[idx[arrow.source]]
-        gt = g[idx[arrow.target]]
-        mats.append(gt.mul(mat).mul(gs_inv))
-    return LambdaModule(m.dq, m.field, m.dim, tuple(mats))

@@ -71,6 +71,11 @@ def quiver_from_data(data) -> Quiver:
         raise FormatError(str(err)) from None
 
 
+def _is_whole(value) -> bool:
+    """An int, but not a bool (JSON true loads as True, which is an int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _scalar_str(value) -> str:
     return str(value)
 
@@ -114,7 +119,7 @@ def module_from_data(data) -> Tuple[Optional[str], LambdaModule]:
     for v, d in data["dim"].items():
         if v not in q.vertex_index:
             raise FormatError(f"dimension given for unknown vertex {v!r}")
-        if not isinstance(d, int) or d < 0:
+        if not _is_whole(d) or d < 0:
             raise FormatError(f"dimension at vertex {v!r} must be a whole number")
         dim[v] = d
     action_data = data["action"]
@@ -140,6 +145,12 @@ def module_from_data(data) -> Tuple[Optional[str], LambdaModule]:
                 raise FormatError(
                     f"matrix of arrow {arrow.name!r} must have {ncols} columns"
                 )
+            for x in row:
+                if not (isinstance(x, str) or _is_whole(x)):
+                    raise FormatError(
+                        f"matrix of arrow {arrow.name!r} holds {x!r}, "
+                        "not an exact scalar string or integer"
+                    )
         try:
             action[arrow.name] = Matrix.from_rows(field, rows, ncols=ncols)
         except (ValueError, ZeroDivisionError, TypeError) as err:

@@ -21,7 +21,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .fields import primes
 from .flags import (
@@ -103,15 +103,6 @@ class VerificationReport:
             for w, a, b in zip(self.words, self.left_values, self.right_values)
             if a != b
         )
-
-
-@dataclass(frozen=True)
-class GenericVote:
-    """Outcome of a fingerprint majority vote over a parameter family."""
-
-    fingerprint: DeltaFingerprint
-    members: Tuple
-    outliers: Tuple
 
 
 def _projective_vectors(n: int, p: int) -> Iterator[Tuple[int, ...]]:
@@ -388,34 +379,3 @@ def verify_thm_1_2(
         primes_used=tuple(sorted(_profile_primes([total, fx, fy]))),
         elapsed=time.perf_counter() - start,
     )
-
-
-def discover_generic_lambda(
-    family: Callable[..., LambdaModule],
-    candidates: Sequence,
-    prime_list: Optional[Sequence[int]] = None,
-) -> GenericVote:
-    """The fingerprint a strict majority of the parameter values share.
-
-    Args:
-        family: callable sending a parameter value to a rational module.
-        candidates: parameter values to try.
-
-    Raises:
-        ValueError: no candidates, or a tied vote, which is inconclusive.
-    """
-    votes: "OrderedDict[Tuple[int, ...], List]" = OrderedDict()
-    for lam in candidates:
-        fp = fingerprint(family(lam), prime_list)
-        votes.setdefault(fp.chi, [fp, []])[1].append(lam)
-    if not votes:
-        raise ValueError("no candidate parameters supplied")
-    ranked = sorted(votes.values(), key=lambda item: len(item[1]), reverse=True)
-    if len(ranked) > 1 and len(ranked[0][1]) == len(ranked[1][1]):
-        raise ValueError(
-            "vote is inconclusive: "
-            + " against ".join(str(tuple(mem)) for _, mem in ranked[:2])
-        )
-    fp, members = ranked[0]
-    outliers = tuple(lam for _, mem in ranked[1:] for lam in mem)
-    return GenericVote(fingerprint=fp, members=tuple(members), outliers=outliers)

@@ -69,12 +69,23 @@ def test_validate_flags_non_nilpotent_modules(files, capsys):
 
 def test_validate_rejects_broken_files(files, tmp_path, capsys):
     path = tmp_path / "bad.json"
-    data = json.loads(open(files["T"]).read())
+    with open(files["T"]) as fh:
+        data = json.load(fh)
     data["action"]["a"] = [["1", "2"]]
     path.write_text(json.dumps(data))
     assert main(["validate", str(path)]) == 2
     assert "columns" in capsys.readouterr().err
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+def test_validate_rejects_inexact_scalars(files, tmp_path, capsys):
+    path = tmp_path / "float.json"
+    with open(files["x"]) as fh:
+        data = json.load(fh)
+    data["action"]["a"] = [[0.5]]
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    assert "holds 0.5" in capsys.readouterr().err
 
 
 def test_ext_reports_the_example_dimensions(files, capsys):

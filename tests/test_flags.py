@@ -27,15 +27,14 @@ from preproj.flags import (
     split_chi_sum,
     split_euler_table,
 )
-from preproj.linalg import Matrix, Polynomial, hstack, rank
+from preproj.linalg import Matrix, Polynomial, hstack, rank, solve
 from preproj.module import (
     BadPrime,
     LambdaModule,
-    base_change,
     direct_sum,
     reduce_mod_p,
     simple,
-    zero_module,
+    validate,
 )
 from preproj.quiver import Quiver, double, enumerate_words
 from preproj.randgen import random_nilpotent_module
@@ -107,9 +106,9 @@ def test_t_module_counts_depend_on_word_order():
 
 def test_zero_module_empty_word():
     dq = a2_double()
-    zp = reduce_mod_p(zero_module(dq, QQ), 3)
-    assert count_flags(zp, ()).count == 1
-    profile = euler_characteristic(zero_module(dq, QQ), ())
+    zero = LambdaModule.build(dq, QQ, (0, 0), {})
+    assert count_flags(reduce_mod_p(zero, 3), ()).count == 1
+    profile = euler_characteristic(zero, ())
     assert profile.euler == 1
     assert profile.degree_bound == 0
 
@@ -120,7 +119,8 @@ def test_count_vectors_frozen_a2():
     assert count_flags_fp(reduce_mod_p(y_module(dq), 5)) == (0, 1)
     ss = direct_sum(simple(dq, "1", QQ), simple(dq, "2", QQ))
     assert count_flags_fp(reduce_mod_p(ss, 3)) == (1, 1)
-    assert count_flags_fp(reduce_mod_p(zero_module(dq, QQ), 2)) == (1,)
+    zero = LambdaModule.build(dq, QQ, (0, 0), {})
+    assert count_flags_fp(reduce_mod_p(zero, 2)) == (1,)
 
 
 def test_subspace_enumeration_sizes():
@@ -489,7 +489,19 @@ def test_counts_invariant_under_graded_base_change(rng_seed):
             if rank(g) == d:
                 gs.append(g)
                 break
-    moved = base_change(m, gs)
+    # conjugate: x(b) -> g_t x(b) g_s^-1
+    idx = m.quiver.vertex_index
+    inverses = [solve(g, Matrix.identity(field, g.nrows)) for g in gs]
+    moved = LambdaModule(
+        m.dq,
+        field,
+        m.dim,
+        tuple(
+            gs[idx[a.target]].mul(x).mul(inverses[idx[a.source]])
+            for a, x in zip(m.dq.arrows, m.action)
+        ),
+    )
+    assert validate(moved).ok
     assert count_flags_fp(moved) == count_flags_fp(m)
 
 

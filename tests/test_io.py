@@ -93,6 +93,11 @@ def test_canonical_dump_is_stable():
         (lambda d: d["action"].update({"a": [["1", "2"]]}), "must have 1 columns"),
         (lambda d: d["action"].update({"a": [["one half"]]}), "bad matrix"),
         (lambda d: d["quiver"].pop("arrows"), "malformed quiver"),
+        # JSON floats and booleans are not exact scalars or dimensions
+        (lambda d: d.update(field="F5", action={"a": [[1.5]]}), "'a' holds 1.5"),
+        (lambda d: d["action"].update({"a": [[0.1]]}), "'a' holds 0.1"),
+        (lambda d: d["action"].update({"a": [[True]]}), "'a' holds True"),
+        (lambda d: d["dim"].update({"1": True}), "vertex '1' must be"),
     ],
 )
 def test_broken_module_data_raises_format_error(mangle, message):

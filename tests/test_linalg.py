@@ -12,6 +12,7 @@ from preproj.linalg import (
     Polynomial,
     Subspace,
     column_echelon,
+    echelon,
     hstack,
     interpolate,
     kernel_basis,
@@ -42,7 +43,7 @@ def test_field_rejects_composite_order():
 def test_field_f3_inverse():
     f3 = Field(3)
     # 2 * 2 = 4 = 1 mod 3, so the inverse of 2 is 2
-    assert f3.inv(2) == 2
+    assert rref(Matrix.from_rows(f3, [[2, 1]]))[0] == Matrix.from_rows(f3, [[1, 2]])
     assert f3.of(Fraction(1, 2)) == 2
     with pytest.raises(ZeroDivisionError):
         f3.of(Fraction(1, 3))
@@ -194,3 +195,120 @@ def test_hstack_width():
     a = Matrix.identity(QQ, 2)
     b = Matrix.zeros(QQ, 2, 1)
     assert hstack([a, b]).ncols == 3
+
+
+def reference_rref(m):
+    """Gauss-Jordan elimination column by column with every operation
+    dispatched through the Field, the reference for linalg.echelon."""
+    f = m.field
+    rows = [list(r) for r in m.entries]
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        pivot_row = next((i for i in range(r, m.nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        a = rows[r][c]
+        inv = Fraction(1) / a if f.p is None else pow(int(a), -1, f.p)
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(m.nrows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.nrows:
+            break
+    return Matrix(f, m.nrows, m.ncols, tuple(map(tuple, rows))), tuple(pivots)
+
+
+def reference_column_echelon(m):
+    reduced, pivots = reference_rref(m.transpose())
+    cols = [reduced.entries[i] for i in range(len(pivots))]
+    return Matrix.from_cols(m.field, cols, nrows=m.nrows)
+
+
+def reference_kernel_basis(m):
+    f = m.field
+    reduced, pivots = reference_rref(m)
+    cols = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        vec = [f.zero()] * m.ncols
+        vec[fc] = f.one()
+        for i, pc in enumerate(pivots):
+            vec[pc] = f.neg(reduced.entries[i][fc])
+        cols.append(vec)
+    return Matrix.from_cols(f, cols, nrows=m.ncols)
+
+
+def reference_solve(a, b):
+    f = a.field
+    reduced, pivots = reference_rref(hstack([a, b]))
+    if any(c >= a.ncols for c in pivots):
+        return None
+    cols = []
+    for j in range(b.ncols):
+        vec = [f.zero()] * a.ncols
+        for i, pc in enumerate(pivots):
+            vec[pc] = reduced.entries[i][a.ncols + j]
+        cols.append(vec)
+    return Matrix.from_cols(f, cols, nrows=a.ncols)
+
+
+def typed(m):
+    """A matrix's shape and entries with their types, so that 1 and
+    Fraction(1) differ."""
+    if m is None:
+        return None
+    return m.nrows, m.ncols, tuple(tuple((type(x), x) for x in r) for r in m.entries)
+
+
+def random_matrix(rng, field, nrows, ncols):
+    """Small entries (fractions over Q), with some rows zeroed and some
+    rows repeated so that ranks drop."""
+    values = [-3, -2, -1, 0, 0, 0, 1, 2, 3]
+    if field.is_rational:
+        values += [Fraction(1, 2), Fraction(-2, 3)]
+    rows = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        roll = rng.random()
+        if roll < 0.15:
+            rows[i] = [0] * ncols
+        elif roll < 0.3 and i:
+            j = rng.randrange(i)
+            c = rng.choice(values)
+            rows[i] = [c * x + y for x, y in zip(rows[j], rows[i - 1])]
+    return Matrix.from_rows(field, rows, ncols=ncols)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
+def test_single_echelon_agrees_with_gauss_jordan_reference(p, rng_seed):
+    field = Field(p)
+    rng = random.Random(rng_seed + 4 + (p or 0))
+    for _ in range(60):
+        m = random_matrix(rng, field, rng.randrange(0, 6), rng.randrange(0, 7))
+        reduced, pivots = rref(m)
+        want, want_pivots = reference_rref(m)
+        assert pivots == want_pivots
+        assert typed(reduced) == typed(want)
+        rows = echelon(m.entries, p)
+        assert sorted(rows) == list(pivots)
+        got_rows = tuple(tuple(rows[c]) for c in pivots)
+        assert typed(Matrix(field, len(pivots), m.ncols, got_rows)) == typed(
+            Matrix(field, len(pivots), m.ncols, want.entries[: len(pivots)])
+        )
+        assert rank(m) == len(want_pivots)
+        assert typed(column_echelon(m)) == typed(reference_column_echelon(m))
+        assert typed(kernel_basis(m)) == typed(reference_kernel_basis(m))
+        for _ in range(2):
+            if rng.random() < 0.5:
+                x = random_matrix(rng, field, m.ncols, rng.randrange(0, 3))
+                b = m.mul(x)
+            else:
+                b = random_matrix(rng, field, m.nrows, rng.randrange(0, 3))
+            got = solve(m, b)
+            assert typed(got) == typed(reference_solve(m, b))
+            if got is not None:
+                assert m.mul(got) == b
+

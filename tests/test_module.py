@@ -12,7 +12,6 @@ from preproj.module import (
     BadPrime,
     LambdaModule,
     RowModule,
-    base_change,
     direct_sum,
     is_nilpotent,
     reduce_mod_p,
@@ -21,7 +20,6 @@ from preproj.module import (
     restrict_rows,
     simple,
     validate,
-    zero_module,
 )
 from preproj.quiver import Quiver, double
 from preproj.randgen import random_nilpotent_module
@@ -90,8 +88,9 @@ def test_nilpotency_detects_cancellation_fake():
 def test_simple_and_zero_are_nilpotent():
     dq = a2_double()
     assert validate(simple(dq, "1", QQ)).ok
-    assert validate(zero_module(dq, QQ)).ok
-    assert is_nilpotent(zero_module(dq, QQ))
+    zero = LambdaModule.build(dq, QQ, (0, 0), {})
+    assert validate(zero).ok
+    assert is_nilpotent(zero)
 
 
 def test_direct_sum_blocks():
@@ -183,21 +182,6 @@ def test_reduce_mod_p_and_bad_prime():
     assert validate(r).ok
     with pytest.raises(ValueError, match="rational"):
         reduce_mod_p(r, 5)
-
-
-def test_base_change_keeps_relations():
-    m = d4.m_family(2)
-    g = [
-        Matrix.from_rows(QQ, [[3]]),
-        Matrix.from_rows(QQ, [[1]]),
-        Matrix.from_rows(QQ, [[-2]]),
-        Matrix.from_rows(QQ, [[1, 1], [0, 1]]),
-    ]
-    changed = base_change(m, g)
-    assert validate(changed).ok
-    assert changed.dim == m.dim
-    with pytest.raises(ValueError, match="invertible"):
-        base_change(m, [Matrix.zeros(QQ, 1, 1)] + g[1:])
 
 
 def test_zoo_members_are_valid_nilpotent_modules():

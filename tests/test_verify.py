@@ -23,11 +23,9 @@ from preproj.quiver import Quiver, double
 from preproj.randgen import random_combination, random_nilpotent_module
 from preproj.verify import (
     AnchorCollision,
-    GenericVote,
     Stratum,
     UnanchoredStratum,
     VerificationReport,
-    discover_generic_lambda,
     stratify_proj_ext,
     verify_thm_1_1,
     verify_thm_1_2,
@@ -244,20 +242,6 @@ def test_anchor_collision_is_reported():
     twins = OrderedDict([("one", d4.m_family(1)), ("two", d4.m_family(1))])
     with pytest.raises(AnchorCollision, match="indistinguishable"):
         stratify_proj_ext(zoo["S4"], zoo["T"], twins, prime_list=[5, 7, 11, 13])
-
-
-def test_majority_vote_on_the_generic_family():
-    vote = discover_generic_lambda(d4.m_family, [1, 2, 0])
-    assert vote.members == (1, 2)
-    assert vote.outliers == (0,)
-    assert vote.fingerprint.chi == fingerprint(d4.m_family(1)).chi
-
-
-def test_majority_vote_rejects_ties():
-    with pytest.raises(ValueError, match="inconclusive"):
-        discover_generic_lambda(d4.m_family, [1, 0])
-    with pytest.raises(ValueError, match="no candidate"):
-        discover_generic_lambda(d4.m_family, [])
 
 
 def test_report_mismatch_accounting():

@@ -25,12 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
 from .linalg import (
     Matrix,
     Subspace,
+    clear_denominators,
     column_echelon,
     hstack,
     kernel_basis,
@@ -50,15 +52,16 @@ def _pack(field: Field, mats: Sequence[Matrix]) -> Matrix:
 def _unpack(
     field: Field, flat: Sequence[Scalar], shapes: Sequence[Tuple[int, int]]
 ) -> List[Matrix]:
-    """Cut packed coordinates back into blocks of the given shapes."""
+    """Cut packed coordinates, already normalized field elements, back
+    into blocks of the given shapes."""
     out: List[Matrix] = []
     pos = 0
     for r, c in shapes:
         rows = []
         for i in range(r):
-            rows.append(flat[pos : pos + c])
+            rows.append(tuple(flat[pos : pos + c]))
             pos += c
-        out.append(Matrix.from_rows(field, rows, ncols=c))
+        out.append(Matrix(field, r, c, tuple(rows)))
     if pos != len(flat):
         raise ValueError("coordinate column length differs from block shapes")
     return out
@@ -474,32 +477,60 @@ def pushout(d: Derivation, lam: Intertwiner) -> Derivation:
     return Derivation(d.source, lam.target, maps)
 
 
+def _pairing_left(d: Derivation) -> List[Scalar]:
+    """(-1)^{sign(b)} d(bar b) row-major, arrow after arrow: the left
+    factor of :func:`cy_pairing` as one vector."""
+    out: List[Scalar] = []
+    for a in d.source.dq.arrows:
+        rows = d.map_of(a.bar).entries
+        out += [-x for r in rows for x in r] if a.sign else [x for r in rows for x in r]
+    return out
+
+
+def _pairing_right(g: Derivation) -> List[Scalar]:
+    """g(b) column-major, arrow after arrow, so that its dot product with
+    :func:`_pairing_left` is the trace pairing."""
+    return [x for mat in g.maps for c in zip(*mat.entries) for x in c]
+
+
 def cy_pairing(d: Derivation, g: Derivation) -> Scalar:
     """The trace pairing sum_b (-1)^{sign(b)} Tr( d(bar b) g(b) ).
 
-    ``d`` runs M -> N and ``g`` runs N -> M.  The pairing descends to
-    Ext^1 x Ext^1 and is nondegenerate there; those facts are certified by
-    the test suite rather than assumed.
+    Each trace is evaluated entrywise as
+    Tr( d(bar b) g(b) ) = sum_{i,k} d(bar b)[i][k] g(b)[k][i],
+    without forming the product.  ``d`` runs M -> N and ``g`` runs
+    N -> M.  The pairing descends to Ext^1 x Ext^1 and is nondegenerate
+    there; those facts are certified by the test suite rather than assumed.
     """
     if d.source != g.target or d.target != g.source:
         raise ValueError("pairing requires opposite derivation directions")
-    field = d.source.field
-    acc = field.zero()
-    for a in d.source.dq.arrows:
-        term = d.map_of(a.bar).mul(g.map_of(a.name)).trace()
-        acc = field.sub(acc, term) if a.sign else field.add(acc, term)
-    return acc
+    acc = sum(map(mul, _pairing_left(d), _pairing_right(g)))
+    p = d.source.field.p
+    return Fraction(acc) if p is None else acc % p
 
 
 def cy_gram(pres_mn: ExtPresentation, pres_nm: ExtPresentation) -> Matrix:
-    """The pairing matrix between the two chosen Ext^1 complement bases."""
-    rows = [
-        [cy_pairing(d, g) for g in pres_nm.ext1_basis]
-        for d in pres_mn.ext1_basis
-    ]
-    return Matrix.from_rows(
-        pres_mn.source.field, rows, ncols=pres_nm.ext1_dim
-    )
+    """The pairing matrix between the two chosen Ext^1 complement bases.
+
+    Each class is packed once; over Q the packed vectors are cleared of
+    denominators, so every entry is one integer dot product.
+    """
+    field = pres_mn.source.field
+    p = field.p
+    lefts = [_pairing_left(d) for d in pres_mn.ext1_basis]
+    rights = [_pairing_right(g) for g in pres_nm.ext1_basis]
+    if p is None:
+        lefts, d = clear_denominators(lefts)
+        rights, e = clear_denominators(rights)
+        rows = tuple(
+            tuple(Fraction(sum(map(mul, u, v)), d * e) for v in rights)
+            for u in lefts
+        )
+    else:
+        rows = tuple(
+            tuple(sum(map(mul, u, v)) % p for v in rights) for u in lefts
+        )
+    return Matrix(field, len(lefts), len(rights), rows)
 
 
 @dataclass(frozen=True)

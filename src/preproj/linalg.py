@@ -6,6 +6,12 @@ represents a linear map from a c-dimensional space to an r-dimensional space,
 acting on column vectors.  Subspaces are stored through a reduced column
 echelon basis, which is unique for a given subspace, so two Subspace values
 are equal exactly when they describe the same subspace.
+
+Rational entries are ``Fraction`` values, but the inner loops do not
+compute with them: :func:`echelon` eliminates rational rows over the
+integers (fraction-free, each row kept primitive) and turns each result
+row into ``Fraction`` entries once, and :meth:`Matrix.mul` takes integer
+dot products of denominator-cleared factors and divides each entry once.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -172,15 +178,6 @@ class Matrix:
             ),
         )
 
-    def neg(self) -> "Matrix":
-        f = self.field
-        return Matrix(
-            f,
-            self.nrows,
-            self.ncols,
-            tuple(tuple(f.neg(a) for a in row) for row in self.entries),
-        )
-
     def scale(self, s: Union[int, Fraction]) -> "Matrix":
         f = self.field
         s = f.of(s)
@@ -192,7 +189,11 @@ class Matrix:
         )
 
     def mul(self, other: "Matrix") -> "Matrix":
-        """Matrix product self * other."""
+        """Matrix product self * other.
+
+        Over Q both factors are scaled to integer matrices, so each entry
+        is an integer dot product divided into a Fraction once.
+        """
         if self.field != other.field:
             raise ValueError("matrix product over mixed fields")
         if self.ncols != other.nrows:
@@ -201,24 +202,17 @@ class Matrix:
             )
         f = self.field
         p = f.p
-        out: List[Tuple[Scalar, ...]] = []
-        other_entries = other.entries
-        for row in self.entries:
-            new_row: List[Scalar] = []
-            for j in range(other.ncols):
-                acc = sum(row[k] * other_entries[k][j] for k in range(self.ncols))
-                new_row.append(acc % p if p is not None else Fraction(acc))
-            out.append(tuple(new_row))
-        return Matrix(f, self.nrows, other.ncols, tuple(out))
-
-    def trace(self) -> Scalar:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of a non-square matrix")
-        f = self.field
-        acc = f.zero()
-        for i in range(self.nrows):
-            acc = f.add(acc, self.entries[i][i])
-        return acc
+        rows = self.entries
+        cols = [other.col(j) for j in range(other.ncols)]
+        if p is None:
+            rows, d = clear_denominators(rows)
+            cols, e = clear_denominators(cols)
+            out = tuple(
+                tuple(Fraction(sum(map(mul, r, c)), d * e) for c in cols) for r in rows
+            )
+        else:
+            out = tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in rows)
+        return Matrix(f, self.nrows, other.ncols, out)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -249,35 +243,77 @@ def echelon(
     Each vector is cleared against the rows found so far, scaled to a
     leading 1 and cleared out of the earlier rows, so the rows are the
     nonzero rows of the reduced row echelon form.
+
+    Over the rationals the same steps run on integer rows: each vector
+    has its denominators cleared once, rows are combined by
+    cross-multiplication and kept primitive (entries divided by their
+    gcd, leading entry positive), and every row is divided by its
+    leading entry into ``Fraction`` entries only at the end, whether
+    the vectors hold ints or Fractions.
     """
+    if p is None:
+        ints: Dict[int, List[int]] = {}
+        for vec in vectors:
+            (vec,), _ = clear_denominators([vec])
+            for q, row in ints.items():
+                f = vec[q]
+                if f:
+                    c = row[q]
+                    g = gcd(c, f)
+                    c, f = c // g, f // g
+                    vec = [c * x - f * y for x, y in zip(vec, row)]
+            lead = next((j for j, x in enumerate(vec) if x), None)
+            if lead is None:
+                continue
+            vec = _primitive(vec, vec[lead])
+            c = vec[lead]
+            for q, row in ints.items():
+                f = row[lead]
+                if f:
+                    ints[q] = _primitive(
+                        [c * x - f * y for x, y in zip(row, vec)], 1
+                    )
+            ints[lead] = vec
+        zero = Fraction(0)
+        return {
+            q: [Fraction(x, row[q]) if x else zero for x in row]
+            for q, row in ints.items()
+        }
     rows: Dict[int, List[Scalar]] = {}
     for vec in vectors:
         vec = list(vec)
         for q, row in rows.items():
             f = vec[q]
             if f:
-                if p is None:
-                    vec = [x - f * y for x, y in zip(vec, row)]
-                else:
-                    vec = [(x - f * y) % p for x, y in zip(vec, row)]
+                vec = [(x - f * y) % p for x, y in zip(vec, row)]
         lead = next((j for j, x in enumerate(vec) if x), None)
         if lead is None:
             continue
-        if p is None:
-            inv = Fraction(1) / vec[lead]
-            vec = [x * inv for x in vec]
-        else:
-            inv = pow(vec[lead], -1, p)
-            vec = [x * inv % p for x in vec]
+        inv = pow(vec[lead], -1, p)
+        vec = [x * inv % p for x in vec]
         for q, row in rows.items():
             f = row[lead]
             if f:
-                if p is None:
-                    rows[q] = [x - f * y for x, y in zip(row, vec)]
-                else:
-                    rows[q] = [(x - f * y) % p for x, y in zip(row, vec)]
+                rows[q] = [(x - f * y) % p for x, y in zip(row, vec)]
         rows[lead] = vec
     return rows
+
+
+def clear_denominators(
+    rows: Sequence[Sequence[Scalar]],
+) -> Tuple[List[List[int]], int]:
+    """Integer rows and the least positive d such that each given row of
+    ints and Fractions is its integer row divided by d."""
+    d = lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+
+
+def _primitive(vec: List[int], sign: int) -> List[int]:
+    """vec divided by the gcd of its entries, negated if sign < 0."""
+    g = gcd(*vec)
+    if sign < 0:
+        g = -g
+    return vec if g == 1 else [x // g for x in vec]
 
 
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
@@ -310,7 +346,7 @@ def kernel_basis(m: Matrix) -> Matrix:
         for i, pc in enumerate(pivots):
             vec[pc] = f.neg(reduced.entries[i][fc])
         cols.append(vec)
-    return Matrix.from_cols(f, cols, nrows=m.ncols)
+    return _from_columns(f, m.ncols, cols)
 
 
 def column_echelon(m: Matrix) -> Matrix:
@@ -321,9 +357,17 @@ def column_echelon(m: Matrix) -> Matrix:
     identical.
     """
     rows = echelon(zip(*m.entries), m.field.p)
-    cols = [rows[c] for c in sorted(rows)]
-    entries = tuple(zip(*cols)) if cols else ((),) * m.nrows
-    return Matrix(m.field, m.nrows, len(cols), entries)
+    return _from_columns(m.field, m.nrows, [rows[c] for c in sorted(rows)])
+
+
+def _from_columns(
+    field: Field, nrows: int, cols: Sequence[Sequence[Scalar]]
+) -> Matrix:
+    """The matrix with the given columns, whose entries are already
+    normalized field elements, so unlike Matrix.from_cols nothing is
+    coerced."""
+    entries = tuple(zip(*cols)) if cols else ((),) * nrows
+    return Matrix(field, nrows, len(cols), entries)
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -348,7 +392,7 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
         for i, pc in enumerate(pivots):
             vec[pc] = reduced.entries[i][a.ncols + j]
         cols.append(vec)
-    return Matrix.from_cols(f, cols, nrows=a.ncols)
+    return _from_columns(f, a.ncols, cols)
 
 
 @dataclass(frozen=True)

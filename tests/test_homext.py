@@ -405,8 +405,83 @@ def test_assembled_differentials_match_unit_block_probes(rng_seed):
             m.field,
             c0,
             pres.d0.nrows,
-            lambda f: [x.neg() for x in inner_derivation(m, n, f).maps],
+            lambda f: [x.scale(-1) for x in inner_derivation(m, n, f).maps],
         )
         d1 = _probe(m.field, c1, pres.d1.nrows, lambda g: apply_d1(m, n, g))
         assert pres.d0 == d0
         assert pres.d1 == d1
+
+
+def reference_cy_pairing(d, g):
+    """The trace pairing through a product Matrix and its trace per arrow."""
+    field = d.source.field
+    acc = field.zero()
+    for a in d.source.dq.arrows:
+        product = d.map_of(a.bar).mul(g.map_of(a.name))
+        assert product.nrows == product.ncols
+        term = field.zero()
+        for i in range(product.nrows):
+            term = field.add(term, product.entries[i][i])
+        acc = field.sub(acc, term) if a.sign else field.add(acc, term)
+    return acc
+
+
+def reference_cy_gram(pres_mn, pres_nm):
+    rows = [
+        [reference_cy_pairing(d, g) for g in pres_nm.ext1_basis]
+        for d in pres_mn.ext1_basis
+    ]
+    return Matrix.from_rows(pres_mn.source.field, rows, ncols=pres_nm.ext1_dim)
+
+
+def random_derivation(m, n, rng):
+    """Arbitrary maps d(b): M_{s(b)} -> N_{e(b)} with fractional entries;
+    the pairing is defined on all of C1, not just on derivations."""
+    values = [0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(9, 4)]
+    maps = {
+        a.name: [
+            [rng.choice(values) for _ in range(m.dim_of(a.source))]
+            for _ in range(n.dim_of(a.target))
+        ]
+        for a in m.dq.arrows
+    }
+    return Derivation.build(m, n, maps)
+
+
+def test_cy_pairing_and_gram_agree_with_product_then_trace(rng_seed):
+    rng = random.Random(rng_seed + 25)
+    pairs = [(d4.t_module(), d4.s4_module())]
+    for dq in (a3_double(), kron_double()) * 4:
+        pairs.append(
+            (
+                random_nilpotent_module(dq, rng, steps=3),
+                random_nilpotent_module(dq, rng, steps=2),
+            )
+        )
+    pairs += [(n, m) for m, n in pairs]
+    for m, n in list(pairs):
+        for p in (5, 7):
+            try:
+                pairs.append((reduce_mod_p(m, p), reduce_mod_p(n, p)))
+            except BadPrime:
+                pass
+    non_square = 0
+    for m, n in pairs:
+        pres_mn, pres_nm = ext_presentation(m, n), ext_presentation(n, m)
+        gram, want = cy_gram(pres_mn, pres_nm), reference_cy_gram(pres_mn, pres_nm)
+        assert gram == want
+        assert [type(x) for r in gram.entries for x in r] == [
+            type(x) for r in want.entries for x in r
+        ]
+        classes = list(pres_mn.ext1_basis) + [random_derivation(m, n, rng)]
+        duals = list(pres_nm.ext1_basis) + [random_derivation(n, m, rng)]
+        for d in classes:
+            for g in duals:
+                got = cy_pairing(d, g)
+                assert (type(got), got) == (
+                    type(reference_cy_pairing(d, g)),
+                    reference_cy_pairing(d, g),
+                )
+        non_square += any(x.nrows != x.ncols for x in classes[-1].maps)
+    assert non_square >= 10
+    assert {m.field.p for m, _ in pairs} == {None, 5, 7}

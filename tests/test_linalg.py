@@ -135,10 +135,6 @@ def test_rank_nullity_seeded(rng_seed):
             assert column_echelon(m).ncols == rank(m)
 
 
-def test_mat_pow_and_trace():
-    assert Matrix.from_rows(QQ, [[3, 1], [0, 4]]).trace() == 7
-
-
 def test_interpolate_frozen_quadratic():
     # the unique quadratic through (2,7), (3,13), (5,31) is X^2 + X + 1
     poly = interpolate([(2, 7), (3, 13), (5, 31)])
@@ -312,3 +308,97 @@ def test_single_echelon_agrees_with_gauss_jordan_reference(p, rng_seed):
             if got is not None:
                 assert m.mul(got) == b
 
+
+
+def heavy_rational_matrix(rng, nrows, ncols):
+    """Entries with large and mixed denominators, with zero rows and rows
+    that are rational multiples or rational combinations of earlier ones,
+    so that ranks drop and the integer rows of echelon grow."""
+    values = [0, 0, 0, 1, -1, 2, Fraction(1, 7), Fraction(-5, 12)]
+    values += [Fraction(10**6, 3), Fraction(-9, 8), Fraction(3, 11), Fraction(22, 13)]
+    rows = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(1, nrows):
+        roll = rng.random()
+        if roll < 0.1:
+            rows[i] = [0] * ncols
+        elif roll < 0.3:
+            c = rng.choice([Fraction(-7, 5), Fraction(1, 6), Fraction(10**6, 7), 3])
+            rows[i] = [c * x for x in rows[rng.randrange(i)]]
+        elif roll < 0.45:
+            j, k = rng.randrange(i), rng.randrange(i)
+            a, b = rng.choice(values[3:]), rng.choice(values[3:])
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return Matrix.from_rows(QQ, rows, ncols=ncols)
+
+
+def test_rational_echelon_agrees_with_reference_on_large_denominators(rng_seed):
+    # the rational branch eliminates over integer rows and makes Fractions
+    # only at the end; the reference works with Fractions throughout
+    rng = random.Random(rng_seed + 5)
+    for _ in range(25):
+        m = heavy_rational_matrix(rng, rng.randrange(1, 13), rng.randrange(1, 17))
+        reduced, pivots = rref(m)
+        want, want_pivots = reference_rref(m)
+        assert pivots == want_pivots
+        assert typed(reduced) == typed(want)
+        rows = echelon(m.entries)
+        assert sorted(rows) == list(pivots)
+        got_rows = tuple(tuple(rows[c]) for c in pivots)
+        assert typed(Matrix(QQ, len(pivots), m.ncols, got_rows)) == typed(
+            Matrix(QQ, len(pivots), m.ncols, want.entries[: len(pivots)])
+        )
+        assert rank(m) == len(want_pivots)
+        assert typed(column_echelon(m)) == typed(reference_column_echelon(m))
+        assert typed(kernel_basis(m)) == typed(reference_kernel_basis(m))
+        for b in (
+            m.mul(heavy_rational_matrix(rng, m.ncols, rng.randrange(1, 4))),
+            heavy_rational_matrix(rng, m.nrows, rng.randrange(1, 4)),
+        ):
+            got = solve(m, b)
+            assert typed(got) == typed(reference_solve(m, b))
+            if got is not None:
+                assert m.mul(got) == b
+
+
+def test_rational_echelon_of_plain_int_vectors():
+    # ints in, the reduced row echelon form with Fraction entries out
+    vectors = [[2, 4, 6, 0], [3, 6, 9, 0], [0, 0, 0, 0], [1, -1, 0, 5]]
+    vectors.append([0, 3, 4, -7])
+    rows = echelon(vectors)
+    want, pivots = reference_rref(Matrix.from_rows(QQ, vectors))
+    assert sorted(rows) == list(pivots) == [0, 1, 2]
+    for i, c in enumerate(pivots):
+        assert [(type(x), x) for x in rows[c]] == [(Fraction, x) for x in want.entries[i]]
+    assert echelon([[0, 0], [0, 0]]) == {}
+    assert echelon([]) == {}
+    assert [(type(x), x) for x in echelon([[0, -4, 6]])[1]] == [
+        (Fraction, 0), (Fraction, 1), (Fraction, Fraction(-3, 2))
+    ]
+
+
+def reference_product(a, b):
+    """The matrix product with every operation dispatched through the Field."""
+    f = a.field
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = f.zero()
+            for k in range(a.ncols):
+                acc = f.add(acc, f.mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return Matrix(f, a.nrows, b.ncols, tuple(rows))
+
+
+@pytest.mark.parametrize("p", [None, 5, 7])
+def test_matrix_product_agrees_with_field_reference(p, rng_seed):
+    field = Field(p)
+    rng = random.Random(rng_seed + 6 + (p or 0))
+    for _ in range(40):
+        r, k, c = rng.randrange(0, 5), rng.randrange(0, 5), rng.randrange(0, 5)
+        if p is None:
+            a, b = heavy_rational_matrix(rng, r, k), heavy_rational_matrix(rng, k, c)
+        else:
+            a, b = random_matrix(rng, field, r, k), random_matrix(rng, field, k, c)
+        assert typed(a.mul(b)) == typed(reference_product(a, b))

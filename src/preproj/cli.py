@@ -207,7 +207,7 @@ def _fingerprint_lines(fp: DeltaFingerprint) -> List[str]:
 def cmd_fingerprint(args) -> int:
     _, m = _load_named(args.module)
     fp = fingerprint(m, prime_list=args.primes)
-    data = fingerprint_to_data(fp, profiles=True)
+    data = fingerprint_to_data(fp)
     _emit(args, data, _fingerprint_lines(fp))
     return 0
 

@@ -9,15 +9,17 @@ opposite extensions.  Every action matrix below has been checked against the
 vertex relations by hand before being frozen here.
 
 Basis convention at the central vertex for the dimension (1,1,1,2) modules:
-coordinates are written (top, bottom); arrows a, b, c land in the bottom
-coordinate for the M family and the top/second coordinates as listed for the
-others.
+coordinates are written (top, bottom).  Apart from R, each such module
+belongs to one of three families, built from one pattern each: the M family
+by its bar scalars, A, B, C by the lone arrow that lands in the top
+coordinate, and F, G, H by the top arrow whose two companions fold back
+through their bars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Union
+from typing import Dict, Sequence, Union
 
 from .fields import QQ
 from .module import LambdaModule
@@ -59,22 +61,8 @@ def m_family(lam: Rational, dq: DoubleQuiver = None) -> LambdaModule:
     The members lam = 0 and lam = -1 are the degenerate ones; every other
     value gives the generic member.
     """
-    dq = dq or star_double()
     lam = Fraction(lam)
-    col = [[0], [1]]
-    return LambdaModule.build(
-        dq,
-        QQ,
-        (1, 1, 1, 2),
-        {
-            "a": col,
-            "b": col,
-            "c": col,
-            "a*": [[-1 - lam, 0]],
-            "b*": [[1, 0]],
-            "c*": [[lam, 0]],
-        },
-    )
+    return _bar_scalars((-1 - lam, 1, lam), dq)
 
 
 def m_zero(dq: DoubleQuiver = None) -> LambdaModule:
@@ -87,116 +75,71 @@ def m_minus_one(dq: DoubleQuiver = None) -> LambdaModule:
 
 def m_infinity(dq: DoubleQuiver = None) -> LambdaModule:
     """The remaining degenerate member, with bar scalars (-1, 0, 1)."""
-    dq = dq or star_double()
-    col = [[0], [1]]
-    return LambdaModule.build(
-        dq,
-        QQ,
-        (1, 1, 1, 2),
-        {
-            "a": col,
-            "b": col,
-            "c": col,
-            "a*": [[-1, 0]],
-            "b*": [[0, 0]],
-            "c*": [[1, 0]],
-        },
-    )
+    return _bar_scalars((-1, 0, 1), dq)
 
 
 def r_module(dq: DoubleQuiver = None) -> LambdaModule:
     """R: the three arrows hit three pairwise distinct lines; bars act by 0."""
-    dq = dq or star_double()
-    return LambdaModule.build(
-        dq,
-        QQ,
-        (1, 1, 1, 2),
-        {"a": [[1], [0]], "b": [[0], [1]], "c": [[1], [1]]},
-    )
+    return _central_two(dq, {"a": [[1], [0]], "b": [[0], [1]], "c": [[1], [1]]})
 
 
 def a_sum_module(dq: DoubleQuiver = None) -> LambdaModule:
     """A: the sum of the a-string and the (b,c)-fork, bars zero."""
-    dq = dq or star_double()
-    return LambdaModule.build(
-        dq,
-        QQ,
-        (1, 1, 1, 2),
-        {"a": [[1], [0]], "b": [[0], [1]], "c": [[0], [1]]},
-    )
+    return _lone_arrow("a", dq)
 
 
 def b_sum_module(dq: DoubleQuiver = None) -> LambdaModule:
     """B: the sum of the b-string and the (a,c)-fork, bars zero."""
-    dq = dq or star_double()
-    return LambdaModule.build(
-        dq,
-        QQ,
-        (1, 1, 1, 2),
-        {"b": [[1], [0]], "a": [[0], [1]], "c": [[0], [1]]},
-    )
+    return _lone_arrow("b", dq)
 
 
 def c_sum_module(dq: DoubleQuiver = None) -> LambdaModule:
     """C: the sum of the c-string and the (a,b)-fork, bars zero."""
-    dq = dq or star_double()
-    return LambdaModule.build(
-        dq,
-        QQ,
-        (1, 1, 1, 2),
-        {"c": [[1], [0]], "a": [[0], [1]], "b": [[0], [1]]},
-    )
+    return _lone_arrow("c", dq)
 
 
 def f_module(dq: DoubleQuiver = None) -> LambdaModule:
     """F: top the simple at 1, with b and c folded back through the bars."""
-    dq = dq or star_double()
-    return LambdaModule.build(
-        dq,
-        QQ,
-        (1, 1, 1, 2),
-        {
-            "a": [[1], [0]],
-            "b": [[0], [1]],
-            "c": [[0], [-1]],
-            "b*": [[1, 0]],
-            "c*": [[1, 0]],
-        },
-    )
+    return _top_arrow("a", dq)
 
 
 def g_module(dq: DoubleQuiver = None) -> LambdaModule:
     """G: top the simple at 2, with a and c folded back through the bars."""
-    dq = dq or star_double()
-    return LambdaModule.build(
-        dq,
-        QQ,
-        (1, 1, 1, 2),
-        {
-            "b": [[1], [0]],
-            "a": [[0], [1]],
-            "c": [[0], [-1]],
-            "a*": [[1, 0]],
-            "c*": [[1, 0]],
-        },
-    )
+    return _top_arrow("b", dq)
 
 
 def h_module(dq: DoubleQuiver = None) -> LambdaModule:
     """H: top the simple at 3, with a and b folded back through the bars."""
-    dq = dq or star_double()
-    return LambdaModule.build(
-        dq,
-        QQ,
-        (1, 1, 1, 2),
-        {
-            "c": [[1], [0]],
-            "a": [[0], [1]],
-            "b": [[0], [-1]],
-            "a*": [[1, 0]],
-            "b*": [[1, 0]],
-        },
-    )
+    return _top_arrow("c", dq)
+
+
+def _central_two(dq: DoubleQuiver, action: Dict) -> LambdaModule:
+    """The dimension (1,1,1,2) module with the given action data."""
+    return LambdaModule.build(dq or star_double(), QQ, (1, 1, 1, 2), action)
+
+
+def _bar_scalars(scalars: Sequence[Rational], dq: DoubleQuiver) -> LambdaModule:
+    """a, b, c land in the bottom coordinate and a*, b*, c* read the top
+    coordinate times the given scalars, which must sum to zero."""
+    action = {x: [[0], [1]] for x in "abc"}
+    action.update({x + "*": [[s, 0]] for x, s in zip("abc", scalars)})
+    return _central_two(dq, action)
+
+
+def _lone_arrow(lone: str, dq: DoubleQuiver) -> LambdaModule:
+    """The ``lone`` arrow lands in the top coordinate, the other two in
+    the bottom one; the bars act by 0."""
+    return _central_two(dq, {x: [[1], [0]] if x == lone else [[0], [1]] for x in "abc"})
+
+
+def _top_arrow(top: str, dq: DoubleQuiver) -> LambdaModule:
+    """The ``top`` arrow lands in the top coordinate; the other two land
+    in the bottom one with signs +1 and -1 (in the order a, b, c), and
+    their bars read the top coordinate."""
+    first, second = (x for x in "abc" if x != top)
+    action = {top: [[1], [0]], first: [[0], [1]], second: [[0], [-1]]}
+    action.update({first + "*": [[1, 0]], second + "*": [[1, 0]]})
+    return _central_two(dq, action)
 
 
 def zoo(lam: Rational = 1) -> Dict[str, LambdaModule]:

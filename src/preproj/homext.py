@@ -39,7 +39,7 @@ from .linalg import (
     rref,
     solve,
 )
-from .module import LambdaModule
+from .module import LambdaModule, _glue
 from .quiver import has_dynkin_component, symmetric_form
 
 
@@ -430,27 +430,13 @@ def middle_term(d: Derivation) -> MiddleTerm:
         if not r.is_zero():
             raise ValueError(f"derivation equation violated at vertex {v}")
     field = m.field
-    mats: List[Matrix] = []
-    for i, a in enumerate(m.dq.arrows):
-        top = [m.action[i], Matrix.zeros(field, m.action[i].nrows, n.action[i].ncols)]
-        bottom = [d.maps[i], n.action[i]]
-        mats.append(Matrix.block([top, bottom]))
-    dim = tuple(x + y for x, y in zip(m.dim, n.dim))
-    module = LambdaModule(m.dq, field, dim, tuple(mats))
     inclusion: List[Matrix] = []
     projection: List[Matrix] = []
     for dm, dn in zip(m.dim, n.dim):
-        inclusion.append(
-            Matrix.block(
-                [[Matrix.zeros(field, dm, dn)], [Matrix.identity(field, dn)]]
-            )
-        )
-        projection.append(
-            Matrix.block(
-                [[Matrix.identity(field, dm), Matrix.zeros(field, dm, dn)]]
-            )
-        )
-    return MiddleTerm(module, tuple(inclusion), tuple(projection))
+        rows = Matrix.identity(field, dm + dn).entries
+        inclusion.append(Matrix(field, dm + dn, dn, tuple(r[dm:] for r in rows)))
+        projection.append(Matrix(field, dm, dm + dn, rows[:dm]))
+    return MiddleTerm(_glue(m, n, d.maps), tuple(inclusion), tuple(projection))
 
 
 def pullback(d: Derivation, rho: Intertwiner) -> Derivation:
@@ -504,33 +490,35 @@ def cy_pairing(d: Derivation, g: Derivation) -> Scalar:
     """
     if d.source != g.target or d.target != g.source:
         raise ValueError("pairing requires opposite derivation directions")
-    acc = sum(map(mul, _pairing_left(d), _pairing_right(g)))
-    p = d.source.field.p
-    return Fraction(acc) if p is None else acc % p
+    return _pairings(d.source.field, [d], [g])[0][0]
 
 
 def cy_gram(pres_mn: ExtPresentation, pres_nm: ExtPresentation) -> Matrix:
-    """The pairing matrix between the two chosen Ext^1 complement bases.
+    """The pairing matrix between the two chosen Ext^1 complement bases."""
+    field = pres_mn.source.field
+    rows = _pairings(field, pres_mn.ext1_basis, pres_nm.ext1_basis)
+    return Matrix(field, len(rows), len(pres_nm.ext1_basis), rows)
+
+
+def _pairings(
+    field: Field, ds: Sequence[Derivation], gs: Sequence[Derivation]
+) -> Tuple[Tuple[Scalar, ...], ...]:
+    """The rows (cy_pairing(d, g) for g in gs) for d in ds.
 
     Each class is packed once; over Q the packed vectors are cleared of
     denominators, so every entry is one integer dot product.
     """
-    field = pres_mn.source.field
+    lefts = [_pairing_left(d) for d in ds]
+    rights = [_pairing_right(g) for g in gs]
     p = field.p
-    lefts = [_pairing_left(d) for d in pres_mn.ext1_basis]
-    rights = [_pairing_right(g) for g in pres_nm.ext1_basis]
     if p is None:
         lefts, d = clear_denominators(lefts)
         rights, e = clear_denominators(rights)
-        rows = tuple(
+        return tuple(
             tuple(Fraction(sum(map(mul, u, v)), d * e) for v in rights)
             for u in lefts
         )
-    else:
-        rows = tuple(
-            tuple(sum(map(mul, u, v)) % p for v in rights) for u in lefts
-        )
-    return Matrix(field, len(lefts), len(rights), rows)
+    return tuple(tuple(sum(map(mul, u, v)) % p for v in rights) for u in lefts)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -135,10 +136,9 @@ class Matrix:
             if sum(b.ncols for b in block_row) != width:
                 raise ValueError("ragged block row widths")
             for i in range(height):
-                row: Tuple[Scalar, ...] = ()
-                for b in block_row:
-                    row = row + b.entries[i]
-                rows.append(row)
+                rows.append(
+                    tuple(chain.from_iterable(b.entries[i] for b in block_row))
+                )
         return cls(field, len(rows), width, tuple(rows))
 
     def col(self, j: int) -> Tuple[Scalar, ...]:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
-from typing import List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
 from .linalg import Matrix, Subspace, hstack
@@ -77,14 +78,21 @@ class LambdaModule:
             action: matrices (or row data) keyed by doubled-arrow name.
 
         Raises:
-            ValueError: unknown arrow names or shape mismatches.
+            ValueError: unknown vertex or arrow names, a dimension that is
+                not a whole number, or shape mismatches.
         """
         verts = dq.base.vertices
         idx = dq.base.vertex_index
         if isinstance(dim, Mapping):
-            dim_vec = tuple(int(dim.get(v, 0)) for v in verts)
+            for v in dim:
+                if v not in idx:
+                    raise ValueError(f"dimension given for unknown vertex {v!r}")
+            dim_vec = tuple(dim.get(v, 0) for v in verts)
         else:
-            dim_vec = tuple(int(x) for x in dim)
+            dim_vec = tuple(dim)
+        for d in dim_vec:
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise ValueError(f"dimension {d!r} is not a whole number")
         known = {a.name for a in dq.arrows}
         for name in action:
             if name not in known:
@@ -192,14 +200,24 @@ def direct_sum(m: LambdaModule, n: LambdaModule) -> LambdaModule:
         raise ValueError("direct sum over different quivers")
     if m.field != n.field:
         raise ValueError("direct sum over different fields")
-    dim = tuple(a + b for a, b in zip(m.dim, n.dim))
+    return _glue(m, n, None)
+
+
+def _glue(
+    m: LambdaModule, n: LambdaModule, lower: Optional[Sequence[Matrix]]
+) -> LambdaModule:
+    """The module x(b) = [[m(b), 0], [lower(b), n(b)]] on the spaces
+    M_v + N_v, M's coordinates first; ``lower`` is aligned with the
+    doubled arrows, and None stands for zero (the direct sum)."""
     z = m.field.zero()
     mats: List[Matrix] = []
-    for a, b in zip(m.action, n.action):
-        right, left = (z,) * b.ncols, (z,) * a.ncols
+    for k, (a, b) in enumerate(zip(m.action, n.action)):
+        right = (z,) * b.ncols
+        below = repeat((z,) * a.ncols) if lower is None else lower[k].entries
         entries = tuple(row + right for row in a.entries)
-        entries += tuple(left + row for row in b.entries)
+        entries += tuple(left + row for left, row in zip(below, b.entries))
         mats.append(Matrix(m.field, a.nrows + b.nrows, a.ncols + b.ncols, entries))
+    dim = tuple(x + y for x, y in zip(m.dim, n.dim))
     return LambdaModule(m.dq, m.field, dim, tuple(mats))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Word = Tuple[str, ...]
@@ -137,6 +138,18 @@ def double(q: Quiver) -> DoubleQuiver:
     return DoubleQuiver(q, tuple(darrows))
 
 
+def _gram(q: Quiver) -> List[List[int]]:
+    """The Gram matrix of the symmetric form on the unit vectors."""
+    n = len(q.vertices)
+    idx = q.vertex_index
+    gram = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for a in q.arrows:
+        s, t = idx[a.source], idx[a.target]
+        gram[s][t] -= 1
+        gram[t][s] -= 1
+    return gram
+
+
 def symmetric_form(q: Quiver, d: DimVector, e: DimVector) -> int:
     """The symmetric bilinear form (d, e) attached to the underlying graph.
 
@@ -145,12 +158,7 @@ def symmetric_form(q: Quiver, d: DimVector, e: DimVector) -> int:
     n = len(q.vertices)
     if len(d) != n or len(e) != n:
         raise ValueError("dimension vector length differs from vertex count")
-    idx = q.vertex_index
-    total = 2 * sum(di * ei for di, ei in zip(d, e))
-    for a in q.arrows:
-        s, t = idx[a.source], idx[a.target]
-        total -= d[s] * e[t] + d[t] * e[s]
-    return total
+    return sum(di * sum(map(mul, row, e)) for di, row in zip(d, _gram(q)))
 
 
 def word_content(
@@ -256,66 +264,38 @@ def enumerate_splittings(
 def has_dynkin_component(q: Quiver) -> bool:
     """Whether some connected component of the underlying graph is Dynkin.
 
-    A component is Dynkin (type A, D, or E) exactly when it is a tree whose
-    degree pattern is a path, or a single degree-3 vertex with arm lengths
-    (1, 1, k), (1, 2, 2), (1, 2, 3), or (1, 2, 4).  Components of this kind
-    make the standard three-term complex inexact in degree 2, so the cokernel
-    there overestimates Ext^2.
+    A connected loop-free graph is Dynkin (type A, D or E) exactly when
+    its Tits form d -> (d, d)/2, with (-, -) the form of
+    :func:`symmetric_form`, is positive definite; this is tested on the
+    component's Gram matrix.  Components of this kind make the standard
+    three-term complex inexact in degree 2, so the cokernel there
+    overestimates Ext^2.
     """
-    comp: Dict[str, int] = {}
-
-    def root(v: str) -> str:
-        while comp.get(v, v) != v:
-            v = comp[v]
-        return v
-
-    for v in q.vertices:
-        comp.setdefault(v, v)
-    for a in q.arrows:
-        ra, rb = root(a.source), root(a.target)
-        if ra != rb:
-            comp[ra] = rb
-    groups: Dict[str, List[str]] = {}
-    for v in q.vertices:
-        groups.setdefault(root(v), []).append(v)
-    for members in groups.values():
-        edges = [
-            (a.source, a.target)
-            for a in q.arrows
-            if root(a.source) == root(members[0])
-        ]
-        if _component_is_dynkin(members, edges):
+    gram = _gram(q)
+    left = set(range(len(gram)))
+    while left:
+        component = [left.pop()]
+        for i in component:  # the list grows while it is walked
+            near = [j for j in left if gram[i][j]]
+            left.difference_update(near)
+            component += near
+        if _positive_definite([[gram[i][j] for j in component] for i in component]):
             return True
     return False
 
 
-def _component_is_dynkin(vertices: List[str], edges: List[Tuple[str, str]]) -> bool:
-    n, m = len(vertices), len(edges)
-    if m != n - 1:
-        return False
-    degree: Dict[str, int] = {v: 0 for v in vertices}
-    adjacent: Dict[str, List[str]] = {v: [] for v in vertices}
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-        adjacent[u].append(v)
-        adjacent[v].append(u)
-    branches = [v for v in vertices if degree[v] >= 3]
-    if not branches:
-        return True
-    if len(branches) > 1 or degree[branches[0]] > 3:
-        return False
-    b = branches[0]
-    arms: List[int] = []
-    for start in adjacent[b]:
-        length = 1
-        prev, cur = b, start
-        while degree[cur] == 2:
-            nxt = next(w for w in adjacent[cur] if w != prev)
-            prev, cur = cur, nxt
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return True
-    return arms in ([1, 2, 2], [1, 2, 3], [1, 2, 4])
+def _positive_definite(a: List[List[int]]) -> bool:
+    """Sylvester's criterion by fraction-free (Bareiss) elimination of the
+    integer symmetric matrix ``a``, in place: the k-th pivot is the k-th
+    leading principal minor, and every division is exact."""
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return True

@@ -17,15 +17,16 @@ from .module import LambdaModule, direct_sum, simple
 from .quiver import DoubleQuiver
 
 
-def random_combination(items: Sequence, rng: Random, lo: int = -2, hi: int = 2):
-    """A random integer combination of items carrying add and scale.
+def random_combination(items: Sequence, rng: Random):
+    """A random combination of items carrying add and scale, with integer
+    weights from -2 to 2.
 
     The zero combination is nudged to a basis element, so the result is
     never the zero vector when items is nonempty; None when it is empty.
     """
     if not items:
         return None
-    weights = [rng.randint(lo, hi) for _ in items]
+    weights = [rng.randint(-2, 2) for _ in items]
     if not any(weights):
         weights[rng.randrange(len(weights))] = 1
     out = items[0].scale(weights[0])

@@ -224,15 +224,13 @@ def profile_to_data(profile: CountProfile) -> Dict:
     }
 
 
-def fingerprint_to_data(fp: DeltaFingerprint, profiles: bool = False) -> Dict:
-    data = {
+def fingerprint_to_data(fp: DeltaFingerprint) -> Dict:
+    return {
         "dim": {v: fp.module.dim_of(v) for v in fp.module.quiver.vertices},
         "words": [list(w) for w in fp.words],
         "chi": list(fp.chi),
+        "profiles": [profile_to_data(pr) for pr in fp.profiles],
     }
-    if profiles:
-        data["profiles"] = [profile_to_data(pr) for pr in fp.profiles]
-    return data
 
 
 def stratum_to_data(stratum: Stratum) -> Dict:

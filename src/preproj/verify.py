@@ -20,8 +20,8 @@ modules, and the per-anchor group sizes are interpolated across primes
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice, product
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fields import primes
 from .flags import (
@@ -31,6 +31,7 @@ from .flags import (
     _fit_columns,
     _PrimePool,
     _word_steps,
+    enumerate_subspaces,
     fingerprint,
 )
 from .homext import Derivation, ext_presentation, is_inner, middle_term
@@ -103,17 +104,6 @@ class VerificationReport:
             for w, a, b in zip(self.words, self.left_values, self.right_values)
             if a != b
         )
-
-
-def _projective_vectors(n: int, p: int) -> Iterator[Tuple[int, ...]]:
-    """Coefficient vectors over F_p with first nonzero entry 1.
-
-    One vector per point of projective (n-1)-space, (p^n - 1)/(p - 1)
-    in all.
-    """
-    for lead in range(n):
-        for tail in product(range(p), repeat=n - lead - 1):
-            yield (0,) * lead + (1,) + tail
 
 
 def _class_derivation(basis: Sequence[Derivation], vec: Sequence[int]) -> Derivation:
@@ -203,7 +193,8 @@ def stratify_proj_ext(
             return None
         groups: Dict[Tuple[int, ...], int] = {}
         witness: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for vec in _projective_vectors(n, p):
+        # one echelon row per point of P^{n-1}: first nonzero entry 1
+        for (vec,) in enumerate_subspaces(xp_p.field, n, 1):
             d = _class_derivation(pres_p.ext1_basis, vec)
             key = _count_row(middle_term(d).module, steps, memo)
             groups[key] = groups.get(key, 0) + 1

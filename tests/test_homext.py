@@ -154,11 +154,19 @@ def test_s4_t_derivations_sum_to_zero_constraint():
         middle_term(bad)
 
 
-def test_middle_term_of_zero_is_direct_sum():
+def test_middle_term_of_zero_is_direct_sum(rng_seed):
     dq = a2_double()
     s1, s2 = simple(dq, "1", QQ), simple(dq, "2", QQ)
     zero = Derivation.build(s1, s2, {})
     assert middle_term(zero).module == direct_sum(s1, s2)
+    rng = random.Random(rng_seed)
+    for dq in (a3_double(), kron_double()):
+        for field in (QQ, Field(5)):
+            for _ in range(4):
+                m = random_nilpotent_module(dq, rng, steps=2, field=field)
+                n = random_nilpotent_module(dq, rng, steps=2, field=field)
+                zero = Derivation.build(m, n, {})
+                assert middle_term(zero).module == direct_sum(m, n)
 
 
 def test_middle_term_a2_generator_is_the_string_module():

@@ -6,6 +6,7 @@ way a file can be structurally broken raises FormatError rather than
 leaking a constructor traceback.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -132,7 +133,7 @@ def test_report_serializers_carry_every_field():
     dims = dimensions_to_data(dimension_checks(s1, s2))
     assert dims["ext1_mn"] == 1 and dims["ok"] is True
     fp = fingerprint(LambdaModule.build(dq, QQ, (1, 1), {"a": [[1]]}))
-    fpd = fingerprint_to_data(fp, profiles=True)
+    fpd = fingerprint_to_data(fp)
     assert fpd["chi"] == [1, 0]
     assert fpd["words"] == [["1", "2"], ["2", "1"]]
     prd = fpd["profiles"][0]
@@ -145,3 +146,34 @@ def test_report_serializers_carry_every_field():
     assert rep["mismatches"] == []
     assert rep["method"] == "unique-extension"
     assert rep["elapsed"] > 0
+
+
+ZOO_DIGESTS = {
+    "T": "47cdc3c6c5de1b0d1096d1d774b3f9e0b63a07b45cdbf71deb62b4f5ecd86451",
+    "S4": "4a84f208c09e81468824b34251c68793b9c97c1351bb344ac649350bb480e908",
+    "M(lam)": "0b9463fd7d7631c53ce50079ccb782205166c53f8d1bb41088b706a0f60796fa",
+    "M(0)": "b688729a6d535e235944f6c9923ab5e5af7fc097dbaf01be121d52c1fb2c3a20",
+    "M(-1)": "95f0580c9d9cd69882166935fb6e81f5e600be4d31b8c737f4c17f8cd8805223",
+    "M(inf)": "b0672d538fe5840eb2654ac247abf71cde8343c8460deac1fba01166ffe3819d",
+    "R": "c2906b207f51b1fe25e12ed61cb5929bf73ba8a1212d784abf8507c8f5be3186",
+    "A": "8830b2e1006ae3bd52d966e147e9ec2488042bada4e39f9d0399f409ee62d7e6",
+    "B": "99b3d1f214e2f7657d88cfbeb75e9ab9f7fed1dd50f026619b7cfdbbd6ed22b8",
+    "C": "823cca68d047db2685984389c604dac4c9f50be5abb027ddd7676e2adea8bdd3",
+    "F": "250e0269b23a78931a81d164348d75754258fe17d369ebdfa38e960f5aeac591",
+    "G": "031285d361f6909910040213cfa1c037c8e3a87ace9db0d65dcf523bb0ce169a",
+    "H": "c8352e1f0ae2c4cc76f03328f1d659556a57d6bec76f1ea9dbc5a3b9a90870c8",
+}
+
+
+@pytest.mark.parametrize("lam", [1, 2])
+def test_zoo_module_data_frozen(lam):
+    want = dict(ZOO_DIGESTS)
+    if lam == 2:
+        want["M(lam)"] = (
+            "c88dd5ed1394f6f76f9a21f7857dea3b568df7821a2f9031a9481abc5aece1a2"
+        )
+    got = {
+        name: hashlib.sha256(dumps_canonical(module_to_data(m)).encode()).hexdigest()
+        for name, m in d4.zoo(lam).items()
+    }
+    assert got == want

@@ -49,6 +49,18 @@ def test_dim_mapping_form():
     assert m.dim == (0, 3)
 
 
+def test_build_rejects_unknown_vertices_and_non_whole_dimensions():
+    dq = a2_double()
+    with pytest.raises(ValueError, match="unknown vertex 'x'"):
+        LambdaModule.build(dq, QQ, {"1": 1, "x": 3}, {})
+    for bad in (1.7, True, "2", Fraction(1)):
+        with pytest.raises(ValueError, match="not a whole number"):
+            LambdaModule.build(dq, QQ, {"1": bad}, {})
+        with pytest.raises(ValueError, match="not a whole number"):
+            LambdaModule.build(dq, QQ, (0, bad), {})
+    assert LambdaModule.build(dq, QQ, iter([2, 1]), {}).dim == (2, 1)
+
+
 def test_validate_flags_relation_residual():
     dq = a2_double()
     good = LambdaModule.build(dq, QQ, (1, 1), {"a": [[1]]})

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -187,3 +188,70 @@ def test_cycle_is_not_dynkin():
         [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")],
     )
     assert not has_dynkin_component(cycle)
+
+
+def reference_component_is_dynkin(vertices, edges):
+    """The arm-based classification: a component is Dynkin exactly when it
+    is a tree whose degree pattern is a path, or a single degree-3 vertex
+    with arm lengths (1, 1, k), (1, 2, 2), (1, 2, 3) or (1, 2, 4)."""
+    if len(edges) != len(vertices) - 1:
+        return False
+    adjacent = {v: [] for v in vertices}
+    for u, v in edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    branches = [v for v in vertices if len(adjacent[v]) >= 3]
+    if not branches:
+        return True
+    if len(branches) > 1 or len(adjacent[branches[0]]) > 3:
+        return False
+    b = branches[0]
+    arms = []
+    for start in adjacent[b]:
+        length, prev, cur = 1, b, start
+        while len(adjacent[cur]) == 2:
+            prev, cur = cur, next(w for w in adjacent[cur] if w != prev)
+            length += 1
+        arms.append(length)
+    arms.sort()
+    return arms[:2] == [1, 1] or arms in ([1, 2, 2], [1, 2, 3], [1, 2, 4])
+
+
+def reference_has_dynkin_component(q):
+    component = {v: {v} for v in q.vertices}
+    for a in q.arrows:
+        merged = component[a.source] | component[a.target]
+        for v in merged:
+            component[v] = merged
+    groups = {frozenset(c) for c in component.values()}
+    return any(
+        reference_component_is_dynkin(
+            sorted(g), [(a.source, a.target) for a in q.arrows if a.source in g]
+        )
+        for g in groups
+    )
+
+
+def all_small_multigraphs():
+    """Every loop-free multigraph on up to 5 labelled vertices, with edge
+    multiplicity up to 2 on up to 4 vertices and up to 1 on 5."""
+    for n in range(6):
+        vertices = [str(v) for v in range(n)]
+        pairs = list(combinations(vertices, 2))
+        for mults in product(range(3 if n <= 4 else 2), repeat=len(pairs)):
+            arrows = [
+                (f"e{k}_{r}", u, v)
+                for k, ((u, v), mult) in enumerate(zip(pairs, mults))
+                for r in range(mult)
+            ]
+            yield Quiver.build(vertices, arrows)
+
+
+def test_dynkin_test_agrees_with_arm_classification():
+    verdicts = []
+    for q in all_small_multigraphs():
+        want = reference_has_dynkin_component(q)
+        assert has_dynkin_component(q) == want, q
+        verdicts.append(want)
+    assert len(verdicts) == 1 + 1 + 3 + 27 + 729 + 1024
+    assert verdicts.count(True) and verdicts.count(False)

@@ -11,12 +11,13 @@ classes and three special ones at every good prime, in both directions.
 
 import random
 from collections import OrderedDict
+from itertools import product
 
 import pytest
 
 from preproj import d4
-from preproj.fields import QQ
-from preproj.flags import fingerprint
+from preproj.fields import QQ, Field
+from preproj.flags import enumerate_subspaces, fingerprint
 from preproj.homext import ext_presentation
 from preproj.module import LambdaModule, direct_sum, reduce_mod_p, simple
 from preproj.quiver import Quiver, double
@@ -261,3 +262,20 @@ def test_report_mismatch_accounting():
     )
     assert not rep.passed
     assert rep.mismatches() == (("2", "1"),)
+
+
+def reference_projective_vectors(n, p):
+    """Coefficient vectors over F_p with first nonzero entry 1, leading
+    position first, then the tail in lexicographic order."""
+    for lead in range(n):
+        for tail in product(range(p), repeat=n - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def test_projective_points_are_walked_as_lines_in_reference_order():
+    # stratify_proj_ext expands one class per line of F_p^n, in this order
+    for n in (1, 2, 3):
+        for p in (2, 3, 5):
+            walk = [vec for (vec,) in enumerate_subspaces(Field(p), n, 1)]
+            assert walk == list(reference_projective_vectors(n, p))
+            assert len(walk) == (p**n - 1) // (p - 1)

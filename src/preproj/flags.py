@@ -325,7 +325,7 @@ def count_flags(
     return FlagCount(m, tuple(word), fixed, m.field.p, n)
 
 
-def count_flags_fp(m: LambdaModule, memo: Optional[Dict] = None) -> Tuple[int, ...]:
+def count_flags_fp(m: LambdaModule) -> Tuple[int, ...]:
     """Raw counts over every word with content dim m, in enumeration order.
 
     This is the count fingerprint of a finite-field module at its own
@@ -334,7 +334,7 @@ def count_flags_fp(m: LambdaModule, memo: Optional[Dict] = None) -> Tuple[int, .
     if m.field.is_rational:
         raise ValueError("flag counting needs a prime field; reduce first")
     _, steps = _word_steps(m.quiver, m.dim)
-    return _count_row(m, steps, {} if memo is None else memo)
+    return _count_row(m, steps, {})
 
 
 def degree_bound(m: LambdaModule) -> int:
@@ -599,7 +599,6 @@ def split_euler_table(
     right: LambdaModule,
     word: Word,
     coeffs: Optional[Sequence[int]] = None,
-    prime_list: Optional[Sequence[int]] = None,
 ) -> Dict[SplitKey, int]:
     """Per-splitting Euler characteristics of the direct sum's flags.
 
@@ -619,7 +618,7 @@ def split_euler_table(
     keys, steps = _split_steps(left, right, word, coeffs)
     whole = direct_sum(left, right)
     bound = degree_bound(whole)
-    pool = _PrimePool(_module_sampler(whole, steps), prime_list)
+    pool = _PrimePool(_module_sampler(whole, steps), None)
     _, _, fits = _fit_columns(
         pool, range(len(keys)), bound, tuple(word), f"word {tuple(word)}: counts"
     )

@@ -25,14 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
 from .linalg import (
     Matrix,
-    Subspace,
-    clear_denominators,
+    _from_columns,
     column_echelon,
     hstack,
     kernel_basis,
@@ -280,26 +278,30 @@ def _operator_matrix(
 class ExtPresentation:
     """Every space the complex of a module pair yields, with chosen bases.
 
-    ``ext1_basis`` spans a complement of the inner derivations inside the
-    derivation space, picked by echelon pivoting, so it is deterministic for
-    given input data.  ``ext2_cokernel`` is dim C2 - rank d1, which is the
-    dimension of Ext^2 exactly when ``ext2_exact`` is True.
+    ``hom`` (inside C0), ``derivations`` and ``inner`` (inside C1) are
+    basis matrices in reduced column echelon form, as
+    :func:`column_echelon` returns them: one column per basis vector,
+    unique for the subspace.  ``ext1_basis`` spans a complement of the
+    inner derivations inside the derivation space, picked by echelon
+    pivoting, so it is deterministic for given input data.
+    ``ext2_cokernel`` is dim C2 - rank d1, which is the dimension of
+    Ext^2 exactly when ``ext2_exact`` is True.
     """
 
     source: LambdaModule
     target: LambdaModule
     d0: Matrix
     d1: Matrix
-    hom: Subspace
-    derivations: Subspace
-    inner: Subspace
+    hom: Matrix
+    derivations: Matrix
+    inner: Matrix
     ext1_basis: Tuple[Derivation, ...]
     ext2_cokernel: int
     ext2_exact: bool
 
     @property
     def hom_dim(self) -> int:
-        return self.hom.dim
+        return self.hom.ncols
 
     @property
     def ext1_dim(self) -> int:
@@ -336,10 +338,8 @@ def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
         d1_terms.append((sign, s, aidx[a.bar], ident_n[s], m.x(a.name)))
     d0 = _operator_matrix(field, c0_shapes, c1_shapes, d0_terms)
     d1 = _operator_matrix(field, c1_shapes, c0_shapes, d1_terms)
-    hom = Subspace.span(kernel_basis(d0))
     ker1 = column_echelon(kernel_basis(d1))
     inner = column_echelon(d0)
-    c1_dim = d0.nrows
     _, pivots = rref(hstack([inner, ker1]))
     chosen = [j - inner.ncols for j in pivots if j >= inner.ncols]
     basis: List[Derivation] = []
@@ -350,9 +350,9 @@ def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
         target=n,
         d0=d0,
         d1=d1,
-        hom=hom,
-        derivations=Subspace(c1_dim, ker1),
-        inner=Subspace(c1_dim, inner),
+        hom=column_echelon(kernel_basis(d0)),
+        derivations=ker1,
+        inner=inner,
         ext1_basis=tuple(basis),
         # rank d1 = dim C1 - dim ker d1, so d1 is row reduced only once
         ext2_cokernel=d1.nrows - (d1.ncols - ker1.ncols),
@@ -365,8 +365,8 @@ def hom_basis(m: LambdaModule, n: LambdaModule) -> Tuple[Intertwiner, ...]:
     pres = ext_presentation(m, n)
     shapes = _c0_shapes(m, n)
     out: List[Intertwiner] = []
-    for j in range(pres.hom.dim):
-        comps = _unpack(m.field, pres.hom.basis.col(j), shapes)
+    for j in range(pres.hom.ncols):
+        comps = _unpack(m.field, pres.hom.col(j), shapes)
         out.append(Intertwiner.build(m, n, comps))
     return tuple(out)
 
@@ -375,8 +375,8 @@ def derivation_basis(pres: ExtPresentation) -> Tuple[Derivation, ...]:
     """A basis of the full derivation space of a presentation."""
     shapes = _c1_shapes(pres.source, pres.target)
     out: List[Derivation] = []
-    for j in range(pres.derivations.dim):
-        blocks = _unpack(pres.source.field, pres.derivations.basis.col(j), shapes)
+    for j in range(pres.derivations.ncols):
+        blocks = _unpack(pres.source.field, pres.derivations.col(j), shapes)
         out.append(Derivation(pres.source, pres.target, tuple(blocks)))
     return tuple(out)
 
@@ -401,7 +401,7 @@ def is_inner(pres: ExtPresentation, d: Derivation) -> bool:
     """Whether d lies in the image of d0."""
     if (d.source, d.target) != (pres.source, pres.target):
         raise ValueError("derivation belongs to a different pair")
-    return solve(pres.inner.basis, d.flatten()) is not None
+    return solve(pres.inner, d.flatten()) is not None
 
 
 @dataclass(frozen=True)
@@ -463,14 +463,15 @@ def pushout(d: Derivation, lam: Intertwiner) -> Derivation:
     return Derivation(d.source, lam.target, maps)
 
 
-def _pairing_left(d: Derivation) -> List[Scalar]:
+def _pairing_left(d: Derivation) -> Tuple[Scalar, ...]:
     """(-1)^{sign(b)} d(bar b) row-major, arrow after arrow: the left
     factor of :func:`cy_pairing` as one vector."""
+    neg = d.source.field.neg
     out: List[Scalar] = []
     for a in d.source.dq.arrows:
-        rows = d.map_of(a.bar).entries
-        out += [-x for r in rows for x in r] if a.sign else [x for r in rows for x in r]
-    return out
+        flat = [x for r in d.map_of(a.bar).entries for x in r]
+        out += map(neg, flat) if a.sign else flat
+    return tuple(out)
 
 
 def _pairing_right(g: Derivation) -> List[Scalar]:
@@ -490,35 +491,26 @@ def cy_pairing(d: Derivation, g: Derivation) -> Scalar:
     """
     if d.source != g.target or d.target != g.source:
         raise ValueError("pairing requires opposite derivation directions")
-    return _pairings(d.source.field, [d], [g])[0][0]
+    return _pairings(d.source.field, [d], [g]).entries[0][0]
 
 
 def cy_gram(pres_mn: ExtPresentation, pres_nm: ExtPresentation) -> Matrix:
     """The pairing matrix between the two chosen Ext^1 complement bases."""
-    field = pres_mn.source.field
-    rows = _pairings(field, pres_mn.ext1_basis, pres_nm.ext1_basis)
-    return Matrix(field, len(rows), len(pres_nm.ext1_basis), rows)
+    return _pairings(pres_mn.source.field, pres_mn.ext1_basis, pres_nm.ext1_basis)
 
 
 def _pairings(
     field: Field, ds: Sequence[Derivation], gs: Sequence[Derivation]
-) -> Tuple[Tuple[Scalar, ...], ...]:
-    """The rows (cy_pairing(d, g) for g in gs) for d in ds.
-
-    Each class is packed once; over Q the packed vectors are cleared of
-    denominators, so every entry is one integer dot product.
-    """
-    lefts = [_pairing_left(d) for d in ds]
+) -> Matrix:
+    """The matrix of the values cy_pairing(d, g), one row per d and one
+    column per g: the product of the packed left factors, as rows, with
+    the packed right factors, as columns."""
+    lefts = tuple(_pairing_left(d) for d in ds)
     rights = [_pairing_right(g) for g in gs]
-    p = field.p
-    if p is None:
-        lefts, d = clear_denominators(lefts)
-        rights, e = clear_denominators(rights)
-        return tuple(
-            tuple(Fraction(sum(map(mul, u, v)), d * e) for v in rights)
-            for u in lefts
-        )
-    return tuple(tuple(sum(map(mul, u, v)) % p for v in rights) for u in lefts)
+    width = len((lefts or rights or [()])[0])
+    return Matrix(field, len(lefts), width, lefts).mul(
+        _from_columns(field, width, rights)
+    )
 
 
 @dataclass(frozen=True)

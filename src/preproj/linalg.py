@@ -3,9 +3,10 @@ routine, :func:`echelon`, does every row reduction for both kinds of field.
 
 Everything here follows the column-coordinate convention: an r x c matrix
 represents a linear map from a c-dimensional space to an r-dimensional space,
-acting on column vectors.  Subspaces are stored through a reduced column
-echelon basis, which is unique for a given subspace, so two Subspace values
-are equal exactly when they describe the same subspace.
+acting on column vectors.  A subspace is held as its basis matrix in
+reduced column echelon form, the result of :func:`column_echelon`, which
+is unique for a given subspace, so two such matrices are equal exactly
+when they span the same subspace.
 
 Rational entries are ``Fraction`` values, but the inner loops do not
 compute with them: :func:`echelon` eliminates rational rows over the
@@ -393,43 +394,6 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
             vec[pc] = reduced.entries[i][a.ncols + j]
         cols.append(vec)
     return _from_columns(f, a.ncols, cols)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of k^ambient with its canonical echelon basis.
-
-    The basis matrix is ambient x dim in reduced column echelon form, so
-    equality of Subspace values is equality of subspaces.
-    """
-
-    ambient: int
-    basis: Matrix
-
-    def __post_init__(self) -> None:
-        if self.basis.nrows != self.ambient:
-            raise ValueError("basis height differs from ambient dimension")
-
-    @classmethod
-    def span(cls, vectors: Matrix) -> "Subspace":
-        """The column span of a matrix, canonicalized."""
-        return cls(vectors.nrows, column_echelon(vectors))
-
-    @classmethod
-    def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(ambient, Matrix.zeros(field, ambient, 0))
-
-    @classmethod
-    def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(ambient, Matrix.identity(field, ambient))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.ncols
-
-    @property
-    def field(self) -> Field:
-        return self.basis.field
 
 
 @dataclass(frozen=True)

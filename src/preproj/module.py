@@ -20,7 +20,7 @@ from operator import mul
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
-from .linalg import Matrix, Subspace, hstack
+from .linalg import Matrix, column_echelon, echelon, hstack
 from .quiver import DimVector, DoubleQuiver, Quiver
 
 Rows = Tuple[Tuple[Scalar, ...], ...]
@@ -79,7 +79,8 @@ class LambdaModule:
 
         Raises:
             ValueError: unknown vertex or arrow names, a dimension that is
-                not a whole number, or shape mismatches.
+                not a whole number (a non-negative int), or shape
+                mismatches.
         """
         verts = dq.base.vertices
         idx = dq.base.vertex_index
@@ -90,9 +91,11 @@ class LambdaModule:
             dim_vec = tuple(dim.get(v, 0) for v in verts)
         else:
             dim_vec = tuple(dim)
-        for d in dim_vec:
-            if isinstance(d, bool) or not isinstance(d, int):
-                raise ValueError(f"dimension {d!r} is not a whole number")
+        for v, d in zip(verts, dim_vec):
+            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+                raise ValueError(
+                    f"dimension {d!r} at vertex {v!r} must be a whole number"
+                )
         known = {a.name for a in dq.arrows}
         for name in action:
             if name not in known:
@@ -152,21 +155,21 @@ def is_nilpotent(m: LambdaModule) -> bool:
     exactly when the last term is zero.
     """
     idx = m.quiver.vertex_index
-    current = [Subspace.full(m.field, d) for d in m.dim]
+    current = [Matrix.identity(m.field, d) for d in m.dim]
     while True:
-        pieces: List[Subspace] = []
+        pieces: List[Matrix] = []
         for v in m.quiver.vertices:
             images = [
-                m.x(a.name).mul(current[idx[a.source]].basis)
+                m.x(a.name).mul(current[idx[a.source]])
                 for a in m.dq.arrows_into(v)
             ]
             images = [im for im in images if im.ncols > 0]
             if images:
-                pieces.append(Subspace.span(hstack(images)))
+                pieces.append(column_echelon(hstack(images)))
             else:
-                pieces.append(Subspace.zero(m.field, m.dim_of(v)))
-        if [s.dim for s in pieces] == [s.dim for s in current]:
-            return all(s.dim == 0 for s in pieces)
+                pieces.append(Matrix.zeros(m.field, m.dim_of(v), 0))
+        if [s.ncols for s in pieces] == [s.ncols for s in current]:
+            return all(s.ncols == 0 for s in pieces)
         current = pieces
 
 
@@ -283,23 +286,30 @@ def restrict_rows(
     return RowModule(m.field, dim, tuple(out), m.arrows)
 
 
-def restrict(m: LambdaModule, v: str, kept: Subspace) -> LambdaModule:
-    """The module structure on the graded subspace that is ``kept`` at v
-    and whole at every other vertex.
+def restrict(m: LambdaModule, v: str, kept: Matrix) -> LambdaModule:
+    """The module structure on the graded subspace that is spanned by the
+    columns of ``kept`` at v and whole at every other vertex.
 
-    The result is written in the echelon basis of ``kept``, in which a
-    vector's coordinates are its entries at the pivot rows.
+    ``kept`` may be any matrix whose columns span the piece.  The result
+    is written in the piece's canonical basis, the reduced column echelon
+    form of ``kept``, in which a vector's coordinates are its entries at
+    the pivot rows; so any two spanning matrices of one piece give the
+    same module.
 
     Raises:
         ValueError: when some x(b) does not preserve the subspace; the
             message names the witnessing arrow.
     """
-    if kept.ambient != m.dim_of(v):
+    if kept.nrows != m.dim_of(v):
         raise ValueError(f"piece at vertex {v} has wrong ambient dimension")
-    rows = kept.basis.transpose().entries
-    # each echelon row is zero before its leading 1
-    pivots = tuple(row.index(1) for row in rows)
-    r = restrict_rows(RowModule.of(m), m.quiver.vertex_index[v], rows, pivots)
+    rows = echelon(zip(*kept.entries), m.field.p)
+    pivots = tuple(sorted(rows))
+    r = restrict_rows(
+        RowModule.of(m),
+        m.quiver.vertex_index[v],
+        tuple(tuple(rows[c]) for c in pivots),
+        pivots,
+    )
     mats = tuple(
         Matrix(m.field, r.dim[target], r.dim[source], entries)
         for (_, source, target), entries in zip(r.arrows, r.rows)

@@ -99,11 +99,13 @@ def module_to_data(m: LambdaModule, name: Optional[str] = None) -> Dict:
 def module_from_data(data) -> Tuple[Optional[str], LambdaModule]:
     """Rebuild a module from its data, returning its optional name too.
 
+    The vertex names and dimensions are checked by
+    :meth:`LambdaModule.build`, whose ValueError becomes a FormatError.
+
     Raises:
-        FormatError: structurally broken data, including matrix shape
+        FormatError: structurally broken data, including unknown
+            vertices, dimensions that are not whole numbers, matrix shape
             mismatches and unparsable scalars.
-        ValueError: structurally fine data that violates a module
-            constructor invariant.
     """
     if not isinstance(data, dict):
         raise FormatError("module data must be an object")
@@ -115,13 +117,12 @@ def module_from_data(data) -> Tuple[Optional[str], LambdaModule]:
     dq = double(q)
     if not isinstance(data["dim"], dict):
         raise FormatError("dimension data must map vertices to integers")
-    dim: Dict[str, int] = {}
-    for v, d in data["dim"].items():
-        if v not in q.vertex_index:
-            raise FormatError(f"dimension given for unknown vertex {v!r}")
-        if not _is_whole(d) or d < 0:
-            raise FormatError(f"dimension at vertex {v!r} must be a whole number")
-        dim[v] = d
+    try:
+        # the module without arrows checks the vertex names and dimensions
+        dim = LambdaModule.build(dq, field, data["dim"], {}).dim
+    except ValueError as err:
+        raise FormatError(str(err)) from None
+    idx = q.vertex_index
     action_data = data["action"]
     if not isinstance(action_data, dict):
         raise FormatError("action data must map arrow ids to matrices")
@@ -134,8 +135,8 @@ def module_from_data(data) -> Tuple[Optional[str], LambdaModule]:
         rows = action_data.get(arrow.name)
         if rows is None:
             continue
-        nrows = dim.get(arrow.target, 0)
-        ncols = dim.get(arrow.source, 0)
+        nrows = dim[idx[arrow.target]]
+        ncols = dim[idx[arrow.source]]
         if not isinstance(rows, list) or len(rows) != nrows:
             raise FormatError(
                 f"matrix of arrow {arrow.name!r} must have {nrows} rows"
@@ -173,7 +174,6 @@ def load_module(path) -> Tuple[Optional[str], LambdaModule]:
 
     Raises:
         FormatError: unreadable JSON or structurally broken data.
-        ValueError: data violating a module constructor invariant.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -24,7 +24,7 @@ from preproj.homext import (
     pullback,
     pushout,
 )
-from preproj.linalg import Matrix, rank, solve
+from preproj.linalg import Matrix, column_echelon, rank
 from preproj.module import (
     BadPrime,
     LambdaModule,
@@ -111,11 +111,37 @@ def test_presentation_dimension_bookkeeping():
         (d4.m_family(1, dq), d4.r_module(dq)),
     ]:
         pres = ext_presentation(m, n)
-        assert pres.derivations.dim == pres.inner.dim + pres.ext1_dim
-        assert pres.ext1_dim == pres.derivations.dim - pres.c0_dim + pres.hom_dim
+        assert pres.derivations.ncols == pres.inner.ncols + pres.ext1_dim
+        assert pres.ext1_dim == pres.derivations.ncols - pres.c0_dim + pres.hom_dim
         for e in pres.ext1_basis:
             assert is_derivation(e)
             assert not is_inner(pres, e)
+
+
+def test_presentation_subspaces_are_canonical_bases(rng_seed):
+    # hom, derivations and inner are reduced column echelon bases, so two
+    # presentations hold equal matrices exactly when the subspaces agree
+    rng = random.Random(rng_seed + 26)
+    pairs = [(d4.t_module(), d4.s4_module())]
+    for dq in (a3_double(), kron_double()) * 3:
+        pairs.append(
+            tuple(random_nilpotent_module(dq, rng, steps=3) for _ in "mn")
+        )
+    pairs += [(n, m) for m, n in pairs]
+    for m, n in list(pairs):
+        try:
+            pairs.append((reduce_mod_p(m, 5), reduce_mod_p(n, 5)))
+        except BadPrime:
+            pass
+    nonzero = 0
+    for m, n in pairs:
+        pres = ext_presentation(m, n)
+        assert (pres.hom.nrows, pres.derivations.nrows) == (pres.c0_dim, pres.c1_dim)
+        for basis in (pres.hom, pres.derivations, pres.inner):
+            assert column_echelon(basis) == basis
+            nonzero += basis.ncols > 0
+    assert nonzero >= 2 * len(pairs)
+    assert {m.field.p for m, _ in pairs} == {None, 5}
 
 
 def test_complement_is_deterministic():

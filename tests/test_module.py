@@ -7,7 +7,7 @@ import pytest
 
 from preproj import d4
 from preproj.fields import QQ, Field
-from preproj.linalg import Matrix, Subspace
+from preproj.linalg import Matrix, column_echelon
 from preproj.module import (
     BadPrime,
     LambdaModule,
@@ -53,10 +53,10 @@ def test_build_rejects_unknown_vertices_and_non_whole_dimensions():
     dq = a2_double()
     with pytest.raises(ValueError, match="unknown vertex 'x'"):
         LambdaModule.build(dq, QQ, {"1": 1, "x": 3}, {})
-    for bad in (1.7, True, "2", Fraction(1)):
-        with pytest.raises(ValueError, match="not a whole number"):
+    for bad in (1.7, True, "2", Fraction(1), -1):
+        with pytest.raises(ValueError, match="at vertex '1' must be a whole number"):
             LambdaModule.build(dq, QQ, {"1": bad}, {})
-        with pytest.raises(ValueError, match="not a whole number"):
+        with pytest.raises(ValueError, match="at vertex '2' must be a whole number"):
             LambdaModule.build(dq, QQ, (0, bad), {})
     assert LambdaModule.build(dq, QQ, iter([2, 1]), {}).dim == (2, 1)
 
@@ -155,7 +155,7 @@ def test_direct_sum_matches_block_assembly(rng_seed):
 
 def test_restrict_to_stable_subspace():
     t = d4.t_module()
-    restricted = restrict(t, "1", Subspace.zero(QQ, 1))
+    restricted = restrict(t, "1", Matrix.zeros(QQ, 1, 0))
     assert restricted.dim == (0, 1, 1, 1)
     assert restricted.x("b") == Matrix.from_rows(QQ, [[1]])
     assert validate(restricted).ok
@@ -164,7 +164,7 @@ def test_restrict_to_stable_subspace():
 def test_restrict_unstable_names_arrow():
     t = d4.t_module()
     with pytest.raises(ValueError, match="arrow a"):
-        restrict(t, "4", Subspace.zero(QQ, 1))
+        restrict(t, "4", Matrix.zeros(QQ, 1, 0))
 
 
 def test_row_restriction_is_checked_mod_p():
@@ -179,9 +179,36 @@ def test_row_restriction_is_checked_mod_p():
         with pytest.raises(ValueError, match="arrow a$"):
             restrict_rows(rm, v, kept, pivots)
     with pytest.raises(ValueError, match="arrow a$"):
-        restrict(m, "2", Subspace.span(Matrix.from_cols(f5, [[1, 1]])))
-    line = restrict(m, "2", Subspace.span(Matrix.from_cols(f5, [[1, 4]])))
+        restrict(m, "2", Matrix.from_cols(f5, [[1, 1]]))
+    line = restrict(m, "2", Matrix.from_cols(f5, [[1, 4]]))
     assert line.x("a") == Matrix.from_rows(f5, [[1]])
+
+
+def _spanning_matrices(field, vec):
+    """The canonical basis of the line through vec, then a scaled column
+    and a matrix with dependent extra columns that span the same line."""
+    return (
+        column_echelon(Matrix.from_cols(field, [vec])),
+        Matrix.from_cols(field, [[3 * x for x in vec]]),
+        Matrix.from_cols(field, [vec, [2 * x for x in vec], [0] * len(vec)]),
+    )
+
+
+def test_restrict_accepts_any_spanning_matrix():
+    # x(a) sends the vertex-1 line onto (1, -1), so at vertex 2 the line
+    # through (1, -1) is stable and the line through (1, 1) is not
+    for field in (QQ, Field(5)):
+        m = LambdaModule.build(a2_double(), field, (1, 2), {"a": [[1], [-1]]})
+        canonical, *others = _spanning_matrices(field, [1, -1])
+        want = restrict(m, "2", canonical)
+        assert want.x("a") == Matrix.from_rows(field, [[1]])
+        for kept in others:
+            assert restrict(m, "2", kept) == want
+        for kept in _spanning_matrices(field, [1, 1]):
+            with pytest.raises(ValueError, match="arrow a$"):
+                restrict(m, "2", kept)
+        both = Matrix.from_cols(field, [[1, -1], [1, 1], [2, 0]])
+        assert restrict(m, "2", both) == m
 
 
 def test_reduce_mod_p_and_bad_prime():

@@ -30,9 +30,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes(start: int = 2) -> Iterator[int]:
-    """Yield the primes >= start in increasing order, forever."""
-    n = max(2, start)
+def primes() -> Iterator[int]:
+    """Yield the primes in increasing order, forever."""
+    n = 2
     while True:
         if is_prime(n):
             yield n

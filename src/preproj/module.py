@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
 from .linalg import Matrix, column_echelon, echelon, hstack
@@ -28,6 +28,74 @@ Rows = Tuple[Tuple[Scalar, ...], ...]
 
 class BadPrime(ValueError):
     """A rational module cannot be reduced at this prime."""
+
+
+def _arrow_shapes(
+    dq: DoubleQuiver, source_dim: DimVector, target_dim: DimVector
+) -> Tuple[Tuple[int, int], ...]:
+    """The shape dim N_{e(b)} x dim M_{s(b)} of each doubled arrow b's
+    block, for blocks from M (``source_dim``) to N (``target_dim``)."""
+    idx = dq.base.vertex_index
+    return tuple(
+        (target_dim[idx[a.target]], source_dim[idx[a.source]]) for a in dq.arrows
+    )
+
+
+def _check_blocks(
+    blocks: Sequence[Matrix],
+    shapes: Sequence[Tuple[int, int]],
+    field: Field,
+    what: str,
+    names: Iterable[str],
+) -> None:
+    """Check one block per shape, each of that shape and over ``field``; a
+    failure names the block by ``what`` (as "action of arrow") and name."""
+    if len(blocks) != len(shapes):
+        raise ValueError(
+            f"expected {len(shapes)} blocks, one per {what.split()[-1]}, "
+            f"got {len(blocks)}"
+        )
+    for name, block, (r, c) in zip(names, blocks, shapes):
+        if block.nrows != r or block.ncols != c:
+            raise ValueError(
+                f"{what} {name} has shape {block.nrows}x{block.ncols}, "
+                f"expected {r}x{c}"
+            )
+        if block.field != field:
+            raise ValueError(f"{what} {name} is over the wrong field")
+
+
+def _arrow_blocks(
+    dq: DoubleQuiver,
+    field: Field,
+    shapes: Sequence[Tuple[int, int]],
+    given: Mapping[str, Union[Matrix, Sequence[Sequence[Union[int, Fraction, str]]]]],
+) -> Tuple[Matrix, ...]:
+    """One block per doubled arrow from a partial mapping by arrow name:
+    zeros where omitted, ``Matrix`` values as given (left to
+    :func:`_check_blocks`), row data coerced into the field.
+
+    Raises:
+        ValueError: an unknown arrow name, or row data that cannot be
+            coerced (a ragged row, an unparsable scalar, a denominator
+            divisible by p), naming the arrow.
+    """
+    for name in given:
+        if name not in dq.arrow_index:
+            raise ValueError(f"unknown arrow {name!r}")
+    blocks: List[Matrix] = []
+    for name, (r, c) in zip(dq.arrow_index, shapes):
+        data = given.get(name)
+        if data is None:
+            blocks.append(Matrix.zeros(field, r, c))
+        elif isinstance(data, Matrix):
+            blocks.append(data)
+        else:
+            try:
+                blocks.append(Matrix.from_rows(field, data, ncols=c))
+            except (ValueError, ZeroDivisionError, TypeError) as err:
+                raise ValueError(f"bad matrix for arrow {name!r}: {err}") from None
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -45,23 +113,14 @@ class LambdaModule:
     action: Tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
-        verts = self.dq.base.vertices
-        if len(self.dim) != len(verts):
+        if len(self.dim) != len(self.dq.base.vertices):
             raise ValueError("dimension vector length differs from vertex count")
         if any(d < 0 for d in self.dim):
             raise ValueError("negative dimension")
-        if len(self.action) != len(self.dq.arrows):
-            raise ValueError("one action matrix per doubled arrow required")
-        idx = self.dq.base.vertex_index
-        for arrow, mat in zip(self.dq.arrows, self.action):
-            want = (self.dim[idx[arrow.target]], self.dim[idx[arrow.source]])
-            if (mat.nrows, mat.ncols) != want:
-                raise ValueError(
-                    f"action of arrow {arrow.name} has shape "
-                    f"{mat.nrows}x{mat.ncols}, expected {want[0]}x{want[1]}"
-                )
-            if mat.field != self.field:
-                raise ValueError(f"action of arrow {arrow.name} is over the wrong field")
+        shapes = _arrow_shapes(self.dq, self.dim, self.dim)
+        _check_blocks(
+            self.action, shapes, self.field, "action of arrow", self.dq.arrow_index
+        )
 
     @classmethod
     def build(
@@ -73,14 +132,20 @@ class LambdaModule:
     ) -> "LambdaModule":
         """Build a module, filling omitted arrows with zero matrices.
 
+        Module files are read through this method; ``serialize`` checks
+        only their JSON layout.
+
         Args:
             dim: dimension vector as tuple (vertex order) or mapping by name.
-            action: matrices (or row data) keyed by doubled-arrow name.
+            action: matrices (or row data) keyed by doubled-arrow name;
+                row data is coerced into the field.
 
         Raises:
             ValueError: unknown vertex or arrow names, a dimension that is
-                not a whole number (a non-negative int), or shape
-                mismatches.
+                not a whole number (a non-negative int), row data that
+                cannot be coerced (ragged rows, unparsable scalars, a
+                denominator divisible by p), or a matrix of the wrong
+                shape or field; the message names the vertex or arrow.
         """
         verts = dq.base.vertices
         idx = dq.base.vertex_index
@@ -96,22 +161,8 @@ class LambdaModule:
                 raise ValueError(
                     f"dimension {d!r} at vertex {v!r} must be a whole number"
                 )
-        known = {a.name for a in dq.arrows}
-        for name in action:
-            if name not in known:
-                raise ValueError(f"unknown arrow {name!r} in action data")
-        mats: List[Matrix] = []
-        for arrow in dq.arrows:
-            nrows = dim_vec[idx[arrow.target]]
-            ncols = dim_vec[idx[arrow.source]]
-            given = action.get(arrow.name)
-            if given is None:
-                mats.append(Matrix.zeros(field, nrows, ncols))
-            elif isinstance(given, Matrix):
-                mats.append(given)
-            else:
-                mats.append(Matrix.from_rows(field, given, ncols=ncols))
-        return cls(dq, field, dim_vec, tuple(mats))
+        shapes = _arrow_shapes(dq, dim_vec, dim_vec)
+        return cls(dq, field, dim_vec, _arrow_blocks(dq, field, shapes, action))
 
     def x(self, arrow_name: str) -> Matrix:
         """The action matrix of a doubled arrow."""
@@ -310,9 +361,10 @@ def restrict(m: LambdaModule, v: str, kept: Matrix) -> LambdaModule:
         tuple(tuple(rows[c]) for c in pivots),
         pivots,
     )
+    shapes = _arrow_shapes(m.dq, r.dim, r.dim)
     mats = tuple(
-        Matrix(m.field, r.dim[target], r.dim[source], entries)
-        for (_, source, target), entries in zip(r.arrows, r.rows)
+        Matrix(m.field, nrows, ncols, entries)
+        for (nrows, ncols), entries in zip(shapes, r.rows)
     )
     return LambdaModule(m.dq, m.field, r.dim, mats)
 
@@ -330,13 +382,7 @@ def reduce_mod_p(m: LambdaModule, p: int) -> LambdaModule:
     mats: List[Matrix] = []
     for arrow, mat in zip(m.dq.arrows, m.action):
         try:
-            mats.append(
-                Matrix.from_rows(
-                    target, [list(row) for row in mat.entries], ncols=mat.ncols
-                )
-            )
+            mats.append(Matrix.from_rows(target, mat.entries, ncols=mat.ncols))
         except ZeroDivisionError as exc:
-            raise BadPrime(
-                f"arrow {arrow.name}: {exc} while reducing mod {p}"
-            ) from exc
+            raise BadPrime(f"arrow {arrow.name}: {exc} while reducing mod {p}") from exc
     return LambdaModule(m.dq, target, m.dim, tuple(mats))

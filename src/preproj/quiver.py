@@ -123,15 +123,9 @@ class DoubleQuiver:
 
 
 def double(q: Quiver) -> DoubleQuiver:
-    """The doubled quiver, with ``a*`` reversing ``a``.
-
-    Raises:
-        ValueError: if the base quiver has a loop (re-checked defensively).
-    """
+    """The doubled quiver, with ``a*`` reversing ``a``."""
     darrows: List[DArrow] = []
     for a in q.arrows:
-        if a.source == a.target:
-            raise ValueError(f"arrow {a.name} is a loop at vertex {a.source}")
         darrows.append(DArrow(a.name, a.source, a.target, 0, a.name + "*"))
     for a in q.arrows:
         darrows.append(DArrow(a.name + "*", a.target, a.source, 1, a.name))

@@ -10,6 +10,7 @@ to the module constructors.
 
 import json
 import re
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .fields import QQ, Field
@@ -76,12 +77,8 @@ def _is_whole(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _scalar_str(value) -> str:
-    return str(value)
-
-
 def _matrix_rows(mat: Matrix) -> List[List[str]]:
-    return [[_scalar_str(value) for value in row] for row in mat.entries]
+    return [[str(value) for value in row] for row in mat.entries]
 
 
 def module_to_data(m: LambdaModule, name: Optional[str] = None) -> Dict:
@@ -99,13 +96,16 @@ def module_to_data(m: LambdaModule, name: Optional[str] = None) -> Dict:
 def module_from_data(data) -> Tuple[Optional[str], LambdaModule]:
     """Rebuild a module from its data, returning its optional name too.
 
-    The vertex names and dimensions are checked by
-    :meth:`LambdaModule.build`, whose ValueError becomes a FormatError.
+    Only the JSON layout is checked here: the four keys, the field tag,
+    the quiver, that ``dim`` and ``action`` are objects, that every
+    matrix is a list of rows of exact scalars (strings or integers, not
+    floats or booleans) and that ``name`` is a string.  Everything else
+    (vertex and arrow names, dimensions, matrix shapes, scalar values)
+    is left to :meth:`LambdaModule.build`, whose ValueError, naming the
+    vertex or arrow, becomes a FormatError.
 
     Raises:
-        FormatError: structurally broken data, including unknown
-            vertices, dimensions that are not whole numbers, matrix shape
-            mismatches and unparsable scalars.
+        FormatError: structurally broken data.
     """
     if not isinstance(data, dict):
         raise FormatError("module data must be an object")
@@ -114,54 +114,26 @@ def module_from_data(data) -> Tuple[Optional[str], LambdaModule]:
             raise FormatError(f"module data lacks the {key!r} key")
     field = _parse_field_tag(data["field"])
     q = quiver_from_data(data["quiver"])
-    dq = double(q)
     if not isinstance(data["dim"], dict):
         raise FormatError("dimension data must map vertices to integers")
-    try:
-        # the module without arrows checks the vertex names and dimensions
-        dim = LambdaModule.build(dq, field, data["dim"], {}).dim
-    except ValueError as err:
-        raise FormatError(str(err)) from None
-    idx = q.vertex_index
-    action_data = data["action"]
-    if not isinstance(action_data, dict):
+    if not isinstance(data["action"], dict):
         raise FormatError("action data must map arrow ids to matrices")
-    known = {a.name for a in dq.arrows}
-    for name in action_data:
-        if name not in known:
-            raise FormatError(f"action given for unknown arrow {name!r}")
-    action: Dict[str, Matrix] = {}
-    for arrow in dq.arrows:
-        rows = action_data.get(arrow.name)
-        if rows is None:
-            continue
-        nrows = dim[idx[arrow.target]]
-        ncols = dim[idx[arrow.source]]
-        if not isinstance(rows, list) or len(rows) != nrows:
-            raise FormatError(
-                f"matrix of arrow {arrow.name!r} must have {nrows} rows"
-            )
-        for row in rows:
-            if not isinstance(row, list) or len(row) != ncols:
+    for arrow, rows in data["action"].items():
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise FormatError(f"matrix of arrow {arrow!r} must be a list of rows")
+        for x in chain.from_iterable(rows):
+            if not (isinstance(x, str) or _is_whole(x)):
                 raise FormatError(
-                    f"matrix of arrow {arrow.name!r} must have {ncols} columns"
+                    f"matrix of arrow {arrow!r} holds {x!r}, "
+                    "not an exact scalar string or integer"
                 )
-            for x in row:
-                if not (isinstance(x, str) or _is_whole(x)):
-                    raise FormatError(
-                        f"matrix of arrow {arrow.name!r} holds {x!r}, "
-                        "not an exact scalar string or integer"
-                    )
-        try:
-            action[arrow.name] = Matrix.from_rows(field, rows, ncols=ncols)
-        except (ValueError, ZeroDivisionError, TypeError) as err:
-            raise FormatError(
-                f"bad matrix for arrow {arrow.name!r}: {err}"
-            ) from None
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise FormatError("module name must be a string")
-    return name, LambdaModule.build(dq, field, dim, action)
+    try:
+        return name, LambdaModule.build(double(q), field, data["dim"], data["action"])
+    except ValueError as err:
+        raise FormatError(str(err)) from None
 
 
 def save_module(path, m: LambdaModule, name: Optional[str] = None) -> None:
@@ -173,12 +145,13 @@ def load_module(path) -> Tuple[Optional[str], LambdaModule]:
     """Load a module file.
 
     Raises:
-        FormatError: unreadable JSON or structurally broken data.
+        FormatError: a file that is not UTF-8 JSON, JSON nested too
+            deeply to parse, or structurally broken data.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise FormatError(f"{path}: not valid JSON: {err}") from None
     return module_from_data(data)
 

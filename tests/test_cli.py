@@ -74,8 +74,21 @@ def test_validate_rejects_broken_files(files, tmp_path, capsys):
     data["action"]["a"] = [["1", "2"]]
     path.write_text(json.dumps(data))
     assert main(["validate", str(path)]) == 2
-    assert "columns" in capsys.readouterr().err
+    assert "arrow 'a': expected 1 columns" in capsys.readouterr().err
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+def test_validate_rejects_undecodable_and_deeply_nested_files(files, tmp_path, capsys):
+    with open(files["x"], "rb") as fh:
+        text = fh.read()
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe" + text)
+    assert main(["validate", str(latin)]) == 2
+    assert "utf-8" in capsys.readouterr().err
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["validate", str(deep)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_validate_rejects_inexact_scalars(files, tmp_path, capsys):

@@ -325,6 +325,42 @@ def test_pullback_pushout_shape_guards():
         pushout(eta, Intertwiner.identity(s1))
 
 
+def test_blocks_of_wrong_shape_or_field_are_named_at_construction():
+    dq = a2_double()
+    s1, s2, x = simple(dq, "1", QQ), simple(dq, "2", QQ), x_module(dq)
+    empty = Matrix.zeros(QQ, 0, 0)
+    tall = Matrix.zeros(QQ, 2, 1)
+    over_f5 = Matrix.from_rows(Field(5), [[1]])
+    with pytest.raises(ValueError, match="map of arrow a has shape 2x1, expected 1x1"):
+        Derivation(s1, s2, (tall, empty))
+    with pytest.raises(ValueError, match="map of arrow a is over the wrong field"):
+        Derivation(s1, s2, (over_f5, empty))
+    with pytest.raises(ValueError, match="expected 2 blocks, one per arrow, got 1"):
+        Derivation(s1, s2, (Matrix.zeros(QQ, 1, 1),))
+    with pytest.raises(ValueError, match="map of arrow a has shape 2x1, expected 1x1"):
+        Derivation.build(s1, s2, {"a": [[1], [2]]})
+    with pytest.raises(ValueError, match="map of arrow a has shape 2x1, expected 1x1"):
+        Derivation.build(s1, s2, {"a": tall})
+    with pytest.raises(ValueError, match="map of arrow a is over the wrong field"):
+        Derivation.build(s1, s2, {"a": over_f5})
+    with pytest.raises(ValueError, match="bad matrix for arrow 'a': expected 1 col"):
+        Derivation.build(s1, s2, {"a": [[1, 2]]})
+    with pytest.raises(ValueError, match="unknown arrow 'zz'"):
+        Derivation.build(s1, s2, {"zz": [[1]]})
+    one = Matrix.identity(QQ, 1)
+    with pytest.raises(
+        ValueError, match="component at vertex 1 has shape 2x2, expected 1x1"
+    ):
+        Intertwiner.build(x, x, (Matrix.identity(QQ, 2), one))
+    with pytest.raises(ValueError, match="component at vertex 2 is over the wrong"):
+        Intertwiner.build(x, x, (one, Matrix.identity(Field(5), 1)))
+    with pytest.raises(ValueError, match="expected 2 blocks, one per vertex, got 1"):
+        Intertwiner.build(x, x, (one,))
+    with pytest.raises(ValueError, match="does not commute with arrow a$"):
+        Intertwiner.build(x, x, (one, Matrix.zeros(QQ, 1, 1)))
+    assert Intertwiner.build(x, x, (one, one)).components == (one, one)
+
+
 def test_derivation_linear_combinations():
     dq = d4.star_double()
     s4, t = d4.s4_module(dq), d4.t_module(dq)

@@ -30,8 +30,6 @@ def test_is_prime_small_table():
 def test_primes_stream():
     it = primes()
     assert [next(it) for _ in range(6)] == [2, 3, 5, 7, 11, 13]
-    it = primes(start=10)
-    assert next(it) == 11
 
 
 def test_field_rejects_composite_order():

@@ -43,6 +43,22 @@ def test_build_fills_zeros_and_checks_shapes():
         LambdaModule.build(dq, QQ, (1, 1), {"zz": [[1]]})
 
 
+def test_build_names_the_arrow_of_bad_row_data():
+    dq = a2_double()
+    cases = [
+        (QQ, [[1], [1, 2]], "expected 1 columns, got a row of length 2"),
+        (QQ, [[1], 3], "bad matrix for arrow 'a'"),
+        (QQ, [["one"], ["1"]], "bad matrix for arrow 'a'"),
+        (Field(5), [["1/5"], ["1"]], "bad matrix for arrow 'a': denominator"),
+    ]
+    for field, rows, message in cases:
+        with pytest.raises(ValueError, match=message) as err:
+            LambdaModule.build(dq, field, (1, 2), {"a": rows})
+        assert "arrow 'a'" in str(err.value)
+    with pytest.raises(ValueError, match="action of arrow a is over the wrong field"):
+        LambdaModule.build(dq, QQ, (1, 1), {"a": Matrix.from_rows(Field(5), [[1]])})
+
+
 def test_dim_mapping_form():
     dq = a2_double()
     m = LambdaModule.build(dq, QQ, {"2": 3}, {})

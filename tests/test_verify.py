@@ -11,6 +11,7 @@ classes and three special ones at every good prime, in both directions.
 
 import random
 from collections import OrderedDict
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from preproj import d4
 from preproj.fields import QQ, Field
 from preproj.flags import enumerate_subspaces, fingerprint
-from preproj.homext import ext_presentation
+from preproj.homext import ext_presentation, middle_term
 from preproj.module import LambdaModule, direct_sum, reduce_mod_p, simple
 from preproj.quiver import Quiver, double
 from preproj.randgen import random_combination, random_nilpotent_module
@@ -180,6 +181,41 @@ def test_default_primes_skip_the_anchor_collision_at_two():
     strata = stratify_proj_ext(zoo["S4"], zoo["T"], m_anchors(zoo))
     assert strata[0].sizes[0][0] == 3
     assert tuple(s.chi_proj for s in strata) == (-1, 1, 1, 1)
+
+
+def star_t_with(scalar):
+    """T with x(a) = scalar: isomorphic to T over Q when scalar != 0."""
+    return LambdaModule.build(
+        d4.star_double(), QQ, (1, 1, 1, 1), {"a": [[scalar]], "b": [[1]], "c": [[1]]}
+    )
+
+
+def test_stratification_skips_primes_of_bad_reduction():
+    # x(a) = 1/3 does not reduce mod 3, so the sweep samples 5..13, not 3..11
+    zoo = d4.zoo(1)
+    strata = stratify_proj_ext(zoo["S4"], star_t_with(Fraction(1, 3)), m_anchors(zoo))
+    assert tuple(s.chi_proj for s in strata) == (-1, 1, 1, 1)
+    assert strata[0].sizes == ((5, 3), (7, 5), (11, 9), (13, 11))
+    plain = stratify_proj_ext(zoo["S4"], zoo["T"], m_anchors(zoo))
+    assert tuple(p for p, _ in plain[0].sizes) == (3, 5, 7, 11)
+
+
+def test_stratification_skips_primes_where_hom_or_ext_jumps():
+    m = d4.zoo(1)["M(lam)"]
+    samples = []
+    for scalar in (1, 2):
+        t = star_t_with(scalar)
+        pres, back = ext_presentation(t, m), ext_presentation(m, t)
+        anchor = middle_term(pres.ext1_basis[0]).module
+        strata = stratify_proj_ext(t, m, {"E": anchor})
+        assert (pres.hom_dim, pres.ext1_dim, back.hom_dim) == (1, 1, 1)
+        assert strata[0].chi_proj == 1
+        samples.append(tuple(p for p, _ in strata[0].sizes))
+    t2, m2 = reduce_mod_p(star_t_with(2), 2), reduce_mod_p(m, 2)
+    pres2, back2 = ext_presentation(t2, m2), ext_presentation(m2, t2)
+    # with x(a) = 2 = 0 mod 2 the dimensions jump at 2, which is skipped
+    assert (pres2.hom_dim, pres2.ext1_dim, back2.hom_dim) == (1, 2, 2)
+    assert samples == [(2, 3, 5), (3, 5, 7)]
 
 
 def test_pairwise_identity_on_the_star_pair():

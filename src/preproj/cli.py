@@ -280,8 +280,10 @@ def cmd_example_d4(args) -> int:
         prime_list=args.primes,
     )
     fps = {s.name: s.fingerprint for s in rep.strata_fwd + rep.strata_bwd}
+    # F, G and H have the direct sum's dimension vector: one count memo
+    memo: Dict = {}
     for extra in ("F", "G", "H"):
-        fps[extra] = fingerprint(zoo[extra], prime_list=args.primes)
+        fps[extra] = fingerprint(zoo[extra], prime_list=args.primes, memo=memo)
     words = rep.words
     lines = [f"worked example at lambda = {args.lam}", ""]
     data: Dict = {"lambda": str(args.lam), "identities": [], "passed": True}

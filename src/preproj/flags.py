@@ -13,6 +13,16 @@ primes shares that window's integer Lagrange weights (cached in
 :func:`~preproj.linalg.lagrange_weights`): the value at 1 and the values
 at the validation primes are integer dot products with the window counts,
 and only an accepted fit is turned into a :class:`Polynomial`.
+
+Counts and child lists are memoized in a plain dict under keys that start
+with the prime and hold the module's dimension vector and rows, so one
+dict can serve every module and every prime of one double quiver.  A
+single count or fingerprint starts a fresh dict per prime; a verification
+job (see :mod:`preproj.verify`) passes one dict to all the modules it
+counts, so an anchor's row counted by its fingerprint is not counted again
+when the strata are matched against it.  The dict records the arrows of
+the first module counted through it and refuses a module of another
+double quiver.
 """
 
 from __future__ import annotations
@@ -56,6 +66,9 @@ VALIDATION_PRIMES = 2
 # How many times the fit window may slide past small primes where the
 # module degenerates (reduction is defined but off the generic pattern).
 MAX_WINDOW_SHIFT = 6
+
+# The memo key under which _count_row records the arrows its counts are for.
+_ARROWS_KEY = "arrows"
 
 Steps = Tuple[Tuple[int, int, int], ...]
 SplitKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -147,11 +160,19 @@ def _steps(
 
 
 def _word_steps(
-    q: Quiver, dim: Tuple[int, ...]
+    q: Quiver, dim: Tuple[int, ...], memo: Optional[Dict] = None
 ) -> Tuple[Tuple[Word, ...], Tuple[Steps, ...]]:
-    """Every word with content dim, in enumeration order, and its steps."""
-    words = enumerate_words(q, dim)
-    return words, tuple(_steps(q, w, None) for w in words)
+    """Every word with content dim, in enumeration order, and its steps;
+    kept in ``memo`` under (q, dim), when one is given, for the next
+    module of the same quiver and dimension vector."""
+    key = (q, dim)
+    table = None if memo is None else memo.get(key)
+    if table is None:
+        words = enumerate_words(q, dim)
+        table = words, tuple(_steps(q, w, None) for w in words)
+        if memo is not None:
+            memo[key] = table
+    return table
 
 
 def _split_steps(
@@ -266,8 +287,9 @@ def _count(m: RowModule, steps: Steps, memo: Dict) -> int:
     by the last coordinates.  With every drop 0 nothing is tracked.
 
     Counts are memoized under (p, dim, rows, steps) and child lists under
-    (p, dim, rows, v, c), in one dict shared across the words and
-    splitting types of one module family at one prime.
+    (p, dim, rows, v, c).  The keys hold no arrows, so one dict may serve
+    any modules and primes of one double quiver: the words and splitting
+    types of one module, or every module of one verification job.
     """
     if not steps:
         return 1
@@ -292,8 +314,16 @@ def _count_row(
 ) -> Tuple[int, ...]:
     """The stable flag counts of a finite-field module, one per entry of
     a step table, through one shared memo.  Every count the package takes
-    (words, fingerprint rows, split tables, strata) is taken here."""
+    (words, fingerprint rows, split tables, strata) is taken here.
+
+    The memo may hold the counts of other modules and primes, but only of
+    one double quiver: on first use it records the module's arrows, and
+    a module with other arrows raises ValueError.
+    """
     rm = RowModule.of(m)
+    arrows = memo.setdefault(_ARROWS_KEY, rm.arrows)
+    if arrows != rm.arrows:
+        raise ValueError("the memo holds counts of another double quiver")
     return tuple(_count(rm, s, memo) for s in steps)
 
 
@@ -312,7 +342,8 @@ def count_flags(
         memo: optional shared cache, valid for one double quiver.
 
     Raises:
-        ValueError: on a rational module or a content mismatch.
+        ValueError: on a rational module, a content mismatch or a memo
+            that holds another double quiver's counts.
     """
     if m.field.is_rational:
         raise ValueError("flag counting needs a prime field; reduce first")
@@ -384,16 +415,19 @@ class _PrimePool:
         return self._rows[k]
 
 
-def _module_sampler(module: LambdaModule, steps: Tuple[Steps, ...]):
+def _module_sampler(
+    module: LambdaModule, steps: Tuple[Steps, ...], memo: Optional[Dict] = None
+):
     """The pool sampler of a rational module: its count row mod p for the
-    step table, with a fresh memo per prime, or None at a bad prime."""
+    step table, or None at a bad prime.  Every prime counts through
+    ``memo``, or through a fresh dict of its own when it is None."""
 
     def sample(p: int) -> Optional[Tuple[int, ...]]:
         try:
             mp = reduce_mod_p(module, p)
         except BadPrime:
             return None
-        return _count_row(mp, steps, {})
+        return _count_row(mp, steps, {} if memo is None else memo)
 
     return sample
 
@@ -510,23 +544,29 @@ def euler_characteristic(
 def fingerprint(
     m: LambdaModule,
     prime_list: Optional[Sequence[int]] = None,
+    memo: Optional[Dict] = None,
 ) -> DeltaFingerprint:
     """Euler characteristics over all words with the module's content.
 
     The count rows are computed in this process, one prime at a time and
     only as far as the fits need them; every word's fit shares them.
 
+    Args:
+        memo: optional shared cache, valid for one double quiver; every
+            sampled prime counts through it.  When omitted, each prime
+            counts through a fresh dict that is dropped after its row.
+
     Raises:
         NonPolynomialCount: with the first offending word.
         InsufficientPrimes: when an explicit prime list is too short.
-        ValueError: on a finite-field module or a prime repeated in the
-            prime list.
+        ValueError: on a finite-field module, a prime repeated in the
+            prime list, or a memo that holds another double quiver's counts.
     """
     if not m.field.is_rational:
         raise ValueError("Euler characteristics are computed over the rationals")
-    words, steps = _word_steps(m.quiver, m.dim)
+    words, steps = _word_steps(m.quiver, m.dim, memo)
     bound = degree_bound(m)
-    pool = _PrimePool(_module_sampler(m, steps), prime_list)
+    pool = _PrimePool(_module_sampler(m, steps, memo), prime_list)
     profiles = tuple(
         _fit_word(pool, j, bound, w, (1,) * len(w)) for j, w in enumerate(words)
     )

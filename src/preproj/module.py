@@ -77,8 +77,8 @@ def _arrow_blocks(
 
     Raises:
         ValueError: an unknown arrow name, or row data that cannot be
-            coerced (a ragged row, an unparsable scalar, a denominator
-            divisible by p), naming the arrow.
+            coerced (a ragged row, a row given as a string, an unparsable
+            scalar, a denominator divisible by p), naming the arrow.
     """
     for name in given:
         if name not in dq.arrow_index:
@@ -92,7 +92,10 @@ def _arrow_blocks(
             blocks.append(data)
         else:
             try:
-                blocks.append(Matrix.from_rows(field, data, ncols=c))
+                rows = list(data)
+                if any(isinstance(row, str) for row in rows):
+                    raise TypeError("a row is a string, not a sequence of scalars")
+                blocks.append(Matrix.from_rows(field, rows, ncols=c))
             except (ValueError, ZeroDivisionError, TypeError) as err:
                 raise ValueError(f"bad matrix for arrow {name!r}: {err}") from None
     return tuple(blocks)
@@ -141,9 +144,10 @@ class LambdaModule:
                 row data is coerced into the field.
 
         Raises:
-            ValueError: unknown vertex or arrow names, a dimension that is
-                not a whole number (a non-negative int), row data that
-                cannot be coerced (ragged rows, unparsable scalars, a
+            ValueError: unknown vertex or arrow names, a dimension tuple
+                of the wrong length, a dimension that is not a whole number
+                (a non-negative int), row data that cannot be coerced
+                (ragged rows, rows given as strings, unparsable scalars, a
                 denominator divisible by p), or a matrix of the wrong
                 shape or field; the message names the vertex or arrow.
         """
@@ -156,6 +160,11 @@ class LambdaModule:
             dim_vec = tuple(dim.get(v, 0) for v in verts)
         else:
             dim_vec = tuple(dim)
+            if len(dim_vec) != len(verts):
+                raise ValueError(
+                    f"dimension vector has {len(dim_vec)} entries, "
+                    f"expected {len(verts)}, one per vertex"
+                )
         for v, d in zip(verts, dim_vec):
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise ValueError(

@@ -15,6 +15,13 @@ extension class is expanded against the chosen Ext^1 basis, the count
 vector of its middle term is matched against the supplied anchor
 modules, and the per-anchor group sizes are interpolated across primes
 (polynomials in p of degree below dim Ext^1) and evaluated at 1.
+
+Every module a check counts has the dimension vector of the direct sum,
+and all are counted at the same few primes.  So each check is one job
+with one count memo (see :mod:`preproj.flags`): the anchors'
+fingerprints, the middle terms of the extension classes and the direct
+sum all count through it, and a count row or child list found for one of
+them is reused by the others.
 """
 
 import time
@@ -118,6 +125,7 @@ def stratify_proj_ext(
     xpp: LambdaModule,
     anchors: Mapping[str, LambdaModule],
     prime_list: Optional[Sequence[int]] = None,
+    memo: Optional[Dict] = None,
 ) -> Tuple[Stratum, ...]:
     """Anchored strata of the projective space of Ext^1(xp, xpp) classes.
 
@@ -138,14 +146,20 @@ def stratify_proj_ext(
             the dimension vector of the direct sum.
         prime_list: explicit primes to sample (default: ascending from 2,
             capped at CANDIDATE_CAP candidates).
+        memo: optional count memo shared with the caller, valid for one
+            double quiver; the anchors' fingerprints and every sampled
+            prime count through it, so an anchor's row is counted once
+            per prime.  When omitted, each prime of each count starts a
+            fresh dict.
 
     Raises:
         UnanchoredStratum: a class matched no anchor at some prime.
         AnchorCollision: the primes ran out with anchors still colliding.
         NonPolynomialCount: the group sizes failed two-prime validation.
         InsufficientPrimes: the primes ran out for another reason.
-        ValueError: Ext^1(xp, xpp) = 0, an anchor is unusable, or a prime
-            is repeated in the prime list.
+        ValueError: Ext^1(xp, xpp) = 0, an anchor is unusable, a prime
+            is repeated in the prime list, or the memo holds another
+            double quiver's counts.
     """
     if not (xp.field.is_rational and xpp.field.is_rational):
         raise ValueError("stratification starts from rational modules")
@@ -166,8 +180,8 @@ def stratify_proj_ext(
             raise ValueError(
                 f"anchor {name} has dimension vector {mod.dim}, expected {want}"
             )
-    fps = tuple(fingerprint(mod, prime_list) for mod in mods)
-    _, steps = _word_steps(xp.quiver, want)
+    fps = tuple(fingerprint(mod, prime_list, memo=memo) for mod in mods)
+    _, steps = _word_steps(xp.quiver, want, memo)
     collisions: List[int] = []
 
     def sample(p: int) -> Optional[Tuple[int, ...]]:
@@ -186,8 +200,8 @@ def stratify_proj_ext(
             or back_p.ext1_dim != back.ext1_dim
         ):
             return None
-        memo: Dict = {}
-        keys = [_count_row(mod_p, steps, memo) for mod_p in mods_p]
+        memo_p = {} if memo is None else memo
+        keys = [_count_row(mod_p, steps, memo_p) for mod_p in mods_p]
         if len(set(keys)) != len(keys):
             collisions.append(p)
             return None
@@ -196,7 +210,7 @@ def stratify_proj_ext(
         # one echelon row per point of P^{n-1}: first nonzero entry 1
         for (vec,) in enumerate_subspaces(xp_p.field, n, 1):
             d = _class_derivation(pres_p.ext1_basis, vec)
-            key = _count_row(middle_term(d).module, steps, memo)
+            key = _count_row(middle_term(d).module, steps, memo_p)
             groups[key] = groups.get(key, 0) + 1
             witness.setdefault(key, vec)
         sizes = tuple(groups.pop(key, 0) for key in keys)
@@ -269,7 +283,8 @@ def verify_thm_1_1(
     lists, strata with equal anchor fingerprints are merged, and both
     sides are evaluated on every word with the content of the direct
     sum.  Swapping (xp, xpp) along with the anchor lists yields the same
-    verdict and the same per-word values.
+    verdict and the same per-word values.  Both stratifications and the
+    direct sum's fingerprint count through one memo.
 
     Raises:
         ValueError: Ext^1(xp, xpp) = 0, where the identity is
@@ -280,9 +295,10 @@ def verify_thm_1_1(
     n = ext_presentation(xp, xpp).ext1_dim
     if n == 0:
         raise ValueError("Ext^1(x', x'') = 0: the pairwise identity is meaningless")
-    strata_fwd = stratify_proj_ext(xp, xpp, anchors_fwd, prime_list)
-    strata_bwd = stratify_proj_ext(xpp, xp, anchors_bwd, prime_list)
-    total = fingerprint(direct_sum(xp, xpp), prime_list)
+    memo: Dict = {}
+    strata_fwd = stratify_proj_ext(xp, xpp, anchors_fwd, prime_list, memo)
+    strata_bwd = stratify_proj_ext(xpp, xp, anchors_bwd, prime_list, memo)
+    total = fingerprint(direct_sum(xp, xpp), prime_list, memo=memo)
     merged = _merge_strata(strata_fwd + strata_bwd)
     left = tuple(n * c for c in total.chi)
     right = tuple(
@@ -321,7 +337,8 @@ def verify_thm_1_2(
         delta_{xp + xpp} = delta_{E_d} + delta_{E_g}
 
     for any non-split classes d in Ext^1(xp, xpp) and g in
-    Ext^1(xpp, xp), with E the middle term.
+    Ext^1(xpp, xp), with E the middle term.  The three fingerprints count
+    through one memo.
 
     Args:
         d: class in Ext^1(xp, xpp); default is the chosen basis element.
@@ -351,9 +368,10 @@ def verify_thm_1_2(
         raise ValueError("class d is split, its middle term is the direct sum")
     if is_inner(back, g):
         raise ValueError("class g is split, its middle term is the direct sum")
-    total = fingerprint(direct_sum(xp, xpp), prime_list)
-    fx = fingerprint(middle_term(d).module, prime_list)
-    fy = fingerprint(middle_term(g).module, prime_list)
+    memo: Dict = {}
+    total = fingerprint(direct_sum(xp, xpp), prime_list, memo=memo)
+    fx = fingerprint(middle_term(d).module, prime_list, memo=memo)
+    fy = fingerprint(middle_term(g).module, prime_list, memo=memo)
     right = tuple(
         fx.chi_of(word) + fy.chi_of(word) for word in total.words
     )

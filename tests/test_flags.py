@@ -86,6 +86,31 @@ def test_count_rejects_bad_inputs():
         count_flags(xp, ("1", "1"))
 
 
+def test_memo_refuses_a_second_double_quiver():
+    # the memo keys hold no arrows: with a: 1 -> 2 and a: 2 -> 1 the
+    # module x(a) = [[1]] has the same (p, dim, rows) key in both
+    forward = a2_double()
+    backward = double(Quiver.build(["1", "2"], [("a", "2", "1")]))
+    mods = [reduce_mod_p(x_module(dq), 3) for dq in (forward, backward)]
+    fresh = tuple(count_flags(m, ("1", "2")).count for m in mods)
+    assert fresh == (1, 0)
+    memo = {}
+    assert count_flags(mods[0], ("1", "2"), memo=memo).count == 1
+    with pytest.raises(ValueError, match="another double quiver"):
+        count_flags(mods[1], ("1", "2"), memo=memo)
+    with pytest.raises(ValueError, match="another double quiver"):
+        fingerprint(x_module(backward), memo=memo)
+    # a module of the first quiver still counts through it
+    assert count_flags(mods[0], ("2", "1"), memo=memo).count == 0
+    # renamed vertices leave the counts alone but not the words
+    renamed = double(Quiver.build(["x", "y"], [("a", "x", "y")]))
+    memo = {}
+    fingerprint(x_module(forward), memo=memo)
+    fp = fingerprint(x_module(renamed), memo=memo)
+    assert fp == fingerprint(x_module(renamed))
+    assert fp.words == (("x", "y"), ("y", "x"))
+
+
 def test_s4_pair_counts_are_projective_line():
     dq = d4.star_double()
     pair = direct_sum(d4.s4_module(dq), d4.s4_module(dq))

@@ -7,6 +7,7 @@ import pytest
 
 from preproj import d4
 from preproj.fields import QQ, Field
+from preproj.homext import Derivation
 from preproj.linalg import Matrix, column_echelon
 from preproj.module import (
     BadPrime,
@@ -57,6 +58,32 @@ def test_build_names_the_arrow_of_bad_row_data():
         assert "arrow 'a'" in str(err.value)
     with pytest.raises(ValueError, match="action of arrow a is over the wrong field"):
         LambdaModule.build(dq, QQ, (1, 1), {"a": Matrix.from_rows(Field(5), [[1]])})
+
+
+def test_build_rejects_rows_given_as_strings():
+    # a string row would be read one character per scalar: "12" as [1, 2]
+    dq = a2_double()
+    s1, s2 = simple(dq, "1", QQ), simple(dq, "2", QQ)
+    message = "bad matrix for arrow 'a': a row is a string"
+    for rows in (["12"], "12", [[1, 2], "3"]):
+        with pytest.raises(ValueError, match=message):
+            LambdaModule.build(dq, QQ, (2, 1), {"a": rows})
+    for rows in (["1"], "1"):
+        with pytest.raises(ValueError, match=message):
+            Derivation.build(s1, s2, {"a": rows})
+    assert LambdaModule.build(dq, QQ, (2, 1), {"a": [["1", "2"]]}).x("a") == (
+        Matrix.from_rows(QQ, [[1, 2]])
+    )
+    assert Derivation.build(s1, s2, {"a": (["1"],)}).map_of("a") == (
+        Matrix.from_rows(QQ, [[1]])
+    )
+
+
+def test_build_rejects_a_dimension_tuple_of_the_wrong_length():
+    dq = a2_double()
+    for dim in ((1,), (1, 1, 1), ()):
+        with pytest.raises(ValueError, match=f"{len(dim)} entries, expected 2"):
+            LambdaModule.build(dq, QQ, dim, {})
 
 
 def test_dim_mapping_form():

@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from preproj import d4
+from preproj import d4, flags
 from preproj.fields import QQ, Field
 from preproj.flags import enumerate_subspaces, fingerprint
 from preproj.homext import ext_presentation, middle_term
@@ -239,6 +239,105 @@ def test_pairwise_identity_is_symmetric_in_the_pair():
     assert rep.words == swapped.words
     assert rep.left_values == swapped.left_values
     assert rep.right_values == swapped.right_values
+
+
+def count_child_lists(monkeypatch):
+    """Patch flags._children to count the child lists it builds (memo
+    misses), and return the running tally."""
+    real = flags._children
+    built = [0]
+
+    def counted(m, v, c, memo):
+        before = len(memo)
+        children = real(m, v, c, memo)
+        built[0] += len(memo) > before
+        return children
+
+    monkeypatch.setattr(flags, "_children", counted)
+    return built
+
+
+def test_pairwise_job_memo_matches_fresh_memo_calls(monkeypatch):
+    zoo = d4.zoo(1)
+    xp, xpp = zoo["S4"], zoo["T"]
+    built = count_child_lists(monkeypatch)
+    rep = verify_thm_1_1(xp, xpp, m_anchors(zoo), r_anchors(zoo))
+    in_job = built[0]
+    built[0] = 0
+    fwd = stratify_proj_ext(xp, xpp, m_anchors(zoo))
+    bwd = stratify_proj_ext(xpp, xp, r_anchors(zoo))
+    total = fingerprint(direct_sum(xp, xpp))
+    separate = built[0]
+    built[0] = 0
+    memo = {}
+    stratify_proj_ext(xp, xpp, m_anchors(zoo), memo=memo)
+    stratify_proj_ext(xpp, xp, r_anchors(zoo), memo=memo)
+    fingerprint(direct_sum(xp, xpp), memo=memo)
+    shared = built[0]
+    # sizes, windows, validation primes, chi values, anchor fingerprints
+    # with their profile samples: every field of every stratum agrees
+    assert rep.strata_fwd == fwd and rep.strata_bwd == bwd
+    assert rep.words == total.words
+    assert rep.left_values == tuple(2 * c for c in total.chi)
+    used = {p for pr in total.profiles for p, _ in pr.samples}
+    used |= {p for s in fwd + bwd for p, _ in s.sizes}
+    assert rep.primes_used == tuple(sorted(used))
+    assert rep.passed
+    # the anchors' rows and shared pieces are enumerated once per job
+    assert 0 < in_job == shared < separate
+
+
+def test_unique_extension_job_memo_matches_fresh_memo_calls(monkeypatch, rng_seed):
+    rng = random.Random(rng_seed + 12)
+    dq = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    while True:
+        xp = random_nilpotent_module(dq, rng, steps=3, max_total=2)
+        xpp = random_nilpotent_module(dq, rng, steps=3, max_total=2)
+        if ext_presentation(xp, xpp).ext1_dim == 1:
+            break
+    built = count_child_lists(monkeypatch)
+    rep = verify_thm_1_2(xp, xpp)
+    in_job = built[0]
+    built[0] = 0
+    d = ext_presentation(xp, xpp).ext1_basis[0]
+    g = ext_presentation(xpp, xp).ext1_basis[0]
+    fps = [
+        fingerprint(m)
+        for m in (direct_sum(xp, xpp), middle_term(d).module, middle_term(g).module)
+    ]
+    separate = built[0]
+    built[0] = 0
+    memo = {}
+    assert [fingerprint(fp.module, memo=memo) for fp in fps] == fps
+    shared = built[0]
+    total, fx, fy = fps
+    assert rep.words == total.words
+    assert rep.left_values == total.chi
+    assert rep.right_values == tuple(a + b for a, b in zip(fx.chi, fy.chi))
+    used = {p for fp in fps for pr in fp.profiles for p, _ in pr.samples}
+    assert rep.primes_used == tuple(sorted(used))
+    assert rep.passed
+    assert 0 < in_job == shared < separate
+
+
+def test_standalone_calls_count_each_prime_through_a_fresh_memo(monkeypatch):
+    # without memo= every sampled prime starts an empty dict, as before
+    zoo = d4.zoo(1)
+    seen = []
+    real = flags._count_row
+
+    def recorded(m, steps, memo):
+        seen.append((m.field.p, memo))
+        return real(m, steps, memo)
+
+    monkeypatch.setattr(flags, "_count_row", recorded)
+    fp = fingerprint(zoo["T"])
+    assert [p for p, _ in seen] == [p for p, _ in fp.profiles[0].samples]
+    assert len({id(memo) for _, memo in seen}) == len(seen)
+    seen.clear()
+    shared = {}
+    assert fingerprint(zoo["T"], memo=shared) == fp
+    assert all(memo is shared for _, memo in seen)
 
 
 def test_pairwise_identity_needs_extensions():

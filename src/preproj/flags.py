@@ -12,24 +12,31 @@ Interpolation is linear in the counts, so every fit through one window of
 primes shares that window's integer Lagrange weights (cached in
 :func:`~preproj.linalg.lagrange_weights`): the value at 1 and the values
 at the validation primes are integer dot products with the window counts,
-and only an accepted fit is turned into a :class:`Polynomial`.
+and a :class:`Polynomial` is made only when a profile's is read.
 
-Counts and child lists are memoized in a plain dict under keys that start
-with the prime and hold the module's dimension vector and rows, so one
-dict can serve every module and every prime of one double quiver.  A
-single count or fingerprint starts a fresh dict per prime; a verification
-job (see :mod:`preproj.verify`) passes one dict to all the modules it
-counts, so an anchor's row counted by its fingerprint is not counted again
-when the strata are matched against it.  The dict records the arrows of
-the first module counted through it and refuses a module of another
-double quiver.
+Every count is one row: the step sequences of a table (the words of a
+fingerprint, the splitting types of a split count, or a single word) are
+merged into a trie by their first steps, and one recursion over the
+trie counts all of them, listing the subspaces at each branch once.
+Tries are cached per table for the process and their nodes interned, so
+tables that end alike share nodes.  Counts are memoized per module and
+node, child lists per module, vertex and multiplicity, in a plain dict
+under keys that start with the prime and hold the module's dimension
+vector and rows, so one dict can serve every module, prime and table of
+one double quiver.  A single count or fingerprint starts a fresh dict
+per prime; a verification job (see :mod:`preproj.verify`) passes one
+dict to all the modules it counts, so an anchor's row counted by its
+fingerprint is not counted again when the strata are matched against
+it.  The dict records the arrows of the first module counted through it
+and refuses a module of another double quiver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from operator import mul
+from functools import cached_property, lru_cache
+from itertools import combinations, groupby, product
+from operator import itemgetter, mul
 from typing import (
     Dict,
     Iterable,
@@ -41,9 +48,10 @@ from typing import (
     Set,
     Tuple,
 )
+from weakref import WeakValueDictionary
 
 from .fields import Field, primes
-from .linalg import Polynomial, echelon, lagrange_weights
+from .linalg import Polynomial, echelon, interpolate, lagrange_weights
 from .module import (
     BadPrime,
     LambdaModule,
@@ -112,8 +120,13 @@ class CountProfile:
     samples: Tuple[Tuple[int, int], ...]
     window: Tuple[int, ...]
     validation: Tuple[int, ...]
-    polynomial: Polynomial
     euler: int
+
+    @cached_property
+    def polynomial(self) -> Polynomial:
+        """The accepted fit, interpolated through the window counts when
+        first read."""
+        return _window_polynomial(self.samples, self.window)
 
 
 @dataclass(frozen=True)
@@ -229,8 +242,9 @@ def _children(
     subspace in the coordinates that are not pivots of u; lifting that
     subspace's echelon rows and clearing u's rows at their pivots gives
     the piece's reduced row echelon basis directly.  The list is cached
-    in the memo under (p, dim, rows, v, c), so every word and splitting
-    type that reaches this node shares one enumeration.
+    in the memo under (p, dim, rows, v, c), so every trie node that
+    reaches this module with a step (v, c, drop), whatever the drop,
+    shares one enumeration.
     """
     p = m.field.p
     key = (p, m.dim, m.rows, v, c)
@@ -270,41 +284,131 @@ def _children(
     return children
 
 
-def _count(m: RowModule, steps: Steps, memo: Dict) -> int:
-    """Stable flag count by peeling one semisimple quotient per step.
+class _Node:
+    """One node of a step trie: the step sequences left below it.
+
+    ``branches`` groups them by first step, one (v, c, cases) per vertex
+    index and multiplicity, in ascending order; each case (drop, tracked,
+    child), in ascending order, holds in ``child`` the rests of the
+    sequences whose first step is (v, c, drop) and whose drops at v sum to
+    ``tracked``, this step's included.  ``end`` marks the empty sequence.
+    A count tuple of the node lists the empty sequence first, then every
+    case's child tuple in turn; ``size`` is its length, and ``len()`` is
+    the number of steps left on the longest sequence.  Nodes are interned
+    (see :func:`_node`), so equal nodes are one object and hash by
+    identity.
+    """
+
+    __slots__ = ("end", "branches", "size", "depth", "__weakref__")
+
+    def __init__(self, end: bool, branches: Tuple) -> None:
+        self.end = end
+        self.branches = branches
+        cases = [case for _, _, group in branches for case in group]
+        self.size = end + sum(child.size for _, _, child in cases)
+        self.depth = max((1 + child.depth for _, _, child in cases), default=0)
+
+    def __len__(self) -> int:
+        return self.depth
+
+
+# Every live trie node, by its (end, branches); a node lives as long as a
+# cached trie or a count memo holds it.
+_NODES: "WeakValueDictionary[Tuple, _Node]" = WeakValueDictionary()
+
+
+def _node(paths: Sequence[Tuple[Tuple[int, int, int, int], ...]], k: int) -> _Node:
+    """The interned node of distinct paths, in ascending order, that
+    share their first k steps; a path's steps are (v, c, drop, tracked)."""
+    end = bool(paths) and len(paths[0]) == k
+    branches = tuple(
+        (
+            v,
+            c,
+            tuple(
+                (drop, tracked, _node(list(same), k + 1))
+                for (_, _, drop, tracked), same in groupby(group, itemgetter(k))
+            ),
+        )
+        for (v, c), group in groupby(paths[end:], lambda path: path[k][:2])
+    )
+    key = (end, branches)
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = _Node(end, branches)
+    return node
+
+
+@lru_cache(maxsize=1024)
+def _trie(steps: Tuple[Steps, ...]) -> Tuple[_Node, Tuple[int, ...]]:
+    """The trie of a step table and the position of every table entry in
+    the root's count tuple; cached, since a table is counted at every
+    sampled prime.
+
+    A step's tracked amount is the sum of the drops at its vertex from it
+    to the end of its sequence.  Positions follow the ascending order of
+    the sequences written with their tracked amounts, which is the node
+    order; repeated entries share a position.
+    """
+    paths = []
+    for seq in steps:
+        left: Dict[int, int] = {}
+        path = []
+        for v, c, drop in reversed(seq):
+            left[v] = left.get(v, 0) + drop
+            path.append((v, c, drop, left[v]))
+        paths.append(tuple(reversed(path)))
+    order = sorted(set(paths))
+    rank = {path: r for r, path in enumerate(order)}
+    return _node(order, 0), tuple(rank[path] for path in paths)
+
+
+def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
+    """Stable flag counts of every step sequence below a trie node, in
+    the node's order, by peeling one semisimple quotient per step.
 
     A flag step (v, c, drop) keeps a codimension-c subspace of the v-piece
     that contains every incoming image (so the quotient is semisimple at
     v) and is automatically stable; :func:`_children` lists the kept
-    pieces with their restrictions, and the count recurses on each.
+    pieces with their restrictions once per (v, c) branch, and each case
+    of the branch adds up the count tuples of its child node over the
+    pieces it accepts.
 
     The drops grade the count by a tracked submodule.  At vertex v it is
-    spanned by the last t coordinates, where t is the sum of the remaining
-    drops at v.  A kept piece meets it in the span of the echelon rows
-    that pivot in those coordinates, and the step counts the piece only
-    when that span has dimension t - drop.  Those rows come last in the
+    spanned by the last t coordinates, where t is the case's tracked
+    amount.  A kept piece meets it in the span of the echelon rows that
+    pivot in those coordinates, and the case accepts the piece only when
+    that span has dimension t - drop.  Those rows come last in the
     echelon basis, so in the restriction the tracked part is again spanned
-    by the last coordinates.  With every drop 0 nothing is tracked.
+    by the last coordinates.  With t = 0 nothing is tracked and every
+    piece is accepted.
 
-    Counts are memoized under (p, dim, rows, steps) and child lists under
-    (p, dim, rows, v, c).  The keys hold no arrows, so one dict may serve
-    any modules and primes of one double quiver: the words and splitting
-    types of one module, or every module of one verification job.
+    Count tuples are memoized under (p, dim, rows, node) and child lists
+    under (p, dim, rows, v, c).  The keys hold no arrows, so one dict may
+    serve any modules and primes of one double quiver: the words and
+    splitting types of one module, or every module of one verification
+    job.
     """
-    if not steps:
-        return 1
-    key = (m.field.p, m.dim, m.rows, steps)
+    if not node:
+        # every sequence left is empty and counts the one empty flag
+        return (1,) * node.size
+    key = (m.field.p, m.dim, m.rows, node)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    v, c, drop = steps[0]
-    tracked = sum(d for w, _, d in steps if w == v)
-    first_tracked = m.dim[v] - tracked
-    rest = steps[1:]
-    total = 0
-    for pivots, child in _children(m, v, c, memo):
-        if sum(r >= first_tracked for r in pivots) == tracked - drop:
-            total += _count(child, rest, memo)
+    counts = [1] if node.end else []
+    for v, c, cases in node.branches:
+        children = _children(m, v, c, memo)
+        for drop, tracked, child in cases:
+            first_tracked = m.dim[v] - tracked
+            below = [
+                _count(piece, child, memo)
+                for pivots, piece in children
+                if not tracked
+                or sum(r >= first_tracked for r in pivots) == tracked - drop
+            ]
+            counts.extend(map(sum, zip(*below)) if below else (0,) * child.size)
+    total = tuple(counts)
     memo[key] = total
     return total
 
@@ -314,7 +418,8 @@ def _count_row(
 ) -> Tuple[int, ...]:
     """The stable flag counts of a finite-field module, one per entry of
     a step table, through one shared memo.  Every count the package takes
-    (words, fingerprint rows, split tables, strata) is taken here.
+    (words, fingerprint rows, split tables, strata) is taken here, in one
+    :func:`_count` call on the root of the table's trie.
 
     The memo may hold the counts of other modules and primes, but only of
     one double quiver: on first use it records the module's arrows, and
@@ -324,7 +429,9 @@ def _count_row(
     arrows = memo.setdefault(_ARROWS_KEY, rm.arrows)
     if arrows != rm.arrows:
         raise ValueError("the memo holds counts of another double quiver")
-    return tuple(_count(rm, s, memo) for s in steps)
+    root, where = _trie(tuple(steps))
+    counts = _count(rm, root, memo)
+    return tuple(counts[i] for i in where)
 
 
 def count_flags(
@@ -432,13 +539,21 @@ def _module_sampler(
     return sample
 
 
+def _window_polynomial(
+    samples: Sequence[Tuple[int, int]], window: Sequence[int]
+) -> Polynomial:
+    """The polynomial through the sampled values at the window primes."""
+    values = dict(samples)
+    return interpolate([(p, values[p]) for p in window])
+
+
 def _fit_columns(
     pool: _PrimePool,
     columns: Sequence[int],
     bound: int,
     word: Word,
     what: str,
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[Tuple[Polynomial, int], ...]]:
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
     """Fit several count columns on one shared sliding window.
 
     A column's fit through the window rows must reproduce the
@@ -446,14 +561,15 @@ def _fit_columns(
     fails (typically because the module degenerates at a small prime) the
     window of every column slides up one prime, at most MAX_WINDOW_SHIFT
     times.  Returns the window primes, the validation primes and, per
-    column, the polynomial and its value at 1.
+    column, the fit's value at 1.
 
     Interpolation is linear in the counts, so a window's
     :func:`lagrange_weights` (cached) turn each check into integer dot
     products with the column's window counts y: with common denominator
     D, the fit is integral at 1 exactly when D divides w_1 . y, and it
     validates at p exactly when w_p . y equals D times the count at p.
-    Polynomials are built only once every column has passed.
+    No polynomial is built; :func:`_window_polynomial` makes one from the
+    window counts when it is asked for.
     """
     need = bound + 1
     for shift in range(MAX_WINDOW_SHIFT + 1):
@@ -465,7 +581,7 @@ def _fit_columns(
         weights = lagrange_weights(window, (1, *(p for p, _ in validation)))
         d = weights.denominator
         w_one, *w_checks = weights.at
-        passed: List[Tuple[List[int], int]] = []
+        passed: List[int] = []
         for j in columns:
             ys = [vec[j] for _, vec in rows[:need]]
             at_one, rem = divmod(sum(map(mul, w_one, ys)), d)
@@ -474,13 +590,9 @@ def _fit_columns(
                 for w, (_, vec) in zip(w_checks, validation)
             ):
                 break
-            passed.append((ys, at_one))
+            passed.append(at_one)
         else:
-            return (
-                window,
-                tuple(p for p, _ in validation),
-                tuple((weights.polynomial(ys), at_one) for ys, at_one in passed),
-            )
+            return window, tuple(p for p, _ in validation), tuple(passed)
     raise NonPolynomialCount(
         word,
         f"{what} fail {VALIDATION_PRIMES}-prime validation "
@@ -496,10 +608,9 @@ def _fit_word(
     coeffs: Tuple[int, ...],
 ) -> CountProfile:
     """The fit of one word's count column, with its audit trail."""
-    window, validation, fits = _fit_columns(
+    window, validation, (euler,) = _fit_columns(
         pool, (index,), bound, word, f"word {word}: counts"
     )
-    poly, euler = fits[0]
     return CountProfile(
         word=word,
         coeffs=coeffs,
@@ -507,7 +618,6 @@ def _fit_word(
         samples=tuple((p, vec[index]) for p, vec in pool.rows),
         window=window,
         validation=validation,
-        polynomial=poly,
         euler=euler,
     )
 
@@ -659,7 +769,7 @@ def split_euler_table(
     whole = direct_sum(left, right)
     bound = degree_bound(whole)
     pool = _PrimePool(_module_sampler(whole, steps), None)
-    _, _, fits = _fit_columns(
+    _, _, eulers = _fit_columns(
         pool, range(len(keys)), bound, tuple(word), f"word {tuple(word)}: counts"
     )
-    return {k: euler for k, (_, euler) in zip(keys, fits)}
+    return dict(zip(keys, eulers))

@@ -27,6 +27,7 @@ them is reused by the others.
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -37,11 +38,18 @@ from .flags import (
     _count_row,
     _fit_columns,
     _PrimePool,
+    _window_polynomial,
     _word_steps,
     enumerate_subspaces,
     fingerprint,
 )
-from .homext import Derivation, ext_presentation, is_inner, middle_term
+from .homext import (
+    Derivation,
+    ExtPresentation,
+    ext_presentation,
+    is_inner,
+    middle_term,
+)
 from .linalg import Polynomial
 from .module import BadPrime, LambdaModule, direct_sum, reduce_mod_p
 from .quiver import Word
@@ -77,8 +85,13 @@ class Stratum:
     sizes: Tuple[Tuple[int, int], ...]
     window: Tuple[int, ...]
     validation: Tuple[int, ...]
-    polynomial: Polynomial
     chi_proj: int
+
+    @cached_property
+    def polynomial(self) -> Polynomial:
+        """The accepted fit, interpolated through the window sizes when
+        first read."""
+        return _window_polynomial(self.sizes, self.window)
 
 
 @dataclass(frozen=True)
@@ -161,13 +174,34 @@ def stratify_proj_ext(
             is repeated in the prime list, or the memo holds another
             double quiver's counts.
     """
+    # before the presentations, which need the two modules over one field
+    _check_rational(xp, xpp)
+    pres = ext_presentation(xp, xpp)
+    back = ext_presentation(xpp, xp)
+    return _stratify(xp, xpp, pres, back, anchors, prime_list, memo)
+
+
+def _check_rational(xp: LambdaModule, xpp: LambdaModule) -> None:
     if not (xp.field.is_rational and xpp.field.is_rational):
         raise ValueError("stratification starts from rational modules")
-    pres = ext_presentation(xp, xpp)
+
+
+def _stratify(
+    xp: LambdaModule,
+    xpp: LambdaModule,
+    pres: ExtPresentation,
+    back: ExtPresentation,
+    anchors: Mapping[str, LambdaModule],
+    prime_list: Optional[Sequence[int]],
+    memo: Optional[Dict],
+) -> Tuple[Stratum, ...]:
+    """:func:`stratify_proj_ext`, given the presentations of
+    Ext^1(xp, xpp) (``pres``) and of Ext^1(xpp, xp) (``back``) over Q,
+    so a job that stratifies both directions computes each once."""
+    _check_rational(xp, xpp)
     n = pres.ext1_dim
     if n == 0:
         raise ValueError("Ext^1 vanishes, there is nothing to stratify")
-    back = ext_presentation(xpp, xp)
     names = tuple(anchors)
     mods = tuple(anchors[name] for name in names)
     want = tuple(a + b for a, b in zip(xp.dim, xpp.dim))
@@ -227,7 +261,7 @@ def stratify_proj_ext(
     )
     try:
         # group sizes are polynomials of degree below n = dim Ext^1
-        window, validation, fits = _fit_columns(
+        window, validation, chis = _fit_columns(
             pool, range(len(names)), n - 1, (), "stratum sizes"
         )
     except InsufficientPrimes:
@@ -245,8 +279,7 @@ def stratify_proj_ext(
             sizes=tuple((p, vec[j]) for p, vec in sampled),
             window=window,
             validation=validation,
-            polynomial=fits[j][0],
-            chi_proj=fits[j][1],
+            chi_proj=chis[j],
         )
         for j, (name, mod, fp) in enumerate(zip(names, mods, fps))
     )
@@ -292,12 +325,15 @@ def verify_thm_1_1(
         (plus everything stratify_proj_ext raises)
     """
     start = time.perf_counter()
-    n = ext_presentation(xp, xpp).ext1_dim
+    pres = ext_presentation(xp, xpp)
+    n = pres.ext1_dim
     if n == 0:
         raise ValueError("Ext^1(x', x'') = 0: the pairwise identity is meaningless")
+    back = ext_presentation(xpp, xp)
     memo: Dict = {}
-    strata_fwd = stratify_proj_ext(xp, xpp, anchors_fwd, prime_list, memo)
-    strata_bwd = stratify_proj_ext(xpp, xp, anchors_bwd, prime_list, memo)
+    # each presentation over Q serves both stratifications
+    strata_fwd = _stratify(xp, xpp, pres, back, anchors_fwd, prime_list, memo)
+    strata_bwd = _stratify(xpp, xp, back, pres, anchors_bwd, prime_list, memo)
     total = fingerprint(direct_sum(xp, xpp), prime_list, memo=memo)
     merged = _merge_strata(strata_fwd + strata_bwd)
     left = tuple(n * c for c in total.chi)

@@ -325,11 +325,11 @@ def test_08_interpolation_guard(monkeypatch):
     assert all(len(profile.validation) == 2 for profile in fp.profiles)
     real = flags._count
 
-    def crooked(m, steps, memo):
-        n = real(m, steps, memo)
-        if len(steps) == 2 and m.field.p % 4 == 3:
-            return n + 1
-        return n
+    def crooked(m, node, memo):
+        counts = real(m, node, memo)
+        if len(node) == 2 and m.field.p % 4 == 3:
+            return tuple(n + 1 for n in counts)
+        return counts
 
     monkeypatch.setattr(flags, "_count", crooked)
     with pytest.raises(NonPolynomialCount) as err:

@@ -238,11 +238,11 @@ def test_nonpolynomial_counts_surface_after_all_shifts(monkeypatch):
     dq = a2_double()
     real = flags._count
 
-    def crooked(m, steps, memo):
-        n = real(m, steps, memo)
-        if len(steps) == 2 and m.field.p % 4 == 3:
-            n += 1
-        return n
+    def crooked(m, node, memo):
+        counts = real(m, node, memo)
+        if len(node) == 2 and m.field.p % 4 == 3:
+            counts = tuple(n + 1 for n in counts)
+        return counts
 
     monkeypatch.setattr(flags, "_count", crooked)
     s1, s2 = simple(dq, "1", QQ), simple(dq, "2", QQ)
@@ -454,6 +454,59 @@ def test_splitting_types_share_the_enumeration(monkeypatch, rng_seed):
     assert checked >= 10
 
 
+def test_count_rows_agree_with_single_words_and_the_chain_oracle(
+    monkeypatch, rng_seed
+):
+    # one row counts a whole step table through one trie: it must give
+    # each entry's own count in table order, whatever that order is, and
+    # list the pieces of each module at each vertex once per word row
+    real = flags._children
+    asked = []
+
+    def recorded(m, v, c, memo):
+        asked.append((m.field.p, m.dim, m.rows, v, c))
+        return real(m, v, c, memo)
+
+    monkeypatch.setattr(flags, "_children", recorded)
+    rng = random.Random(rng_seed + 21)
+    a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
+    rows = 0
+    for dq in (a3, kronecker, a3, kronecker):
+        left, right = modest_pair(dq, rng)
+        for p in (2, 3):
+            try:
+                lp, rp = reduce_mod_p(left, p), reduce_mod_p(right, p)
+            except BadPrime:
+                continue
+            whole = direct_sum(lp, rp)
+            words, steps = flags._word_steps(whole.quiver, whole.dim)
+            asked.clear()
+            row = flags._count_row(whole, steps, {})
+            assert len(asked) == len(set(asked)), (whole.dim, p)
+            splits = [flags._split_steps(lp, rp, w, None) for w in words]
+            table = steps + tuple(s for _, split in splits for s in split)
+            # words and splitting types in one row, so the trie mixes
+            # drop-free and tracked steps
+            mixed = flags._count_row(whole, table, {})
+            assert mixed[: len(words)] == row
+            want = []
+            for word, n, (keys, _) in zip(words, row, splits):
+                assert n == count_flags(whole, word, memo={}).count, (word, p)
+                oracle = chain_split_counts(lp, rp, word)
+                assert n == sum(oracle.values()), (word, p)
+                want += [oracle.get(key, 0) for key in keys]
+            assert mixed[len(words):] == tuple(want), p
+            order = list(range(len(table)))
+            rng.shuffle(order)
+            shuffled = tuple(table[i] for i in order)
+            assert flags._count_row(whole, shuffled, {}) == tuple(
+                mixed[i] for i in order
+            )
+            rows += 1
+    assert rows >= 6
+
+
 def test_split_counts_with_multiplicity_two():
     dq = a2_double()
     s1 = simple(dq, "1", QQ)
@@ -618,10 +671,10 @@ def test_shared_fit_window_slides_every_column():
         return (p + 1, 1 if p == 2 else p + 1)
 
     pool = flags._PrimePool(sampler, primes())
-    window, validation, fits = flags._fit_columns(pool, (0, 1), 1, ("1",), "both")
+    window, validation, eulers = flags._fit_columns(pool, (0, 1), 1, ("1",), "both")
     assert window == (3, 5)
     assert validation == (7, 11)
-    assert [euler for _, euler in fits] == [2, 2]
+    assert eulers == (2, 2)
     assert [p for p, _ in pool.rows] == [2, 3, 5, 7, 11]
     alone = flags._PrimePool(sampler, primes())
     assert flags._fit_columns(alone, (0,), 1, ("1",), "one")[0] == (2, 3)
@@ -656,7 +709,7 @@ def lagrange_reference(points):
 
 def reference_fit(pool, columns, bound, word, what):
     """The shared sliding-window fit with every column interpolated by
-    lagrange_reference and checked in Fractions."""
+    lagrange_reference and checked in Fractions; returns the values at 1."""
     need = bound + 1
     for shift in range(flags.MAX_WINDOW_SHIFT + 1):
         rows = [
@@ -670,7 +723,7 @@ def reference_fit(pool, columns, bound, word, what):
                 poly(p) != vec[j] for p, vec in rows[need:]
             ):
                 break
-            fits.append((poly, int(at_one)))
+            fits.append(int(at_one))
         else:
             return (
                 tuple(p for p, _ in rows[:need]),

@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from preproj import d4, flags
+from preproj import d4, flags, verify
 from preproj.fields import QQ, Field
 from preproj.flags import enumerate_subspaces, fingerprint
 from preproj.homext import ext_presentation, middle_term
@@ -261,7 +261,18 @@ def test_pairwise_job_memo_matches_fresh_memo_calls(monkeypatch):
     zoo = d4.zoo(1)
     xp, xpp = zoo["S4"], zoo["T"]
     built = count_child_lists(monkeypatch)
+    real_presentation = verify.ext_presentation
+    over_q = []
+
+    def presented(m, n):
+        if m.field.is_rational:
+            over_q.append((m, n))
+        return real_presentation(m, n)
+
+    monkeypatch.setattr(verify, "ext_presentation", presented)
     rep = verify_thm_1_1(xp, xpp, m_anchors(zoo), r_anchors(zoo))
+    # both stratifications share the job's two presentations over Q
+    assert over_q == [(xp, xpp), (xpp, xp)]
     in_job = built[0]
     built[0] = 0
     fwd = stratify_proj_ext(xp, xpp, m_anchors(zoo))

@@ -18,12 +18,16 @@ Every count is one row: the step sequences of a table (the words of a
 fingerprint, the splitting types of a split count, or a single word) are
 merged into a trie by their first steps, and one recursion over the
 trie counts all of them, listing the subspaces at each branch once.
-Tries are cached per table for the process and their nodes interned, so
-tables that end alike share nodes.  Counts are memoized per module and
-node, child lists per module, vertex and multiplicity, in a plain dict
-under keys that start with the prime and hold the module's dimension
-vector and rows, so one dict can serve every module, prime and table of
-one double quiver.  A single count or fingerprint starts a fresh dict
+Counts are memoized per module and trie node, child lists per module,
+vertex and multiplicity, in a plain dict under keys that start with the
+prime and hold the module's dimension vector and rows, so one dict can
+serve every module, prime and table of one double quiver.  The dict also
+interns the nodes of the tries counted through it: equal rests of any
+of its tables are one node, so a word, a fingerprint row, a stratum row
+and a split table that end alike share their counts below that point.
+A table's trie is built once and counted at every prime the table is
+sampled at; the trie of a dimension vector's words is kept in the dict
+beside its word list.  A single count or fingerprint starts a fresh dict
 per prime; a verification job (see :mod:`preproj.verify`) passes one
 dict to all the modules it counts, so an anchor's row counted by its
 fingerprint is not counted again when the strata are matched against
@@ -34,9 +38,9 @@ and refuses a module of another double quiver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations, groupby, product
-from operator import itemgetter, mul
+from functools import cached_property
+from itertools import combinations, product
+from operator import mul
 from typing import (
     Dict,
     Iterable,
@@ -48,7 +52,6 @@ from typing import (
     Set,
     Tuple,
 )
-from weakref import WeakValueDictionary
 
 from .fields import Field, primes
 from .linalg import Polynomial, echelon, interpolate, lagrange_weights
@@ -77,8 +80,13 @@ MAX_WINDOW_SHIFT = 6
 
 # The memo key under which _count_row records the arrows its counts are for.
 _ARROWS_KEY = "arrows"
+# The memo key of the table that interns the trie nodes counted through it.
+_NODES_KEY = "nodes"
 
 Steps = Tuple[Tuple[int, int, int], ...]
+# A step trie: its root and the position of every table entry in the
+# root's count tuple (see _trie).
+Trie = Tuple["_Node", Tuple[int, ...]]
 SplitKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
@@ -172,17 +180,17 @@ def _steps(
     return tuple((idx[v], c, d) for v, c, d in zip(word, coeffs, drops) if c > 0)
 
 
-def _word_steps(
+def _word_table(
     q: Quiver, dim: Tuple[int, ...], memo: Optional[Dict] = None
-) -> Tuple[Tuple[Word, ...], Tuple[Steps, ...]]:
-    """Every word with content dim, in enumeration order, and its steps;
-    kept in ``memo`` under (q, dim), when one is given, for the next
-    module of the same quiver and dimension vector."""
+) -> Tuple[Tuple[Word, ...], Trie]:
+    """Every word with content dim, in enumeration order, and the trie of
+    their steps; kept in ``memo`` under (q, dim), when one is given, for
+    the next module of the same quiver and dimension vector."""
     key = (q, dim)
     table = None if memo is None else memo.get(key)
     if table is None:
         words = enumerate_words(q, dim)
-        table = words, tuple(_steps(q, w, None) for w in words)
+        table = words, _trie(tuple(_steps(q, w, None) for w in words), memo)
         if memo is not None:
             memo[key] = table
     return table
@@ -287,63 +295,71 @@ def _children(
 class _Node:
     """One node of a step trie: the step sequences left below it.
 
-    ``branches`` groups them by first step, one (v, c, cases) per vertex
-    index and multiplicity, in ascending order; each case (drop, tracked,
+    ``cases`` groups them by first step: each case (v, c, drop, tracked,
     child), in ascending order, holds in ``child`` the rests of the
     sequences whose first step is (v, c, drop) and whose drops at v sum to
-    ``tracked``, this step's included.  ``end`` marks the empty sequence.
+    ``tracked``, this step's included; the cases of one (v, c) are
+    adjacent and make up its branch.  ``end`` marks the empty sequence.
     A count tuple of the node lists the empty sequence first, then every
     case's child tuple in turn; ``size`` is its length, and ``len()`` is
     the number of steps left on the longest sequence.  Nodes are interned
-    (see :func:`_node`), so equal nodes are one object and hash by
-    identity.
+    in the memo they are counted through (see :func:`_trie`), so equal
+    nodes are one object; they hash by identity.
     """
 
-    __slots__ = ("end", "branches", "size", "depth", "__weakref__")
+    __slots__ = ("end", "cases", "size", "depth")
 
-    def __init__(self, end: bool, branches: Tuple) -> None:
+    def __init__(self, end: bool, cases: Tuple) -> None:
         self.end = end
-        self.branches = branches
-        cases = [case for _, _, group in branches for case in group]
-        self.size = end + sum(child.size for _, _, child in cases)
-        self.depth = max((1 + child.depth for _, _, child in cases), default=0)
+        self.cases = cases
+        self.size = int(end)
+        self.depth = 0
+        for *_, child in cases:
+            self.size += child.size
+            self.depth = max(self.depth, child.depth + 1)
 
     def __len__(self) -> int:
         return self.depth
 
 
-# Every live trie node, by its (end, branches); a node lives as long as a
-# cached trie or a count memo holds it.
-_NODES: "WeakValueDictionary[Tuple, _Node]" = WeakValueDictionary()
+Path = Tuple[Tuple[int, int, int, int], ...]
 
 
-def _node(paths: Sequence[Tuple[Tuple[int, int, int, int], ...]], k: int) -> _Node:
-    """The interned node of distinct paths, in ascending order, that
-    share their first k steps; a path's steps are (v, c, drop, tracked)."""
+def _node(paths: Sequence[Path], k: int, nodes: Dict[Tuple, _Node]) -> _Node:
+    """The node of distinct paths, in ascending order, that share their
+    first k steps, interned in ``nodes`` by its (end, cases); a path's
+    steps are (v, c, drop, tracked)."""
+    if len(paths) == 1:
+        # one path left: a chain of single cases, built from its end
+        node = _intern(True, (), nodes)
+        for step in reversed(paths[0][k:]):
+            node = _intern(False, ((*step, node),), nodes)
+        return node
     end = bool(paths) and len(paths[0]) == k
-    branches = tuple(
-        (
-            v,
-            c,
-            tuple(
-                (drop, tracked, _node(list(same), k + 1))
-                for (_, _, drop, tracked), same in groupby(group, itemgetter(k))
-            ),
-        )
-        for (v, c), group in groupby(paths[end:], lambda path: path[k][:2])
-    )
-    key = (end, branches)
-    node = _NODES.get(key)
+    groups: Dict[Tuple[int, int, int, int], List[Path]] = {}
+    for path in paths[end:]:
+        groups.setdefault(path[k], []).append(path)
+    cases = tuple((*step, _node(same, k + 1, nodes)) for step, same in groups.items())
+    return _intern(end, cases, nodes)
+
+
+def _intern(end: bool, cases: Tuple, nodes: Dict[Tuple, _Node]) -> _Node:
+    """The one node of ``nodes`` with this end mark and these cases."""
+    key = (end, cases)
+    node = nodes.get(key)
     if node is None:
-        node = _NODES[key] = _Node(end, branches)
+        node = nodes[key] = _Node(end, cases)
     return node
 
 
-@lru_cache(maxsize=1024)
-def _trie(steps: Tuple[Steps, ...]) -> Tuple[_Node, Tuple[int, ...]]:
+def _trie(steps: Sequence[Steps], memo: Optional[Dict]) -> Trie:
     """The trie of a step table and the position of every table entry in
-    the root's count tuple; cached, since a table is counted at every
-    sampled prime.
+    the root's count tuple.  A table sampled at several primes is turned
+    into a trie once, and counted through it at each.
+
+    The nodes are interned in ``memo``, so every table counted through
+    one memo shares its equal rests, or only within this trie when
+    ``memo`` is None.
 
     A step's tracked amount is the sum of the drops at its vertex from it
     to the end of its sequence.  Positions follow the ascending order of
@@ -360,7 +376,8 @@ def _trie(steps: Tuple[Steps, ...]) -> Tuple[_Node, Tuple[int, ...]]:
         paths.append(tuple(reversed(path)))
     order = sorted(set(paths))
     rank = {path: r for r, path in enumerate(order)}
-    return _node(order, 0), tuple(rank[path] for path in paths)
+    nodes = {} if memo is None else memo.setdefault(_NODES_KEY, {})
+    return _node(order, 0, nodes), tuple(rank[path] for path in paths)
 
 
 def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
@@ -397,29 +414,30 @@ def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
     if cached is not None:
         return cached
     counts = [1] if node.end else []
-    for v, c, cases in node.branches:
-        children = _children(m, v, c, memo)
-        for drop, tracked, child in cases:
-            first_tracked = m.dim[v] - tracked
-            below = [
-                _count(piece, child, memo)
-                for pivots, piece in children
-                if not tracked
-                or sum(r >= first_tracked for r in pivots) == tracked - drop
-            ]
-            counts.extend(map(sum, zip(*below)) if below else (0,) * child.size)
+    branch = None
+    for v, c, drop, tracked, child in node.cases:
+        if branch != (v, c):
+            branch = v, c
+            children = _children(m, v, c, memo)
+        first_tracked = m.dim[v] - tracked
+        below = [
+            _count(piece, child, memo)
+            for pivots, piece in children
+            if not tracked
+            or sum(r >= first_tracked for r in pivots) == tracked - drop
+        ]
+        counts.extend(map(sum, zip(*below)) if below else (0,) * child.size)
     total = tuple(counts)
     memo[key] = total
     return total
 
 
-def _count_row(
-    m: LambdaModule, steps: Sequence[Steps], memo: Dict
-) -> Tuple[int, ...]:
+def _count_row(m: LambdaModule, trie: Trie, memo: Dict) -> Tuple[int, ...]:
     """The stable flag counts of a finite-field module, one per entry of
-    a step table, through one shared memo.  Every count the package takes
-    (words, fingerprint rows, split tables, strata) is taken here, in one
-    :func:`_count` call on the root of the table's trie.
+    the step table of a trie (see :func:`_trie`), through one shared
+    memo.  Every count the package takes (words, fingerprint rows, split
+    tables, strata) is taken here, in one :func:`_count` call on the
+    trie's root.
 
     The memo may hold the counts of other modules and primes, but only of
     one double quiver: on first use it records the module's arrows, and
@@ -429,7 +447,7 @@ def _count_row(
     arrows = memo.setdefault(_ARROWS_KEY, rm.arrows)
     if arrows != rm.arrows:
         raise ValueError("the memo holds counts of another double quiver")
-    root, where = _trie(tuple(steps))
+    root, where = trie
     counts = _count(rm, root, memo)
     return tuple(counts[i] for i in where)
 
@@ -456,9 +474,9 @@ def count_flags(
         raise ValueError("flag counting needs a prime field; reduce first")
     if word_content(m.quiver, word, coeffs) != m.dim:
         raise ValueError("word content differs from the module dimension")
-    (n,) = _count_row(
-        m, (_steps(m.quiver, word, coeffs),), {} if memo is None else memo
-    )
+    if memo is None:
+        memo = {}
+    (n,) = _count_row(m, _trie((_steps(m.quiver, word, coeffs),), memo), memo)
     fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
     return FlagCount(m, tuple(word), fixed, m.field.p, n)
 
@@ -471,8 +489,8 @@ def count_flags_fp(m: LambdaModule) -> Tuple[int, ...]:
     """
     if m.field.is_rational:
         raise ValueError("flag counting needs a prime field; reduce first")
-    _, steps = _word_steps(m.quiver, m.dim)
-    return _count_row(m, steps, {})
+    _, trie = _word_table(m.quiver, m.dim)
+    return _count_row(m, trie, {})
 
 
 def degree_bound(m: LambdaModule) -> int:
@@ -522,11 +540,9 @@ class _PrimePool:
         return self._rows[k]
 
 
-def _module_sampler(
-    module: LambdaModule, steps: Tuple[Steps, ...], memo: Optional[Dict] = None
-):
+def _module_sampler(module: LambdaModule, trie: Trie, memo: Optional[Dict] = None):
     """The pool sampler of a rational module: its count row mod p for the
-    step table, or None at a bad prime.  Every prime counts through
+    trie's step table, or None at a bad prime.  Every prime counts through
     ``memo``, or through a fresh dict of its own when it is None."""
 
     def sample(p: int) -> Optional[Tuple[int, ...]]:
@@ -534,7 +550,7 @@ def _module_sampler(
             mp = reduce_mod_p(module, p)
         except BadPrime:
             return None
-        return _count_row(mp, steps, {} if memo is None else memo)
+        return _count_row(mp, trie, {} if memo is None else memo)
 
     return sample
 
@@ -645,7 +661,8 @@ def euler_characteristic(
     if word_content(m.quiver, word, coeffs) != m.dim:
         raise ValueError("word content differs from the module dimension")
     pool = _PrimePool(
-        _module_sampler(m, (_steps(m.quiver, word, coeffs),)), prime_list
+        _module_sampler(m, _trie((_steps(m.quiver, word, coeffs),), None)),
+        prime_list,
     )
     fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
     return _fit_word(pool, 0, degree_bound(m), tuple(word), fixed)
@@ -674,9 +691,9 @@ def fingerprint(
     """
     if not m.field.is_rational:
         raise ValueError("Euler characteristics are computed over the rationals")
-    words, steps = _word_steps(m.quiver, m.dim, memo)
+    words, trie = _word_table(m.quiver, m.dim, memo)
     bound = degree_bound(m)
-    pool = _PrimePool(_module_sampler(m, steps, memo), prime_list)
+    pool = _PrimePool(_module_sampler(m, trie, memo), prime_list)
     profiles = tuple(
         _fit_word(pool, j, bound, w, (1,) * len(w)) for j, w in enumerate(words)
     )
@@ -740,7 +757,9 @@ def count_flags_by_splitting(
     if word_content(whole.quiver, word, coeffs) != whole.dim:
         raise ValueError("word content differs from the module dimension")
     keys, steps = _split_steps(left, right, word, coeffs)
-    counts = _count_row(whole, steps, {} if memo is None else memo)
+    if memo is None:
+        memo = {}
+    counts = _count_row(whole, _trie(steps, memo), memo)
     return {key: n for key, n in zip(keys, counts) if n}
 
 
@@ -768,7 +787,7 @@ def split_euler_table(
     keys, steps = _split_steps(left, right, word, coeffs)
     whole = direct_sum(left, right)
     bound = degree_bound(whole)
-    pool = _PrimePool(_module_sampler(whole, steps), None)
+    pool = _PrimePool(_module_sampler(whole, _trie(steps, None)), None)
     _, _, eulers = _fit_columns(
         pool, range(len(keys)), bound, tuple(word), f"word {tuple(word)}: counts"
     )

@@ -21,7 +21,8 @@ and all are counted at the same few primes.  So each check is one job
 with one count memo (see :mod:`preproj.flags`): the anchors'
 fingerprints, the middle terms of the extension classes and the direct
 sum all count through it, and a count row or child list found for one of
-them is reused by the others.
+them is reused by the others.  The memo also keeps the presentations of
+Ext^1 over Q, so the two stratifications present each direction once.
 """
 
 import time
@@ -39,7 +40,7 @@ from .flags import (
     _fit_columns,
     _PrimePool,
     _window_polynomial,
-    _word_steps,
+    _word_table,
     enumerate_subspaces,
     fingerprint,
 )
@@ -133,6 +134,21 @@ def _class_derivation(basis: Sequence[Derivation], vec: Sequence[int]) -> Deriva
     return d
 
 
+def _presentation(
+    x: LambdaModule, y: LambdaModule, memo: Optional[Dict]
+) -> ExtPresentation:
+    """The presentation of Ext^1(x, y) over Q; kept in ``memo``, when one
+    is given, so the two stratifications of a job present each direction
+    once."""
+    key = ("ext1", x, y)
+    pres = None if memo is None else memo.get(key)
+    if pres is None:
+        pres = ext_presentation(x, y)
+        if memo is not None:
+            memo[key] = pres
+    return pres
+
+
 def stratify_proj_ext(
     xp: LambdaModule,
     xpp: LambdaModule,
@@ -162,8 +178,9 @@ def stratify_proj_ext(
         memo: optional count memo shared with the caller, valid for one
             double quiver; the anchors' fingerprints and every sampled
             prime count through it, so an anchor's row is counted once
-            per prime.  When omitted, each prime of each count starts a
-            fresh dict.
+            per prime, and it keeps the two presentations of Ext^1 over
+            Q.  When omitted, each prime of each count starts a fresh
+            dict.
 
     Raises:
         UnanchoredStratum: a class matched no anchor at some prime.
@@ -174,34 +191,13 @@ def stratify_proj_ext(
             is repeated in the prime list, or the memo holds another
             double quiver's counts.
     """
-    # before the presentations, which need the two modules over one field
-    _check_rational(xp, xpp)
-    pres = ext_presentation(xp, xpp)
-    back = ext_presentation(xpp, xp)
-    return _stratify(xp, xpp, pres, back, anchors, prime_list, memo)
-
-
-def _check_rational(xp: LambdaModule, xpp: LambdaModule) -> None:
     if not (xp.field.is_rational and xpp.field.is_rational):
         raise ValueError("stratification starts from rational modules")
-
-
-def _stratify(
-    xp: LambdaModule,
-    xpp: LambdaModule,
-    pres: ExtPresentation,
-    back: ExtPresentation,
-    anchors: Mapping[str, LambdaModule],
-    prime_list: Optional[Sequence[int]],
-    memo: Optional[Dict],
-) -> Tuple[Stratum, ...]:
-    """:func:`stratify_proj_ext`, given the presentations of
-    Ext^1(xp, xpp) (``pres``) and of Ext^1(xpp, xp) (``back``) over Q,
-    so a job that stratifies both directions computes each once."""
-    _check_rational(xp, xpp)
+    pres = _presentation(xp, xpp, memo)
     n = pres.ext1_dim
     if n == 0:
         raise ValueError("Ext^1 vanishes, there is nothing to stratify")
+    back = _presentation(xpp, xp, memo)
     names = tuple(anchors)
     mods = tuple(anchors[name] for name in names)
     want = tuple(a + b for a, b in zip(xp.dim, xpp.dim))
@@ -215,7 +211,7 @@ def _stratify(
                 f"anchor {name} has dimension vector {mod.dim}, expected {want}"
             )
     fps = tuple(fingerprint(mod, prime_list, memo=memo) for mod in mods)
-    _, steps = _word_steps(xp.quiver, want, memo)
+    _, trie = _word_table(xp.quiver, want, memo)
     collisions: List[int] = []
 
     def sample(p: int) -> Optional[Tuple[int, ...]]:
@@ -235,7 +231,7 @@ def _stratify(
         ):
             return None
         memo_p = {} if memo is None else memo
-        keys = [_count_row(mod_p, steps, memo_p) for mod_p in mods_p]
+        keys = [_count_row(mod_p, trie, memo_p) for mod_p in mods_p]
         if len(set(keys)) != len(keys):
             collisions.append(p)
             return None
@@ -244,7 +240,7 @@ def _stratify(
         # one echelon row per point of P^{n-1}: first nonzero entry 1
         for (vec,) in enumerate_subspaces(xp_p.field, n, 1):
             d = _class_derivation(pres_p.ext1_basis, vec)
-            key = _count_row(middle_term(d).module, steps, memo_p)
+            key = _count_row(middle_term(d).module, trie, memo_p)
             groups[key] = groups.get(key, 0) + 1
             witness.setdefault(key, vec)
         sizes = tuple(groups.pop(key, 0) for key in keys)
@@ -325,15 +321,12 @@ def verify_thm_1_1(
         (plus everything stratify_proj_ext raises)
     """
     start = time.perf_counter()
-    pres = ext_presentation(xp, xpp)
-    n = pres.ext1_dim
+    memo: Dict = {}
+    n = _presentation(xp, xpp, memo).ext1_dim
     if n == 0:
         raise ValueError("Ext^1(x', x'') = 0: the pairwise identity is meaningless")
-    back = ext_presentation(xpp, xp)
-    memo: Dict = {}
-    # each presentation over Q serves both stratifications
-    strata_fwd = _stratify(xp, xpp, pres, back, anchors_fwd, prime_list, memo)
-    strata_bwd = _stratify(xpp, xp, back, pres, anchors_bwd, prime_list, memo)
+    strata_fwd = stratify_proj_ext(xp, xpp, anchors_fwd, prime_list, memo)
+    strata_bwd = stratify_proj_ext(xpp, xp, anchors_bwd, prime_list, memo)
     total = fingerprint(direct_sum(xp, xpp), prime_list, memo=memo)
     merged = _merge_strata(strata_fwd + strata_bwd)
     left = tuple(n * c for c in total.chi)

@@ -111,6 +111,23 @@ def test_memo_refuses_a_second_double_quiver():
     assert fp.words == (("x", "y"), ("y", "x"))
 
 
+def test_trie_nodes_are_interned_in_their_memo():
+    # two tables whose words end alike share the node of their common
+    # rest through one memo, and only through it: nothing is kept for
+    # the process
+    left = (((0, 1, 0), (1, 1, 0), (2, 1, 0)),)
+    right = (((1, 1, 0), (1, 1, 0), (2, 1, 0)), ((2, 1, 0), (1, 1, 0), (1, 1, 0)))
+    memo = {}
+    (root, where), (other, _) = flags._trie(left, memo), flags._trie(right, memo)
+    assert where == (0,) and len(root) == 3 and root.size == 1
+    assert len(other) == 3 and other.size == 2
+    rest = root.cases[0][-1]
+    assert other.cases[0][-1] is rest
+    assert flags._trie(left, memo)[0] is root
+    assert flags._trie(right, None)[0].cases[0][-1] is not rest
+    assert flags._trie(left, {})[0] is not root
+
+
 def test_s4_pair_counts_are_projective_line():
     dq = d4.star_double()
     pair = direct_sum(d4.s4_module(dq), d4.s4_module(dq))
@@ -480,15 +497,16 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
             except BadPrime:
                 continue
             whole = direct_sum(lp, rp)
-            words, steps = flags._word_steps(whole.quiver, whole.dim)
+            words, trie = flags._word_table(whole.quiver, whole.dim)
+            steps = tuple(flags._steps(whole.quiver, w, None) for w in words)
             asked.clear()
-            row = flags._count_row(whole, steps, {})
+            row = flags._count_row(whole, trie, {})
             assert len(asked) == len(set(asked)), (whole.dim, p)
             splits = [flags._split_steps(lp, rp, w, None) for w in words]
             table = steps + tuple(s for _, split in splits for s in split)
             # words and splitting types in one row, so the trie mixes
             # drop-free and tracked steps
-            mixed = flags._count_row(whole, table, {})
+            mixed = flags._count_row(whole, flags._trie(table, None), {})
             assert mixed[: len(words)] == row
             want = []
             for word, n, (keys, _) in zip(words, row, splits):
@@ -500,7 +518,7 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
             order = list(range(len(table)))
             rng.shuffle(order)
             shuffled = tuple(table[i] for i in order)
-            assert flags._count_row(whole, shuffled, {}) == tuple(
+            assert flags._count_row(whole, flags._trie(shuffled, None), {}) == tuple(
                 mixed[i] for i in order
             )
             rows += 1

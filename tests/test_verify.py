@@ -269,10 +269,20 @@ def test_pairwise_job_memo_matches_fresh_memo_calls(monkeypatch):
             over_q.append((m, n))
         return real_presentation(m, n)
 
+    real_stratify = verify.stratify_proj_ext
+    directions = []
+
+    def stratified(x, y, *args):
+        directions.append((x, y))
+        return real_stratify(x, y, *args)
+
     monkeypatch.setattr(verify, "ext_presentation", presented)
+    monkeypatch.setattr(verify, "stratify_proj_ext", stratified)
     rep = verify_thm_1_1(xp, xpp, m_anchors(zoo), r_anchors(zoo))
-    # both stratifications share the job's two presentations over Q
+    # both stratifications share the job's two presentations over Q, and
+    # the job stratifies through the public function
     assert over_q == [(xp, xpp), (xpp, xp)]
+    assert directions == [(xp, xpp), (xpp, xp)]
     in_job = built[0]
     built[0] = 0
     fwd = stratify_proj_ext(xp, xpp, m_anchors(zoo))
@@ -337,9 +347,9 @@ def test_standalone_calls_count_each_prime_through_a_fresh_memo(monkeypatch):
     seen = []
     real = flags._count_row
 
-    def recorded(m, steps, memo):
+    def recorded(m, trie, memo):
         seen.append((m.field.p, memo))
-        return real(m, steps, memo)
+        return real(m, trie, memo)
 
     monkeypatch.setattr(flags, "_count_row", recorded)
     fp = fingerprint(zoo["T"])

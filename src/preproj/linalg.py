@@ -9,10 +9,16 @@ is unique for a given subspace, so two such matrices are equal exactly
 when they span the same subspace.
 
 Rational entries are ``Fraction`` values, but the inner loops do not
-compute with them: :func:`echelon` eliminates rational rows over the
-integers (fraction-free, each row kept primitive) and turns each result
-row into ``Fraction`` entries once, and :meth:`Matrix.mul` takes integer
-dot products of denominator-cleared factors and divides each entry once.
+compute with them.  Every row reduction runs in one integer core,
+:func:`_echelon_ints`: over F_p on rows normalized mod p, over Q
+fraction-free on integer rows kept primitive.  :func:`_kernel_rows`
+reads null space vectors off its rows, scaled by an lcm over Q instead
+of divided.  Fractions are made in one place, :func:`_fractions`, once
+per returned entry (every zero the one shared ``Fraction(0)``): by
+:func:`echelon` and :func:`kernel_basis` after clearing denominators,
+and by ``homext.ext_presentation``, which calls the core on integer
+rows from start to finish.  :meth:`Matrix.mul` takes integer dot
+products of denominator-cleared factors and divides each entry once.
 """
 
 from __future__ import annotations
@@ -23,7 +29,17 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .fields import Field, Scalar
 
@@ -201,19 +217,13 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        f = self.field
-        p = f.p
-        rows = self.entries
-        cols = [other.col(j) for j in range(other.ncols)]
-        if p is None:
-            rows, d = clear_denominators(rows)
-            cols, e = clear_denominators(cols)
-            out = tuple(
-                tuple(Fraction(sum(map(mul, r, c)), d * e) for c in cols) for r in rows
-            )
-        else:
-            out = tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in rows)
-        return Matrix(f, self.nrows, other.ncols, out)
+        cols = list(zip(*other.entries)) if other.nrows else [()] * other.ncols
+        return Matrix(
+            self.field,
+            self.nrows,
+            other.ncols,
+            _products(self.field.p, self.entries, cols),
+        )
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -234,6 +244,23 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix.block([list(mats)])
 
 
+def _products(
+    p: Optional[int],
+    rows: Sequence[Sequence[Scalar]],
+    cols: Sequence[Sequence[Scalar]],
+) -> Tuple[Tuple[Scalar, ...], ...]:
+    """The dot product of every row with every column, one result row
+    per row: over F_p reduced mod p, over Q an integer dot product of
+    denominator-cleared factors divided into a Fraction once."""
+    if p is None:
+        rows, d = clear_denominators(rows)
+        cols, e = clear_denominators(cols)
+        return tuple(
+            tuple(Fraction(sum(map(mul, r, c)), d * e) for c in cols) for r in rows
+        )
+    return tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in rows)
+
+
 def echelon(
     vectors: Iterable[Sequence[Scalar]], p: Optional[int] = None
 ) -> Dict[int, List[Scalar]]:
@@ -241,22 +268,37 @@ def echelon(
     keyed by its leading position: over F_p for a prime p, over the
     rationals when p is None.
 
-    Each vector is cleared against the rows found so far, scaled to a
-    leading 1 and cleared out of the earlier rows, so the rows are the
-    nonzero rows of the reduced row echelon form.
-
-    Over the rationals the same steps run on integer rows: each vector
-    has its denominators cleared once, rows are combined by
-    cross-multiplication and kept primitive (entries divided by their
-    gcd, leading entry positive), and every row is divided by its
-    leading entry into ``Fraction`` entries only at the end, whether
-    the vectors hold ints or Fractions.
+    The rows are those of :func:`_echelon_ints`.  Over the rationals
+    each vector has its denominators cleared first, whether it holds
+    ints or Fractions, and each integer row is divided by its leading
+    entry into ``Fraction`` entries only at the end.
     """
+    if p is not None:
+        return _echelon_ints(vectors, p)
+    rows = _echelon_ints((clear_denominators([v])[0][0] for v in vectors), None)
+    return {q: _fractions(row, row[q]) for q, row in rows.items()}
+
+
+def _echelon_ints(
+    vectors: Iterable[Sequence[int]], p: Optional[int]
+) -> Dict[int, Sequence[int]]:
+    """The elimination core: an echelon basis of the span of int
+    vectors, each row keyed by its leading position and zero at every
+    other row's.
+
+    Each vector is cleared against the rows found so far, and the rows
+    are cleared at its leading position.  Over F_p (entries normalized
+    mod p) each row is scaled to a leading 1, so the rows are the
+    nonzero rows of the reduced row echelon form.  Over Q (p None) rows
+    are combined by cross-multiplication and kept primitive (entries
+    divided by their gcd, leading entry positive), so each row is the
+    reduced row echelon row times its leading entry, whatever multiples
+    of the vectors come in.  Only the reduction step differs.
+    """
+    rows: Dict[int, Sequence[int]] = {}
     if p is None:
-        ints: Dict[int, List[int]] = {}
         for vec in vectors:
-            (vec,), _ = clear_denominators([vec])
-            for q, row in ints.items():
+            for q, row in rows.items():
                 f = vec[q]
                 if f:
                     c = row[q]
@@ -268,21 +310,13 @@ def echelon(
                 continue
             vec = _primitive(vec, vec[lead])
             c = vec[lead]
-            for q, row in ints.items():
+            for q, row in rows.items():
                 f = row[lead]
                 if f:
-                    ints[q] = _primitive(
-                        [c * x - f * y for x, y in zip(row, vec)], 1
-                    )
-            ints[lead] = vec
-        zero = Fraction(0)
-        return {
-            q: [Fraction(x, row[q]) if x else zero for x in row]
-            for q, row in ints.items()
-        }
-    rows: Dict[int, List[Scalar]] = {}
+                    rows[q] = _primitive([c * x - f * y for x, y in zip(row, vec)], 1)
+            rows[lead] = vec
+        return rows
     for vec in vectors:
-        vec = list(vec)
         for q, row in rows.items():
             f = vec[q]
             if f:
@@ -298,6 +332,57 @@ def echelon(
                 rows[q] = [(x - f * y) % p for x, y in zip(row, vec)]
         rows[lead] = vec
     return rows
+
+
+def _kernel_rows(
+    rows: Mapping[int, Sequence[int]], ncols: int, p: Optional[int]
+) -> List[List[int]]:
+    """The null space of the core's echelon rows, one vector per free
+    column fc in increasing order.
+
+    Over F_p it is the canonical vector: 1 at fc and -row[fc] at each
+    row's leading position.  Over Q it is that vector times the lcm L of
+    the leading entries c of the rows with row[fc] != 0: L at fc and
+    -row[fc] * (L // c) at each leading position, all ints.
+    """
+    out: List[List[int]] = []
+    for fc in range(ncols):
+        if fc in rows:
+            continue
+        hits = [(q, row[fc], row[q]) for q, row in rows.items() if row[fc]]
+        vec = [0] * ncols
+        if p is None:
+            scale = lcm(*(c for _, _, c in hits))
+            vec[fc] = scale
+            for q, f, c in hits:
+                vec[q] = -f * (scale // c)
+        else:
+            vec[fc] = 1
+            for q, f, _ in hits:
+                vec[q] = -f % p
+        out.append(vec)
+    return out
+
+
+_ZERO = Fraction(0)
+
+
+def _fractions(row: Sequence[int], d: int) -> List[Fraction]:
+    """The entries of an int row divided by d, as Fractions; every zero
+    is the one shared Fraction(0)."""
+    return [Fraction(x, d) if x else _ZERO for x in row]
+
+
+def _reduced_rows(
+    rows: Mapping[int, Sequence[int]], p: Optional[int]
+) -> List[Sequence[Scalar]]:
+    """The core's rows in order of their leading positions, as the
+    reduced row echelon rows over the field: divided by the leading
+    entry into Fractions over Q, as they are over F_p."""
+    leads = sorted(rows)
+    if p is None:
+        return [_fractions(rows[q], rows[q][q]) for q in leads]
+    return [rows[q] for q in leads]
 
 
 def clear_denominators(
@@ -327,7 +412,13 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(echelon(m.entries, m.field.p))
+    return len(_echelon_ints(_int_rows(m), m.field.p))
+
+
+def _int_rows(m: Matrix) -> Sequence[Sequence[int]]:
+    """m's rows as int rows with the same echelon structure: scaled by
+    one common denominator over Q, as they are over F_p."""
+    return clear_denominators(m.entries)[0] if m.field.p is None else m.entries
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -336,18 +427,13 @@ def kernel_basis(m: Matrix) -> Matrix:
     The basis is the canonical one read off the reduced row echelon form:
     one vector per free column, with a 1 in the free coordinate.
     """
-    f = m.field
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    cols: List[List[Scalar]] = []
-    for fc in free:
-        vec = [f.zero()] * m.ncols
-        vec[fc] = f.one()
-        for i, pc in enumerate(pivots):
-            vec[pc] = f.neg(reduced.entries[i][fc])
-        cols.append(vec)
-    return _from_columns(f, m.ncols, cols)
+    p = m.field.p
+    rows = _echelon_ints(_int_rows(m), p)
+    vecs = _kernel_rows(rows, m.ncols, p)
+    if p is None:
+        free = [c for c in range(m.ncols) if c not in rows]
+        vecs = [_fractions(v, v[c]) for v, c in zip(vecs, free)]
+    return _from_columns(m.field, m.ncols, vecs)
 
 
 def column_echelon(m: Matrix) -> Matrix:

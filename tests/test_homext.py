@@ -24,7 +24,7 @@ from preproj.homext import (
     pullback,
     pushout,
 )
-from preproj.linalg import Matrix, column_echelon, rank
+from preproj.linalg import Matrix, column_echelon, hstack, kernel_basis, rank, rref
 from preproj.module import (
     BadPrime,
     LambdaModule,
@@ -33,7 +33,7 @@ from preproj.module import (
     simple,
     validate,
 )
-from preproj.quiver import Quiver, double
+from preproj.quiver import Quiver, double, has_dynkin_component
 from preproj.randgen import random_nilpotent_module
 
 
@@ -480,6 +480,160 @@ def test_assembled_differentials_match_unit_block_probes(rng_seed):
         d1 = _probe(m.field, c1, pres.d1.nrows, lambda g: apply_d1(m, n, g))
         assert pres.d0 == d0
         assert pres.d1 == d1
+
+
+def typed(m):
+    """A matrix's field, shape and entries with their types, so that 1
+    and Fraction(1) differ."""
+    return m.field, m.nrows, m.ncols, tuple(
+        tuple((type(x), x) for x in r) for r in m.entries
+    )
+
+
+def reference_presentation(m, n):
+    """Every field of ext_presentation(m, n) through the Matrix path:
+    the differentials probed one unit block at a time, then
+    kernel_basis, column_echelon and the pivots of
+    rref(hstack([inner, derivations])), each ext1 class cut from its
+    column of the derivation basis."""
+    idx = m.quiver.vertex_index
+    c0 = [(dn, dm) for dm, dn in zip(m.dim, n.dim)]
+    c1 = [(n.dim[idx[a.target]], m.dim[idx[a.source]]) for a in m.dq.arrows]
+    c0_dim, c1_dim = (sum(r * c for r, c in shapes) for shapes in (c0, c1))
+    d0 = _probe(
+        m.field,
+        c0,
+        c1_dim,
+        lambda f: [x.scale(-1) for x in inner_derivation(m, n, f).maps],
+    )
+    d1 = _probe(m.field, c1, c0_dim, lambda g: apply_d1(m, n, g))
+    derivations = column_echelon(kernel_basis(d1))
+    inner = column_echelon(d0)
+    _, pivots = rref(hstack([inner, derivations]))
+    classes = []
+    for j in pivots:
+        if j < inner.ncols:
+            continue
+        flat, maps = derivations.col(j - inner.ncols), []
+        for r, c in c1:
+            maps.append(
+                Matrix.from_rows(
+                    m.field, [flat[i * c : (i + 1) * c] for i in range(r)], ncols=c
+                )
+            )
+            flat = flat[r * c :]
+        classes.append(tuple(typed(x) for x in maps))
+    return {
+        "d0": typed(d0),
+        "d1": typed(d1),
+        "hom": typed(column_echelon(kernel_basis(d0))),
+        "derivations": typed(derivations),
+        "inner": typed(inner),
+        "ext1_basis": classes,
+        "ext2_cokernel": c0_dim - rank(d1),
+        "ext2_exact": not has_dynkin_component(m.quiver),
+    }
+
+
+def presentation_fields(pres):
+    return {
+        "d0": typed(pres.d0),
+        "d1": typed(pres.d1),
+        "hom": typed(pres.hom),
+        "derivations": typed(pres.derivations),
+        "inner": typed(pres.inner),
+        "ext1_basis": [tuple(typed(x) for x in e.maps) for e in pres.ext1_basis],
+        "ext2_cokernel": pres.ext2_cokernel,
+        "ext2_exact": pres.ext2_exact,
+    }
+
+
+def conjugated(m, scalars):
+    """The module isomorphic to m by the diagonal change of basis that
+    scales basis vector i of vertex k by scalars[(k + i) % len(scalars)]:
+    x(b) becomes g_e(b) x(b) g_s(b)^-1, which keeps the relations."""
+    idx = m.quiver.vertex_index
+    diag = [
+        [Fraction(scalars[(k + i) % len(scalars)]) for i in range(d)]
+        for k, d in enumerate(m.dim)
+    ]
+    action = {}
+    for a, x in zip(m.dq.arrows, m.action):
+        g_e, g_s = diag[idx[a.target]], diag[idx[a.source]]
+        action[a.name] = [
+            [g_e[r] * v / g_s[c] for c, v in enumerate(row)]
+            for r, row in enumerate(x.entries)
+        ]
+    return LambdaModule.build(m.dq, m.field, m.dim, action)
+
+
+def test_presentation_agrees_with_matrix_path_reference(rng_seed):
+    # the presentation runs on int rows, over Q scaled by a common
+    # denominator; every field must equal the Matrix path's, types too
+    rng = random.Random(rng_seed + 27)
+    pairs = [(d4.t_module(), d4.s4_module())]
+    for dq in (a3_double(), kron_double()) * 3:
+        pairs.append(
+            tuple(random_nilpotent_module(dq, rng, steps=3) for _ in "mn")
+        )
+    # non-integral modules with denominators 2, 3 and 6
+    scalars = (1, Fraction(1, 2), 3)
+    odd = [
+        conjugated(m, scalars)
+        for m in (d4.t_module(), d4.r_module(), d4.m_family(1), x_module(a2_double()))
+    ]
+    pairs += [(odd[0], d4.s4_module()), (odd[1], odd[2]), (odd[3], odd[3])]
+    pairs.append((conjugated(pairs[1][0], scalars), pairs[1][1]))
+    denominators = set()
+    for m in odd:
+        assert validate(m).ok
+        found = {x.denominator for a in m.action for r in a.entries for x in r}
+        assert max(found) > 1
+        denominators |= found
+    assert {2, 3} <= denominators
+    pairs += [(n, m) for m, n in pairs]
+    for m, n in list(pairs):
+        for p in (5, 7):
+            try:
+                pairs.append((reduce_mod_p(m, p), reduce_mod_p(n, p)))
+            except BadPrime:
+                pass
+    assert {m.field.p for m, _ in pairs} == {None, 5, 7}
+    classes = 0
+    for m, n in pairs:
+        got = presentation_fields(ext_presentation(m, n))
+        assert got == reference_presentation(m, n)
+        classes += len(got["ext1_basis"])
+    assert classes >= len(pairs)
+
+
+@pytest.mark.parametrize("p", [None, 5])
+def test_presentation_of_empty_blocks(p):
+    # zero modules, vertices of dimension 0 and pairs with Ext^1 = 0
+    field = Field(p)
+    a2, a3 = a2_double(), a3_double()
+    zero2 = LambdaModule.build(a2, field, (0, 0), {})
+    zero3 = LambdaModule.build(a3, field, (0, 0, 0), {})
+    s1, s2 = simple(a2, "1", field), simple(a2, "2", field)
+    t1, t3 = simple(a3, "1", field), simple(a3, "3", field)
+    ends = LambdaModule.build(a3, field, (1, 0, 1), {})
+    cases = [
+        (zero2, zero2, (0, 0, 0)),
+        (zero2, s1, (0, 0, 0)),
+        (s1, zero2, (0, 0, 0)),
+        (s1, s1, (1, 0, 1)),
+        (s2, s2, (1, 0, 1)),
+        (zero3, t3, (0, 0, 0)),
+        (t1, t3, (0, 0, 0)),
+        (t3, t1, (0, 0, 0)),
+        (ends, t1, (1, 0, 1)),
+        (ends, ends, (2, 0, 2)),
+    ]
+    for m, n, dims in cases:
+        pres = ext_presentation(m, n)
+        assert (pres.hom_dim, pres.ext1_dim, pres.ext2_cokernel) == dims
+        assert presentation_fields(pres) == reference_presentation(m, n)
+        assert dimension_checks(m, n).ok
 
 
 def reference_cy_pairing(d, g):

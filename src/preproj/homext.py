@@ -381,7 +381,7 @@ def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
         derivations=_from_columns(field, c1, ders),
         inner=_from_columns(field, c1, _reduced_rows(inner, p)),
         ext1_basis=basis,
-        # rank d1 = dim C1 - dim ker d1, so d1 is row reduced only once
+        # C2 has the blocks of C0
         ext2_cokernel=c0 - len(echelon_d1),
         ext2_exact=not has_dynkin_component(m.quiver),
     )

@@ -1,5 +1,6 @@
 """Exact linear algebra over the rationals and prime fields, where one
-routine, :func:`echelon`, does every row reduction for both kinds of field.
+integer core, :func:`_echelon_ints`, does every row reduction for both
+kinds of field.
 
 Everything here follows the column-coordinate convention: an r x c matrix
 represents a linear map from a c-dimensional space to an r-dimensional space,
@@ -9,16 +10,16 @@ is unique for a given subspace, so two such matrices are equal exactly
 when they span the same subspace.
 
 Rational entries are ``Fraction`` values, but the inner loops do not
-compute with them.  Every row reduction runs in one integer core,
-:func:`_echelon_ints`: over F_p on rows normalized mod p, over Q
-fraction-free on integer rows kept primitive.  :func:`_kernel_rows`
-reads null space vectors off its rows, scaled by an lcm over Q instead
-of divided.  Fractions are made in one place, :func:`_fractions`, once
-per returned entry (every zero the one shared ``Fraction(0)``): by
-:func:`echelon` and :func:`kernel_basis` after clearing denominators,
-and by ``homext.ext_presentation``, which calls the core on integer
-rows from start to finish.  :meth:`Matrix.mul` takes integer dot
-products of denominator-cleared factors and divides each entry once.
+compute with them.  The core eliminates over F_p on rows normalized mod
+p, and over Q fraction-free on integer rows kept primitive;
+:func:`_kernel_rows` reads null space vectors off its rows, scaled by an
+lcm over Q rather than divided.  :func:`_fractions` makes the Fractions,
+once per returned entry and with every zero the one shared
+``Fraction(0)``: in :func:`echelon` and :func:`kernel_basis`, which clear
+denominators before calling the core, and in ``homext.ext_presentation``,
+which stays on integer rows until it builds its result.
+:meth:`Matrix.mul` takes integer dot products of denominator-cleared
+factors and divides each entry once.
 """
 
 from __future__ import annotations
@@ -29,17 +30,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
 
@@ -335,7 +326,7 @@ def _echelon_ints(
 
 
 def _kernel_rows(
-    rows: Mapping[int, Sequence[int]], ncols: int, p: Optional[int]
+    rows: Dict[int, Sequence[int]], ncols: int, p: Optional[int]
 ) -> List[List[int]]:
     """The null space of the core's echelon rows, one vector per free
     column fc in increasing order.
@@ -374,7 +365,7 @@ def _fractions(row: Sequence[int], d: int) -> List[Fraction]:
 
 
 def _reduced_rows(
-    rows: Mapping[int, Sequence[int]], p: Optional[int]
+    rows: Dict[int, Sequence[int]], p: Optional[int]
 ) -> List[Sequence[Scalar]]:
     """The core's rows in order of their leading positions, as the
     reduced row echelon rows over the field: divided by the leading

@@ -20,24 +20,26 @@ Dynkin; the presentation records that flag rather than guessing.
 Coordinates of C0/C1/C2 vectors are the row-major entries of the per-vertex
 (per-arrow) blocks, blocks in vertex (arrow) order.
 
-:func:`ext_presentation` works on int rows from start to finish: over Q
-both modules' actions are scaled by one common denominator D, over F_p
-they are reduced mod p, and the elimination core of :mod:`linalg` runs
-on the rows of d0 and d1 directly.  ``Matrix``, ``Derivation`` and
-``Fraction`` objects are made once, for the returned fields only.
+Both formulas are written once, in :func:`_differential`, as int rows
+times one common denominator D of both modules' actions (1 over F_p).
+:func:`ext_presentation` eliminates on these rows; :func:`apply_d1` and
+:func:`inner_derivation` (which is -d0) take one int product per row
+and divide once.  ``Matrix`` and ``Fraction`` objects are made only for
+returned values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
 from .linalg import (
     Matrix,
+    _divide,
     _echelon_ints,
-    _fractions,
     _from_columns,
     _kernel_rows,
     _products,
@@ -45,16 +47,22 @@ from .linalg import (
     clear_denominators,
     solve,
 )
-from .module import LambdaModule, _arrow_blocks, _arrow_shapes, _check_blocks, _glue
+from .module import (
+    IntRows,
+    LambdaModule,
+    _arrow_blocks,
+    _arrow_shapes,
+    _check_blocks,
+    _glue,
+    _identity_rows,
+    _int_actions,
+)
 from .quiver import has_dynkin_component, symmetric_form
 
-IntRows = Sequence[Sequence[int]]
 
-
-def _pack(field: Field, mats: Sequence[Matrix]) -> Matrix:
-    """Flatten matrices into one coordinate column, row-major per block."""
-    coords = [x for m in mats for row in m.entries for x in row]
-    return Matrix.from_cols(field, [coords], nrows=len(coords))
+def _pack(mats: Sequence[Matrix]) -> List[Scalar]:
+    """Flatten matrices into one coordinate list, row-major per block."""
+    return [x for m in mats for row in m.entries for x in row]
 
 
 def _unpack(
@@ -114,13 +122,9 @@ class Intertwiner:
                 message names the vertex), or an arrow where the map
                 fails to commute.
         """
-        _check_pair(source, target)
         comps = tuple(components)
-        shapes = _c0_shapes(source, target)
-        _check_blocks(
-            comps, shapes, source.field, "component at vertex", source.quiver.vertices
-        )
-        for a, block in zip(source.dq.arrows, _commutators(source, target, comps)):
+        inner = inner_derivation(source, target, comps)
+        for a, block in zip(source.dq.arrows, inner.maps):
             if not block.is_zero():
                 raise ValueError(f"map does not commute with arrow {a.name}")
         return cls(source, target, comps)
@@ -184,7 +188,8 @@ class Derivation:
         return self.maps[self.source.dq.arrow_index[arrow_name]]
 
     def flatten(self) -> Matrix:
-        return _pack(self.source.field, self.maps)
+        coords = _pack(self.maps)
+        return Matrix.from_cols(self.source.field, [coords], nrows=len(coords))
 
     def add(self, other: "Derivation") -> "Derivation":
         if (self.source, self.target) != (other.source, other.target):
@@ -205,18 +210,10 @@ def apply_d1(
     m: LambdaModule, n: LambdaModule, g: Sequence[Matrix]
 ) -> List[Matrix]:
     """The image d1(g) of an arrow-indexed tuple g of maps M_{s(b)} ->
-    N_{e(b)}, one block per vertex in vertex order (module docstring)."""
-    aidx = m.dq.arrow_index
-    out: List[Matrix] = []
-    for v in m.quiver.vertices:
-        acc = Matrix.zeros(m.field, n.dim_of(v), m.dim_of(v))
-        for a in m.dq.arrows_from(v):
-            term = n.x(a.bar).mul(g[aidx[a.name]]).add(
-                g[aidx[a.bar]].mul(m.x(a.name))
-            )
-            acc = acc.sub(term) if a.sign else acc.add(term)
-        out.append(acc)
-    return out
+    N_{e(b)}, one block per vertex in vertex order (module docstring); a
+    map of the wrong shape or field raises ValueError naming its arrow."""
+    _check_blocks(g, _c1_shapes(m, n), m.field, "map of arrow", m.dq.arrow_index)
+    return _apply(m, n, 1, g)
 
 
 def is_derivation(d: Derivation) -> bool:
@@ -268,6 +265,40 @@ def _operator_rows(
     return rows
 
 
+def _differential(m: LambdaModule, n: LambdaModule, k: int) -> Tuple[IntRows, int]:
+    """d_k (k = 0 or 1) of the pair's complex from its formula (module
+    docstring), as int rows times D, and D: the common denominator of
+    both modules' actions, 1 over F_p."""
+    (xm, xn), scale = _int_actions(m, n)
+    idx, aidx = m.quiver.vertex_index, m.dq.arrow_index
+    one_m, one_n = ([_identity_rows(d) for d in x.dim] for x in (m, n))
+    terms = []
+    for j, a in enumerate(m.dq.arrows):
+        s, e, bar = idx[a.source], idx[a.target], aidx[a.bar]
+        if k == 0:
+            terms.append((1, j, s, xn[j], one_m[s]))
+            terms.append((-1, j, e, one_n[e], xm[j]))
+        else:
+            sign = -1 if a.sign else 1
+            terms.append((sign, s, j, xn[bar], one_m[s]))
+            terms.append((sign, s, bar, one_n[s], xm[j]))
+    shapes = (_c0_shapes(m, n), _c1_shapes(m, n))
+    return _operator_rows(shapes[k], shapes[1 - k], terms, m.field.p), scale
+
+
+def _apply(
+    m: LambdaModule, n: LambdaModule, k: int, blocks: Sequence[Matrix], sign: int = 1
+) -> List[Matrix]:
+    """sign * d_k of the packed blocks, cut into the blocks of C_{k+1}:
+    one int product per row with the denominator-cleared coordinates,
+    divided once."""
+    rows, scale = _differential(m, n, k)
+    (flat,), d = clear_denominators([_pack(blocks)])
+    image = [sum(map(mul, r, flat)) for r in rows]
+    shapes = _c1_shapes(m, n) if k == 0 else _c0_shapes(m, n)
+    return _unpack(m.field, _divide(image, sign * scale * d, m.field.p), shapes)
+
+
 @dataclass(frozen=True)
 class ExtPresentation:
     """Every space the complex of a module pair yields, with chosen bases.
@@ -316,47 +347,20 @@ class ExtPresentation:
 def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
     """Compute Hom, derivations, inner derivations, and the Ext^1 complement.
 
-    Everything runs on int rows through the elimination core of
-    :mod:`linalg`.  Over Q both modules' action entries are scaled by
-    one common denominator D, which scales d0 and d1 by D and moves no
-    kernel, image or pivot; over F_p they are ints already and d0 and
-    d1 are reduced mod p.  The core gives ker d1, im d0, ker d0 and the
-    pivot columns of [inner | derivations], and ``Matrix``,
-    ``Derivation`` and ``Fraction`` objects are made once, only for the
-    returned fields: d0 and d1 divided by D, the bases divided by their
-    rows' leading entries.
+    The elimination core of :mod:`linalg` runs on the int rows of
+    :func:`_differential`, whose scaling by D moves no kernel, image or
+    pivot.  It gives ker d1, im d0, ker d0 and the pivot columns of
+    [inner | derivations]; ``Matrix``, ``Derivation`` and ``Fraction``
+    objects are made once, only for the returned fields: d0 and d1
+    divided by D, the bases divided by their rows' leading entries.
     """
     _check_pair(m, n)
     field = m.field
     p = field.p
-    c0_shapes = _c0_shapes(m, n)
-    c1_shapes = _c1_shapes(m, n)
-    c0, c1 = _offsets(c0_shapes)[-1], _offsets(c1_shapes)[-1]
-    # the action matrices of m, then of n, as int rows times D (1 over F_p)
-    flat, scale = clear_denominators(
-        [r for x in m.action + n.action for r in x.entries]
-    )
-    rows = iter(flat)
-    xm, xn = (
-        [[next(rows) for _ in range(x.nrows)] for x in part]
-        for part in (m.action, n.action)
-    )
-    # d0 and d1 term by term from their formulas (module docstring)
-    idx = m.quiver.vertex_index
-    aidx = m.dq.arrow_index
-    ident_m = [_identity_rows(d) for d in m.dim]
-    ident_n = [_identity_rows(d) for d in n.dim]
-    d0_terms = []
-    d1_terms = []
-    for j, a in enumerate(m.dq.arrows):
-        s, e, bar = idx[a.source], idx[a.target], aidx[a.bar]
-        d0_terms.append((1, j, s, xn[j], ident_m[s]))
-        d0_terms.append((-1, j, e, ident_n[e], xm[j]))
-        sign = -1 if a.sign else 1
-        d1_terms.append((sign, s, j, xn[bar], ident_m[s]))
-        d1_terms.append((sign, s, bar, ident_n[s], xm[j]))
-    d0 = _operator_rows(c0_shapes, c1_shapes, d0_terms, p)
-    d1 = _operator_rows(c1_shapes, c0_shapes, d1_terms, p)
+    d0, scale = _differential(m, n, 0)
+    d1, _ = _differential(m, n, 1)
+    # d0 maps C0 to C1 and d1 maps C1 to C2, which has the blocks of C0
+    c0, c1 = len(d1), len(d0)
     echelon_d1 = _echelon_ints(d1, p)
     derivations = _echelon_ints(_kernel_rows(echelon_d1, c1, p), p)
     inner = _echelon_ints(zip(*d0), p)
@@ -367,6 +371,7 @@ def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
     columns += [derivations[q] for q in sorted(derivations)]
     pivots = _echelon_ints(zip(*columns), p)
     ders = _reduced_rows(derivations, p)
+    c1_shapes = _c1_shapes(m, n)
     basis = tuple(
         Derivation(m, n, tuple(_unpack(field, ders[j - len(inner)], c1_shapes)))
         for j in sorted(pivots)
@@ -375,32 +380,15 @@ def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
     return ExtPresentation(
         source=m,
         target=n,
-        d0=_scaled_matrix(field, c1, c0, d0, scale),
-        d1=_scaled_matrix(field, c0, c1, d1, scale),
+        d0=Matrix(field, c1, c0, tuple(tuple(_divide(r, scale, p)) for r in d0)),
+        d1=Matrix(field, c0, c1, tuple(tuple(_divide(r, scale, p)) for r in d1)),
         hom=_from_columns(field, c0, _reduced_rows(hom, p)),
         derivations=_from_columns(field, c1, ders),
         inner=_from_columns(field, c1, _reduced_rows(inner, p)),
         ext1_basis=basis,
-        # C2 has the blocks of C0
         ext2_cokernel=c0 - len(echelon_d1),
         ext2_exact=not has_dynkin_component(m.quiver),
     )
-
-
-def _identity_rows(d: int) -> IntRows:
-    """The d x d identity matrix as int rows."""
-    return [[int(i == j) for j in range(d)] for i in range(d)]
-
-
-def _scaled_matrix(
-    field: Field, nrows: int, ncols: int, rows: IntRows, scale: int
-) -> Matrix:
-    """The matrix of int rows divided by scale (1 over F_p)."""
-    if field.p is None:
-        entries = tuple(tuple(_fractions(r, scale)) for r in rows)
-    else:
-        entries = tuple(map(tuple, rows))
-    return Matrix(field, nrows, ncols, entries)
 
 
 def hom_basis(m: LambdaModule, n: LambdaModule) -> Tuple[Intertwiner, ...]:
@@ -427,20 +415,14 @@ def derivation_basis(pres: ExtPresentation) -> Tuple[Derivation, ...]:
 def inner_derivation(
     m: LambdaModule, n: LambdaModule, phis: Sequence[Matrix]
 ) -> Derivation:
-    """The inner derivation b -> phi_{e(b)} x'(b) - x''(b) phi_{s(b)}."""
+    """The inner derivation b -> phi_{e(b)} x'(b) - x''(b) phi_{s(b)},
+    which is -d0(phi); a component of the wrong shape or field raises
+    ValueError naming its vertex."""
     _check_pair(m, n)
-    return Derivation(m, n, _commutators(m, n, phis))
-
-
-def _commutators(
-    m: LambdaModule, n: LambdaModule, phis: Sequence[Matrix]
-) -> Tuple[Matrix, ...]:
-    """phi_{e(b)} x'(b) - x''(b) phi_{s(b)} for every doubled arrow b."""
-    idx = m.quiver.vertex_index
-    return tuple(
-        phis[idx[a.target]].mul(x).sub(y.mul(phis[idx[a.source]]))
-        for a, x, y in zip(m.dq.arrows, m.action, n.action)
+    _check_blocks(
+        phis, _c0_shapes(m, n), m.field, "component at vertex", m.quiver.vertices
     )
+    return Derivation(m, n, tuple(_apply(m, n, 0, phis, -1)))
 
 
 def is_inner(pres: ExtPresentation, d: Derivation) -> bool:

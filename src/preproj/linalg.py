@@ -13,13 +13,14 @@ Rational entries are ``Fraction`` values, but the inner loops do not
 compute with them.  The core eliminates over F_p on rows normalized mod
 p, and over Q fraction-free on integer rows kept primitive;
 :func:`_kernel_rows` reads null space vectors off its rows, scaled by an
-lcm over Q rather than divided.  :func:`_fractions` makes the Fractions,
-once per returned entry and with every zero the one shared
+lcm over Q rather than divided.  :func:`_divide` makes the field
+elements, once per returned entry, every zero over Q the one shared
 ``Fraction(0)``: in :func:`echelon` and :func:`kernel_basis`, which clear
-denominators before calling the core, and in ``homext.ext_presentation``,
-which stays on integer rows until it builds its result.
-:meth:`Matrix.mul` takes integer dot products of denominator-cleared
-factors and divides each entry once.
+denominators before calling the core, and in ``homext`` (the
+presentation, ``apply_d1`` and ``inner_derivation``) and
+``module.validate``, which stay on integer rows until they build their
+result.  :meth:`Matrix.mul` takes integer dot products of
+denominator-cleared factors and divides each entry once.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def echelon(
     if p is not None:
         return _echelon_ints(vectors, p)
     rows = _echelon_ints((clear_denominators([v])[0][0] for v in vectors), None)
-    return {q: _fractions(row, row[q]) for q, row in rows.items()}
+    return {q: _divide(row, row[q], None) for q, row in rows.items()}
 
 
 def _echelon_ints(
@@ -358,10 +359,13 @@ def _kernel_rows(
 _ZERO = Fraction(0)
 
 
-def _fractions(row: Sequence[int], d: int) -> List[Fraction]:
-    """The entries of an int row divided by d, as Fractions; every zero
-    is the one shared Fraction(0)."""
-    return [Fraction(x, d) if x else _ZERO for x in row]
+def _divide(row: Sequence[int], d: int, p: Optional[int]) -> List[Scalar]:
+    """The entries of an int row divided by d as field elements: over Q
+    Fractions, every zero the one shared Fraction(0); over F_p ints mod p."""
+    if p is None:
+        return [Fraction(x, d) if x else _ZERO for x in row]
+    inv = pow(d, -1, p)
+    return [x * inv % p for x in row]
 
 
 def _reduced_rows(
@@ -370,10 +374,7 @@ def _reduced_rows(
     """The core's rows in order of their leading positions, as the
     reduced row echelon rows over the field: divided by the leading
     entry into Fractions over Q, as they are over F_p."""
-    leads = sorted(rows)
-    if p is None:
-        return [_fractions(rows[q], rows[q][q]) for q in leads]
-    return [rows[q] for q in leads]
+    return [_divide(rows[q], rows[q][q], p) for q in sorted(rows)]
 
 
 def clear_denominators(
@@ -403,13 +404,7 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon_ints(_int_rows(m), m.field.p))
-
-
-def _int_rows(m: Matrix) -> Sequence[Sequence[int]]:
-    """m's rows as int rows with the same echelon structure: scaled by
-    one common denominator over Q, as they are over F_p."""
-    return clear_denominators(m.entries)[0] if m.field.p is None else m.entries
+    return len(_echelon_ints(clear_denominators(m.entries)[0], m.field.p))
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -419,11 +414,10 @@ def kernel_basis(m: Matrix) -> Matrix:
     one vector per free column, with a 1 in the free coordinate.
     """
     p = m.field.p
-    rows = _echelon_ints(_int_rows(m), p)
+    rows = _echelon_ints(clear_denominators(m.entries)[0], p)
     vecs = _kernel_rows(rows, m.ncols, p)
-    if p is None:
-        free = [c for c in range(m.ncols) if c not in rows]
-        vecs = [_fractions(v, v[c]) for v, c in zip(vecs, free)]
+    free = [c for c in range(m.ncols) if c not in rows]
+    vecs = [_divide(v, v[c], p) for v, c in zip(vecs, free)]
     return _from_columns(m.field, m.ncols, vecs)
 
 

@@ -9,6 +9,9 @@ the preprojective algebra when at every vertex i
 
 and it is nilpotent when the chain of graded subspaces
 W_0 = everything, W_{k+1} = span of all x(b)(W_k) reaches zero.
+
+:func:`validate` checks both on int rows, the actions times one common
+denominator D (:func:`_int_actions`, which ``homext`` shares).
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from operator import mul
 from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
-from .linalg import Matrix, column_echelon, echelon, hstack
+from .linalg import Matrix, _divide, _echelon_ints, clear_denominators, echelon
 from .quiver import DimVector, DoubleQuiver, Quiver
 
 Rows = Tuple[Tuple[Scalar, ...], ...]
+IntRows = Sequence[Sequence[int]]
 
 
 class BadPrime(ValueError):
@@ -197,39 +201,60 @@ class ValidationReport:
         return not self.residuals and self.nilpotent
 
 
+def _int_actions(*modules: LambdaModule) -> Tuple[List[List[IntRows]], int]:
+    """Each module's action matrices as int rows, all times one common
+    denominator D, and D: the least one over Q, 1 over F_p."""
+    flat, scale = clear_denominators(
+        [r for m in modules for x in m.action for r in x.entries]
+    )
+    rows = iter(flat)
+    return [
+        [[next(rows) for _ in range(x.nrows)] for x in m.action] for m in modules
+    ], scale
+
+
+def _identity_rows(d: int) -> IntRows:
+    """The d x d identity matrix as int rows."""
+    return [[int(i == j) for j in range(d)] for i in range(d)]
+
+
 def relation_residual(m: LambdaModule, v: str) -> Matrix:
-    """The preprojective relation at vertex v, as a d_v x d_v matrix."""
-    d_v = m.dim_of(v)
-    acc = Matrix.zeros(m.field, d_v, d_v)
-    for arrow in m.dq.arrows_from(v):
-        term = m.x(arrow.bar).mul(m.x(arrow.name))
-        acc = acc.sub(term) if arrow.sign else acc.add(term)
-    return acc
+    """The preprojective relation at vertex v, as a d_v x d_v matrix: the
+    signed sum of int products of the actions times D, divided by D^2."""
+    (x,), scale = _int_actions(m)
+    aidx, d = m.dq.arrow_index, m.dim_of(v)
+    acc = [[0] * d for _ in range(d)]
+    for a in m.dq.arrows_from(v):
+        right = x[aidx[a.name]]
+        cols = list(zip(*right)) if right else [()] * d
+        for row, left in zip(acc, x[aidx[a.bar]]):
+            for j, col in enumerate(cols):
+                row[j] += (-1) ** a.sign * sum(map(mul, left, col))
+    entries = tuple(tuple(_divide(r, scale * scale, m.field.p)) for r in acc)
+    return Matrix(m.field, d, d, entries)
 
 
 def is_nilpotent(m: LambdaModule) -> bool:
     """Whether the chain V = W_0 > W_1 > ..., with W_{k+1} spanned by all
     x(b)(W_k), reaches zero.
 
-    The chain is followed until it stabilizes; the module is nilpotent
-    exactly when the last term is zero.
+    The chain is followed until its dimensions stop falling (scaling the
+    actions by D moves no span); the module is nilpotent exactly when the
+    last term is zero.
     """
-    idx = m.quiver.vertex_index
-    current = [Matrix.identity(m.field, d) for d in m.dim]
+    (x,), _ = _int_actions(m)
+    p, idx = m.field.p, m.quiver.vertex_index
+    arrows = [(idx[a.source], idx[a.target]) for a in m.dq.arrows]
+    current = [_identity_rows(d) for d in m.dim]
     while True:
-        pieces: List[Matrix] = []
-        for v in m.quiver.vertices:
-            images = [
-                m.x(a.name).mul(current[idx[a.source]])
-                for a in m.dq.arrows_into(v)
-            ]
-            images = [im for im in images if im.ncols > 0]
-            if images:
-                pieces.append(column_echelon(hstack(images)))
-            else:
-                pieces.append(Matrix.zeros(m.field, m.dim_of(v), 0))
-        if [s.ncols for s in pieces] == [s.ncols for s in current]:
-            return all(s.ncols == 0 for s in pieces)
+        images: List[List[List[int]]] = [[] for _ in m.dim]
+        for (s, e), mat in zip(arrows, x):
+            for w in current[s]:
+                image = [sum(map(mul, row, w)) for row in mat]
+                images[e].append(image if p is None else [y % p for y in image])
+        pieces = [list(_echelon_ints(vecs, p).values()) for vecs in images]
+        if list(map(len, pieces)) == list(map(len, current)):
+            return not any(pieces)
         current = pieces
 
 
@@ -240,12 +265,9 @@ def validate(m: LambdaModule) -> ValidationReport:
         A report listing every vertex with a nonzero relation residual,
         plus the nilpotency verdict.
     """
-    bad: List[Tuple[str, Matrix]] = []
-    for v in m.quiver.vertices:
-        res = relation_residual(m, v)
-        if not res.is_zero():
-            bad.append((v, res))
-    return ValidationReport(tuple(bad), is_nilpotent(m))
+    residuals = ((v, relation_residual(m, v)) for v in m.quiver.vertices)
+    bad = tuple((v, r) for v, r in residuals if not r.is_zero())
+    return ValidationReport(bad, is_nilpotent(m))
 
 
 def simple(dq: DoubleQuiver, v: str, field: Field) -> LambdaModule:

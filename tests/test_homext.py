@@ -1,6 +1,7 @@
 """Hom/Ext presentations, middle terms, the trace pairing, dimension laws."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -413,25 +414,109 @@ def derivation_residual(d, v):
     return acc
 
 
-def test_residual_expression_matches_d1_on_arbitrary_tuples(rng_seed):
-    # not only on kernel elements: the vertexwise residual of an arbitrary
-    # arrow tuple, written over the original arrows, equals apply_d1
-    rng = random.Random(rng_seed + 23)
-    dq = d4.star_double()
-    m, n = d4.m_family(2, dq), d4.f_module(dq)
+def reference_commutators(m, n, phis):
+    """Reference for inner_derivation and minus d0: the commutator
+    phi_{e(b)} x'(b) - x''(b) phi_{s(b)} of every doubled arrow b, through
+    Matrix products."""
     idx = m.quiver.vertex_index
-    for _ in range(8):
-        maps = {}
-        for a in dq.arrows:
-            nrows = n.dim[idx[a.target]]
-            ncols = m.dim[idx[a.source]]
-            maps[a.name] = [
-                [rng.randrange(-2, 3) for _ in range(ncols)] for _ in range(nrows)
+    return tuple(
+        phis[idx[a.target]].mul(x).sub(y.mul(phis[idx[a.source]]))
+        for a, x, y in zip(m.dq.arrows, m.action, n.action)
+    )
+
+
+def reference_d0(m, n, phis):
+    return [x.scale(-1) for x in reference_commutators(m, n, phis)]
+
+
+def reference_d1(m, n, g):
+    d = Derivation(m, n, tuple(g))
+    return [derivation_residual(d, v) for v in m.quiver.vertices]
+
+
+def test_residual_expression_matches_d1_on_arbitrary_tuples(rng_seed):
+    # not only on kernel elements: on arbitrary tuples with denominators
+    # 2, 3 and 6, over Q and F_5, apply_d1 equals the vertexwise residual
+    # written over the original arrows and inner_derivation equals the
+    # per-arrow commutators, entry types included; middle_term and
+    # Intertwiner.build name the first vertex or arrow where they fail
+    rng = random.Random(rng_seed + 23)
+    pairs = [
+        (d4.m_family(2), d4.f_module()),
+        (conjugated(d4.m_family(1), (1, Fraction(1, 2), 3)), d4.r_module()),
+    ]
+    for dq in (a3_double(), kron_double()) * 2:
+        pairs.append(
+            tuple(random_nilpotent_module(dq, rng, steps=3) for _ in "mn")
+        )
+    pairs += [(n, m) for m, n in pairs]
+    for m, n in list(pairs):
+        try:
+            pairs.append((reduce_mod_p(m, 5), reduce_mod_p(n, 5)))
+        except BadPrime:
+            pass
+    assert {m.field.p for m, _ in pairs} == {None, 5}
+    values = [0, 0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)]
+
+    def arbitrary(field, shapes):
+        return [
+            Matrix.from_rows(
+                field,
+                [[rng.choice(values) for _ in range(c)] for _ in range(r)],
+                ncols=c,
+            )
+            for r, c in shapes
+        ]
+
+    failures = 0
+    for m, n in pairs:
+        idx = m.quiver.vertex_index
+        c0 = [(dn, dm) for dm, dn in zip(m.dim, n.dim)]
+        c1 = [(n.dim[idx[a.target]], m.dim[idx[a.source]]) for a in m.dq.arrows]
+        for _ in range(4):
+            d = Derivation(m, n, tuple(arbitrary(m.field, c1)))
+            images = apply_d1(m, n, list(d.maps))
+            want = reference_d1(m, n, d.maps)
+            assert [typed(x) for x in images] == [typed(x) for x in want]
+            phis = arbitrary(m.field, c0)
+            inner = inner_derivation(m, n, phis).maps
+            commutators = reference_commutators(m, n, phis)
+            assert [typed(x) for x in inner] == [typed(x) for x in commutators]
+            vertices = [v for v, x in zip(m.quiver.vertices, want) if not x.is_zero()]
+            if vertices:
+                with pytest.raises(ValueError, match=f"at vertex {vertices[0]}$"):
+                    middle_term(d)
+            else:
+                middle_term(d)
+            arrows = [
+                a.name for a, x in zip(m.dq.arrows, commutators) if not x.is_zero()
             ]
-        d = Derivation.build(m, n, maps)
-        images = apply_d1(m, n, list(d.maps))
-        for v, image in zip(m.quiver.vertices, images):
-            assert derivation_residual(d, v) == image
+            if arrows:
+                message = f"with arrow {re.escape(arrows[0])}$"
+                with pytest.raises(ValueError, match=message):
+                    Intertwiner.build(m, n, phis)
+            else:
+                Intertwiner.build(m, n, phis)
+            failures += bool(vertices) + bool(arrows)
+    assert failures >= len(pairs)
+
+
+def test_first_failing_vertex_and_arrow_are_named():
+    # x(a) = 1 on x and x(a*) = 1 on y: the failures below sit only at
+    # the second vertex and the second arrow, so the messages must skip
+    # the first ones
+    dq = a2_double()
+    x = x_module(dq)
+    y = LambdaModule.build(dq, QQ, (1, 1), {"a*": [[1]]})
+    d = Derivation.build(y, x, {"a": [[1]], "a*": [[1]]})
+    assert [r.is_zero() for r in reference_d1(y, x, d.maps)] == [True, False]
+    with pytest.raises(ValueError, match="violated at vertex 2$"):
+        middle_term(d)
+    one, zero = Matrix.identity(QQ, 1), Matrix.zeros(QQ, 1, 1)
+    commutators = reference_commutators(y, y, (one, zero))
+    assert [c.is_zero() for c in commutators] == [True, False]
+    with pytest.raises(ValueError, match=r"does not commute with arrow a\*$"):
+        Intertwiner.build(y, y, (one, zero))
 
 
 def _probe(field, in_shapes, out_rows, apply):
@@ -450,7 +535,8 @@ def _probe(field, in_shapes, out_rows, apply):
 
 
 def test_assembled_differentials_match_unit_block_probes(rng_seed):
-    # d0 is minus the inner derivation of a vertex tuple, d1 is apply_d1
+    # d0 is minus the commutators of a vertex tuple, d1 the vertexwise
+    # derivation residual, both through Matrix products
     rng = random.Random(rng_seed + 24)
     pairs = [(d4.s4_module(), d4.t_module()), (d4.t_module(), d4.s4_module())]
     for dq in (a3_double(), kron_double()) * 3:
@@ -471,13 +557,8 @@ def test_assembled_differentials_match_unit_block_probes(rng_seed):
         c0 = [(dn, dm) for dm, dn in zip(m.dim, n.dim)]
         c1 = [(n.dim[idx[a.target]], m.dim[idx[a.source]]) for a in m.dq.arrows]
         pres = ext_presentation(m, n)
-        d0 = _probe(
-            m.field,
-            c0,
-            pres.d0.nrows,
-            lambda f: [x.scale(-1) for x in inner_derivation(m, n, f).maps],
-        )
-        d1 = _probe(m.field, c1, pres.d1.nrows, lambda g: apply_d1(m, n, g))
+        d0 = _probe(m.field, c0, pres.d0.nrows, lambda f: reference_d0(m, n, f))
+        d1 = _probe(m.field, c1, pres.d1.nrows, lambda g: reference_d1(m, n, g))
         assert pres.d0 == d0
         assert pres.d1 == d1
 
@@ -492,7 +573,8 @@ def typed(m):
 
 def reference_presentation(m, n):
     """Every field of ext_presentation(m, n) through the Matrix path:
-    the differentials probed one unit block at a time, then
+    the differentials probed one unit block at a time through the
+    references reference_d0 and reference_d1, then
     kernel_basis, column_echelon and the pivots of
     rref(hstack([inner, derivations])), each ext1 class cut from its
     column of the derivation basis."""
@@ -500,13 +582,8 @@ def reference_presentation(m, n):
     c0 = [(dn, dm) for dm, dn in zip(m.dim, n.dim)]
     c1 = [(n.dim[idx[a.target]], m.dim[idx[a.source]]) for a in m.dq.arrows]
     c0_dim, c1_dim = (sum(r * c for r, c in shapes) for shapes in (c0, c1))
-    d0 = _probe(
-        m.field,
-        c0,
-        c1_dim,
-        lambda f: [x.scale(-1) for x in inner_derivation(m, n, f).maps],
-    )
-    d1 = _probe(m.field, c1, c0_dim, lambda g: apply_d1(m, n, g))
+    d0 = _probe(m.field, c0, c1_dim, lambda f: reference_d0(m, n, f))
+    d1 = _probe(m.field, c1, c0_dim, lambda g: reference_d1(m, n, g))
     derivations = column_echelon(kernel_basis(d1))
     inner = column_echelon(d0)
     _, pivots = rref(hstack([inner, derivations]))

@@ -8,7 +8,7 @@ import pytest
 from preproj import d4
 from preproj.fields import QQ, Field
 from preproj.homext import Derivation
-from preproj.linalg import Matrix, column_echelon
+from preproj.linalg import Matrix, column_echelon, hstack
 from preproj.module import (
     BadPrime,
     LambdaModule,
@@ -138,6 +138,126 @@ def test_nilpotency_detects_cancellation_fake():
     assert report.residuals == ()
     assert report.nilpotent is False
     assert not report.ok
+
+
+def reference_residual(m, v):
+    """Reference for relation_residual: the relation at v through Matrix
+    products, sums and differences."""
+    d_v = m.dim_of(v)
+    acc = Matrix.zeros(m.field, d_v, d_v)
+    for arrow in m.dq.arrows_from(v):
+        term = m.x(arrow.bar).mul(m.x(arrow.name))
+        acc = acc.sub(term) if arrow.sign else acc.add(term)
+    return acc
+
+
+def reference_chain(m):
+    """Reference for is_nilpotent: the dimension vectors of W_0, W_1, ...
+    up to the first term the chain repeats, each W_k a column echelon
+    basis per vertex through Matrix products and hstack."""
+    idx = m.quiver.vertex_index
+    current = [Matrix.identity(m.field, d) for d in m.dim]
+    chain = [m.dim]
+    while True:
+        pieces = []
+        for v in m.quiver.vertices:
+            images = [
+                m.x(a.name).mul(current[idx[a.source]])
+                for a in m.dq.arrows_into(v)
+            ]
+            images = [im for im in images if im.ncols > 0]
+            if images:
+                pieces.append(column_echelon(hstack(images)))
+            else:
+                pieces.append(Matrix.zeros(m.field, m.dim_of(v), 0))
+        dims = tuple(s.ncols for s in pieces)
+        if dims == chain[-1]:
+            return chain
+        chain.append(dims)
+        current = pieces
+
+
+def conjugate(m, scalars):
+    """m in the basis that scales basis vector i at vertex k by
+    scalars[(k + i) % len(scalars)]: x(b) becomes g_e x(b) g_s^-1."""
+    idx = m.quiver.vertex_index
+    diag = [
+        [Fraction(scalars[(k + i) % len(scalars)]) for i in range(d)]
+        for k, d in enumerate(m.dim)
+    ]
+    action = {}
+    for a, x in zip(m.dq.arrows, m.action):
+        g_e, g_s = diag[idx[a.target]], diag[idx[a.source]]
+        action[a.name] = [
+            [g_e[r] * v / g_s[c] for c, v in enumerate(row)]
+            for r, row in enumerate(x.entries)
+        ]
+    return LambdaModule.build(m.dq, m.field, m.dim, action)
+
+
+def test_validate_matches_matrix_references(rng_seed):
+    # relation_residual and is_nilpotent run on int rows; they must agree
+    # with the Matrix path, entry types included, on random modules over
+    # Q and their reductions, on non-integral conjugates, and on
+    # perturbations that break the relations or nilpotency
+    rng = random.Random(rng_seed + 12)
+    a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    kron = kronecker_double()
+    base = [random_nilpotent_module(dq, rng, steps=4) for dq in (a3, kron) * 4]
+    base += [conjugate(m, (1, Fraction(1, 2), 3)) for m in base[:4]]
+    # the shifted regular module never shrinks; summed with a nilpotent
+    # module its chain shrinks to it and stays there, above zero
+    cycle = LambdaModule.build(
+        kron, QQ, (1, 1), {"a1": [[1]], "a2": [[-1]], "a1*": [[1]], "a2*": [[1]]}
+    )
+    tail = next(m for m in base if m.dq == kron and sum(m.dim) > 1)
+    both = direct_sum(tail, cycle)
+    chain = reference_chain(both)
+    assert len(chain) > 1 and chain[-1] == cycle.dim
+    base += [cycle, both]
+    # mod 5, W_1 at vertex 1 is the line through (1, 4), which x(a) = (1 1)
+    # sends to 1 + 4 = 5: an image entry that is zero only once reduced
+    base.append(
+        LambdaModule.build(a2_double(), QQ, (2, 1), {"a": [[1, 1]], "a*": [[2], [3]]})
+    )
+    values = [1, -1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)]
+    for m in base[:8]:
+        a = rng.choice([a for a in m.dq.arrows if not a.sign])
+        action = {b.name: m.x(b.name) for b in m.dq.arrows}
+        for name in (a.name, a.bar):
+            action[name] = [
+                [v + rng.choice(values) for v in row] for row in m.x(name).entries
+            ]
+        base.append(LambdaModule.build(m.dq, QQ, m.dim, action))
+    modules = list(base)
+    for m in base:
+        for p in (5, 7):
+            try:
+                modules.append(reduce_mod_p(m, p))
+            except BadPrime:
+                pass
+    assert {m.field.p for m in modules} == {None, 5, 7}
+
+    def typed(r):
+        return [[(type(x), x) for x in row] for row in r.entries]
+
+    shrinking = non_nilpotent = fractional = 0
+    for m in modules:
+        report = validate(m)
+        want = [(v, reference_residual(m, v)) for v in m.quiver.vertices]
+        assert [(v, typed(r)) for v, r in report.residuals] == [
+            (v, typed(r)) for v, r in want if not r.is_zero()
+        ]
+        for v, r in want:
+            assert typed(relation_residual(m, v)) == typed(r)
+        chain = reference_chain(m)
+        assert is_nilpotent(m) == report.nilpotent == (sum(chain[-1]) == 0)
+        non_nilpotent += not report.nilpotent
+        shrinking += not report.nilpotent and len(chain) > 1
+        if m.field.p is None:
+            entries = [x for _, r in report.residuals for row in r.entries for x in row]
+            fractional += any(x.denominator > 1 for x in entries)
+    assert non_nilpotent >= 10 and shrinking >= 1 and fractional >= 1
 
 
 def test_simple_and_zero_are_nilpotent():

@@ -17,10 +17,10 @@ lcm over Q rather than divided.  :func:`_divide` makes the field
 elements, once per returned entry, every zero over Q the one shared
 ``Fraction(0)``: in :func:`echelon` and :func:`kernel_basis`, which clear
 denominators before calling the core, and in ``homext`` (the
-presentation, ``apply_d1`` and ``inner_derivation``) and
-``module.validate``, which stay on integer rows until they build their
-result.  :meth:`Matrix.mul` takes integer dot products of
-denominator-cleared factors and divides each entry once.
+presentation, ``apply_d1``, ``inner_derivation`` and the middle-term
+builder ``_extension``) and ``module.validate``, which stay on integer
+rows until they build their result.  :meth:`Matrix.mul` takes integer
+dot products of denominator-cleared factors and divides each entry once.
 """
 
 from __future__ import annotations

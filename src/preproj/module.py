@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import mul
 from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -289,18 +289,18 @@ def direct_sum(m: LambdaModule, n: LambdaModule) -> LambdaModule:
 
 
 def _glue(
-    m: LambdaModule, n: LambdaModule, lower: Optional[Sequence[Matrix]]
+    m: LambdaModule, n: LambdaModule, lower: Optional[Sequence[Scalar]]
 ) -> LambdaModule:
     """The module x(b) = [[m(b), 0], [lower(b), n(b)]] on the spaces
-    M_v + N_v, M's coordinates first; ``lower`` is aligned with the
-    doubled arrows, and None stands for zero (the direct sum)."""
+    M_v + N_v, M's coordinates first; ``lower`` packs the blocks row-major
+    in arrow order, and None stands for zero (the direct sum)."""
     z = m.field.zero()
+    flat = repeat(z) if lower is None else iter(lower)
     mats: List[Matrix] = []
-    for k, (a, b) in enumerate(zip(m.action, n.action)):
+    for a, b in zip(m.action, n.action):
         right = (z,) * b.ncols
-        below = repeat((z,) * a.ncols) if lower is None else lower[k].entries
         entries = tuple(row + right for row in a.entries)
-        entries += tuple(left + row for left, row in zip(below, b.entries))
+        entries += tuple(tuple(islice(flat, a.ncols)) + row for row in b.entries)
         mats.append(Matrix(m.field, a.nrows + b.nrows, a.ncols + b.ncols, entries))
     dim = tuple(x + y for x, y in zip(m.dim, n.dim))
     return LambdaModule(m.dq, m.field, dim, tuple(mats))

@@ -47,11 +47,13 @@ from .flags import (
 from .homext import (
     Derivation,
     ExtPresentation,
+    _extension,
+    _pack,
     ext_presentation,
     is_inner,
     middle_term,
 )
-from .linalg import Polynomial
+from .linalg import Polynomial, _products
 from .module import BadPrime, LambdaModule, direct_sum, reduce_mod_p
 from .quiver import Word
 
@@ -127,11 +129,10 @@ class VerificationReport:
         )
 
 
-def _class_derivation(basis: Sequence[Derivation], vec: Sequence[int]) -> Derivation:
-    d = basis[0].scale(vec[0])
-    for b, t in zip(basis[1:], vec[1:]):
-        d = d.add(b.scale(t))
-    return d
+def _class_derivation(columns: Sequence, vec: Sequence[int], p: int) -> Sequence[int]:
+    """The packed coordinates mod p of the class sum_i vec[i] e_i, where
+    ``columns`` holds the e_i's packed coordinates position by position."""
+    return _products(p, [vec], columns)[0]
 
 
 def _presentation(
@@ -237,10 +238,13 @@ def stratify_proj_ext(
             return None
         groups: Dict[Tuple[int, ...], int] = {}
         witness: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        # over F_p the presentation's d1 holds the int rows of d1 (D = 1)
+        d1 = pres_p.d1.entries
+        columns = list(zip(*(_pack(e.maps) for e in pres_p.ext1_basis)))
         # one echelon row per point of P^{n-1}: first nonzero entry 1
         for (vec,) in enumerate_subspaces(xp_p.field, n, 1):
-            d = _class_derivation(pres_p.ext1_basis, vec)
-            key = _count_row(middle_term(d).module, trie, memo_p)
+            coords = _class_derivation(columns, vec, p)
+            key = _count_row(_extension(xp_p, xpp_p, d1, coords), trie, memo_p)
             groups[key] = groups.get(key, 0) + 1
             witness.setdefault(key, vec)
         sizes = tuple(groups.pop(key, 0) for key in keys)

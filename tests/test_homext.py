@@ -25,7 +25,15 @@ from preproj.homext import (
     pullback,
     pushout,
 )
-from preproj.linalg import Matrix, column_echelon, hstack, kernel_basis, rank, rref
+from preproj.linalg import (
+    Matrix,
+    column_echelon,
+    hstack,
+    kernel_basis,
+    rank,
+    rref,
+    solve,
+)
 from preproj.module import (
     BadPrime,
     LambdaModule,
@@ -35,7 +43,7 @@ from preproj.module import (
     validate,
 )
 from preproj.quiver import Quiver, double, has_dynkin_component
-from preproj.randgen import random_nilpotent_module
+from preproj.randgen import random_combination, random_nilpotent_module
 
 
 def a2_double():
@@ -785,4 +793,67 @@ def test_cy_pairing_and_gram_agree_with_product_then_trace(rng_seed):
                 )
         non_square += any(x.nrows != x.ncols for x in classes[-1].maps)
     assert non_square >= 10
+    assert {m.field.p for m, _ in pairs} == {None, 5, 7}
+
+
+def reference_is_inner(pres, d):
+    """Reference for is_inner: solve inner * X = the packed class as one
+    column, through rref of the stacked Matrix."""
+    coords = [x for mat in d.maps for row in mat.entries for x in row]
+    column = Matrix.from_cols(pres.source.field, [coords], nrows=len(coords))
+    return solve(pres.inner, column) is not None
+
+
+def random_components(m, n, rng):
+    """A random map tuple phi_v: M_v -> N_v with small integer entries."""
+    return [
+        Matrix.from_rows(
+            m.field,
+            [[rng.randrange(-3, 4) for _ in range(dm)] for _ in range(dn)],
+            ncols=dm,
+        )
+        for dm, dn in zip(m.dim, n.dim)
+    ]
+
+
+def test_is_inner_agrees_with_solve_reference(rng_seed):
+    # is_inner is a rank of the inner columns and the packed class from
+    # the elimination core; it must answer as solve(inner, class) does
+    rng = random.Random(rng_seed + 28)
+    dq = a2_double()
+    pairs = [
+        (d4.t_module(), d4.s4_module()),
+        (d4.m_family(1), d4.r_module()),
+        (simple(dq, "1", QQ), simple(dq, "2", QQ)),
+    ]
+    for quiver in (a3_double(), kron_double()) * 3:
+        pairs.append(
+            tuple(random_nilpotent_module(quiver, rng, steps=3) for _ in "mn")
+        )
+    pairs += [(n, m) for m, n in pairs]
+    for m, n in list(pairs):
+        for p in (5, 7):
+            try:
+                pairs.append((reduce_mod_p(m, p), reduce_mod_p(n, p)))
+            except BadPrime:
+                pass
+    answers, empty = set(), 0
+    for m, n in pairs:
+        pres = ext_presentation(m, n)
+        empty += pres.inner.ncols == 0
+        inner = [inner_derivation(m, n, random_components(m, n, rng)) for _ in "ab"]
+        classes = list(pres.ext1_basis) + inner
+        for _ in range(3):
+            mixed = random_combination(list(pres.ext1_basis), rng)
+            if mixed is not None:
+                classes.append(mixed.add(random_combination(inner, rng)))
+        classes.append(random_combination(inner, rng))
+        for d in classes:
+            got = is_inner(pres, d)
+            assert got == reference_is_inner(pres, d)
+            answers.add(got)
+        for e in pres.ext1_basis:
+            assert not is_inner(pres, e)
+    assert answers == {True, False}
+    assert empty >= 2
     assert {m.field.p for m, _ in pairs} == {None, 5, 7}

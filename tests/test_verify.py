@@ -16,11 +16,12 @@ from itertools import product
 
 import pytest
 
-from preproj import d4, flags, verify
+from preproj import d4, flags, homext, verify
 from preproj.fields import QQ, Field
 from preproj.flags import enumerate_subspaces, fingerprint
 from preproj.homext import ext_presentation, middle_term
-from preproj.module import LambdaModule, direct_sum, reduce_mod_p, simple
+from preproj.linalg import Matrix
+from preproj.module import BadPrime, LambdaModule, direct_sum, reduce_mod_p, simple
 from preproj.quiver import Quiver, double
 from preproj.randgen import random_combination, random_nilpotent_module
 from preproj.verify import (
@@ -435,3 +436,125 @@ def test_projective_points_are_walked_as_lines_in_reference_order():
             walk = [vec for (vec,) in enumerate_subspaces(Field(p), n, 1)]
             assert walk == list(reference_projective_vectors(n, p))
             assert len(walk) == (p**n - 1) // (p - 1)
+
+
+def reference_class(basis, vec):
+    """The class sum_i vec[i] basis[i] through Derivation.scale and add:
+    the Matrix reference for the stratification's packed coordinates."""
+    d = basis[0].scale(vec[0])
+    for b, t in zip(basis[1:], vec[1:]):
+        d = d.add(b.scale(t))
+    return d
+
+
+def reference_middle_module(d):
+    """The middle term of d through middle_term, checked against the
+    blocks [[x'(b), 0], [d(b), x''(b)]] assembled by Matrix.block."""
+    m, n = d.source, d.target
+    blocks = tuple(
+        Matrix.block([[x, Matrix.zeros(m.field, x.nrows, y.ncols)], [g, y]])
+        for x, y, g in zip(m.action, n.action, d.maps)
+    )
+    dim = tuple(a + b for a, b in zip(m.dim, n.dim))
+    module = middle_term(d).module
+    assert module == LambdaModule(m.dq, m.field, dim, blocks)
+    return module
+
+
+def typed_module(mod):
+    """A module's data with every entry's type, so 1 and Fraction(1) differ."""
+    return mod.field, mod.dim, tuple(
+        tuple((type(x), x) for r in a.entries for x in r) for a in mod.action
+    )
+
+
+def a3_double():
+    return double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+
+
+def kron_double():
+    return double(Quiver.build(["1", "2"], [("a1", "1", "2"), ("a2", "1", "2")]))
+
+
+def test_class_modules_match_the_matrix_reference(monkeypatch, rng_seed):
+    # seeded pairs: the stratification's per-prime setup and per-class
+    # build, composed here, against the Matrix combination of the basis
+    rng = random.Random(rng_seed + 41)
+    checked, pairs = 0, 0
+    while pairs < 6:
+        dq = (a3_double(), kron_double())[pairs % 2]
+        m, n = (random_nilpotent_module(dq, rng, steps=3) for _ in "mn")
+        # up to 31 classes at p = 5
+        if not 1 <= ext_presentation(m, n).ext1_dim <= 3:
+            continue
+        pairs += 1
+        for p in (3, 5):
+            try:
+                m_p, n_p = reduce_mod_p(m, p), reduce_mod_p(n, p)
+            except BadPrime:
+                continue
+            pres = ext_presentation(m_p, n_p)
+            columns = list(zip(*(homext._pack(e.maps) for e in pres.ext1_basis)))
+            for (vec,) in enumerate_subspaces(Field(p), pres.ext1_dim, 1):
+                coords = verify._class_derivation(columns, vec, p)
+                got = homext._extension(m_p, n_p, pres.d1.entries, coords)
+                want = reference_middle_module(reference_class(pres.ext1_basis, vec))
+                assert typed_module(got) == typed_module(want)
+                checked += 1
+    assert checked >= 12
+    # the star pair: every module stratify_proj_ext builds, in both
+    # directions, recorded with its coefficients and its reduced pair
+    seen = []
+    real_class, real_extension = verify._class_derivation, verify._extension
+
+    def record_class(columns, vec, p):
+        seen.append([p, vec])
+        return real_class(columns, vec, p)
+
+    def record_extension(m, n, d1, coords):
+        module = real_extension(m, n, d1, coords)
+        seen[-1] += [m, n, module]
+        return module
+
+    monkeypatch.setattr(verify, "_class_derivation", record_class)
+    monkeypatch.setattr(verify, "_extension", record_extension)
+    zoo = d4.zoo(1)
+    primes = [5, 7, 11, 13]
+    stratify_proj_ext(zoo["S4"], zoo["T"], m_anchors(zoo), prime_list=primes)
+    stratify_proj_ext(zoo["T"], zoo["S4"], r_anchors(zoo), prime_list=primes)
+    for p, vec, m_p, n_p, got in seen:
+        basis = ext_presentation(m_p, n_p).ext1_basis
+        want = reference_middle_module(reference_class(basis, vec))
+        assert typed_module(got) == typed_module(want)
+    assert {p for p, *_ in seen} >= {5, 7}
+    assert len(seen) == 2 * sum(p + 1 for p in primes)
+
+
+def test_each_class_is_checked_in_stratification(monkeypatch):
+    # the first basis class plus a unit vector that d1 does not kill; in
+    # the other direction d1 of (T, S4) is zero, so it has no such vector
+    zoo = d4.zoo(1)
+    xp, xpp = zoo["S4"], zoo["T"]
+    real = verify._class_derivation
+    expected = []
+
+    def off_kernel(columns, vec, p):
+        coords = list(real(columns, vec, p))
+        m_p, n_p = reduce_mod_p(xp, p), reduce_mod_p(xpp, p)
+        d1 = ext_presentation(m_p, n_p).d1
+        j = next(j for j in range(d1.ncols) if any(d1.col(j)))
+        coords[j] = (coords[j] + 1) % p
+        # the first vertex whose block of d1's rows sees column j
+        row = next(i for i, x in enumerate(d1.col(j)) if x)
+        ends = [0]
+        for dm, dn in zip(m_p.dim, n_p.dim):
+            ends.append(ends[-1] + dm * dn)
+        vertices = zip(xp.quiver.vertices, ends[1:])
+        expected.append(next(v for v, end in vertices if row < end))
+        return coords
+
+    monkeypatch.setattr(verify, "_class_derivation", off_kernel)
+    with pytest.raises(ValueError, match="violated at vertex") as err:
+        stratify_proj_ext(xp, xpp, m_anchors(zoo), prime_list=[5, 7, 11, 13])
+    assert str(err.value) == f"derivation equation violated at vertex {expected[0]}"
+    assert len(expected) == 1

@@ -22,19 +22,23 @@ Coordinates of C0/C1/C2 vectors are the row-major entries of the per-vertex
 
 Both formulas are written once, in :func:`_differential`, as int rows
 times one common denominator D of both modules' actions (1 over F_p).
-:func:`ext_presentation` eliminates on these rows; :func:`apply_d1`,
-:func:`inner_derivation` (which is -d0) and :func:`_extension`, the
-middle term of packed class coordinates, apply them with :func:`_apply`.
-``Matrix`` and ``Fraction`` objects are made only for returned values.
+:func:`ext_presentation` eliminates on these rows and keeps them: its
+dimensions come from the ranks of d0 and d1, and a basis, with the
+``Matrix`` and ``Fraction`` objects that hold it, is made only when it
+is first read.  :func:`apply_d1`, :func:`inner_derivation` (which is
+-d0), :func:`hom_basis` (on the presentation's rows) and
+:func:`_extension`, the middle term of packed class coordinates, apply
+them with :func:`_apply`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from operator import mul
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
 from .linalg import (
@@ -288,99 +292,124 @@ def _apply(rows: IntRows, d: int, coords: Sequence[Scalar], p: Optional[int]) ->
 class ExtPresentation:
     """Every space the complex of a module pair yields, with chosen bases.
 
-    ``d0`` and ``d1`` are the full differentials.  ``hom`` (inside C0),
-    ``derivations`` and ``inner`` (inside C1) are basis matrices in
-    reduced column echelon form, as :func:`column_echelon` returns them:
-    one column per basis vector, unique for the subspace.
-    ``ext1_basis`` holds the columns of ``derivations`` that are pivot
-    columns of [inner | derivations], so it spans a complement of the
-    inner derivations and is deterministic for given input data.
-    ``ext2_cokernel`` is dim C2 - rank d1, which is the dimension of
-    Ext^2 exactly when ``ext2_exact`` is True.  Over Q every entry is
-    a ``Fraction`` and every zero entry the one shared ``Fraction(0)``;
-    over F_p entries are ints in 0..p-1.
+    Built at the call: d0 and d1 as int rows times one denominator D,
+    their echelon rows, and from the two ranks ``hom_dim`` = dim C0 -
+    rank d0, ``ext1_dim`` = dim C1 - rank d1 - rank d0 and
+    ``ext2_cokernel`` = dim C0 - rank d1, which is dim Ext^2 exactly
+    when ``ext2_exact`` is True.  Built from those rows on first read,
+    once per object: the differentials ``d0`` and ``d1``; ``hom``,
+    ``derivations`` and ``inner``, the reduced column echelon bases that
+    :func:`column_echelon` gives, unique for the subspace; and
+    ``ext1_basis``, the columns of ``derivations`` that are pivot
+    columns of [inner | derivations], a complement of the inner ones.
+    Over Q every entry is a ``Fraction``, every zero the one shared
+    ``Fraction(0)``; over F_p entries are ints in 0..p-1.
     """
 
     source: LambdaModule
     target: LambdaModule
-    d0: Matrix
-    d1: Matrix
-    hom: Matrix
-    derivations: Matrix
-    inner: Matrix
-    ext1_basis: Tuple[Derivation, ...]
+    c0_dim: int
+    c1_dim: int
+    hom_dim: int
+    ext1_dim: int
     ext2_cokernel: int
     ext2_exact: bool
+    _d0: IntRows = field(repr=False, compare=False)
+    _d1: IntRows = field(repr=False, compare=False)
+    _scale: int = field(repr=False, compare=False)
+    _echelon_d0: Dict[int, Sequence[int]] = field(repr=False, compare=False)
+    _echelon_d1: Dict[int, Sequence[int]] = field(repr=False, compare=False)
 
-    @property
-    def hom_dim(self) -> int:
-        return self.hom.ncols
+    def _divided(self, rows: IntRows, ncols: int) -> Matrix:
+        p, d = self.source.field.p, self._scale
+        entries = tuple(tuple(_divide(r, d, p)) for r in rows)
+        return Matrix(self.source.field, len(entries), ncols, entries)
 
-    @property
-    def ext1_dim(self) -> int:
-        return len(self.ext1_basis)
+    def _basis(self, rows: Dict[int, Sequence[int]], nrows: int) -> Matrix:
+        columns = _reduced_rows(rows, self.source.field.p)
+        return _from_columns(self.source.field, nrows, columns)
 
-    @property
-    def c0_dim(self) -> int:
-        return self.d0.ncols
+    @cached_property
+    def d0(self) -> Matrix:
+        return self._divided(self._d0, self.c0_dim)
 
-    @property
-    def c1_dim(self) -> int:
-        return self.d0.nrows
+    @cached_property
+    def d1(self) -> Matrix:
+        return self._divided(self._d1, self.c1_dim)
+
+    @cached_property
+    def hom(self) -> Matrix:
+        p = self.source.field.p
+        rows = _echelon_ints(_kernel_rows(self._echelon_d0, self.c0_dim, p), p)
+        return self._basis(rows, self.c0_dim)
+
+    @cached_property
+    def derivations(self) -> Matrix:
+        return self._basis(self._derivations, self.c1_dim)
+
+    @cached_property
+    def inner(self) -> Matrix:
+        return self._basis(self._inner, self.c1_dim)
+
+    @cached_property
+    def _inner(self) -> Dict[int, Sequence[int]]:
+        return _echelon_ints(zip(*self._d0), self.source.field.p)
+
+    @cached_property
+    def _derivations(self) -> Dict[int, Sequence[int]]:
+        p = self.source.field.p
+        return _echelon_ints(_kernel_rows(self._echelon_d1, self.c1_dim, p), p)
+
+    @cached_property
+    def ext1_basis(self) -> Tuple[Derivation, ...]:
+        m, n, p = self.source, self.target, self.source.field.p
+        inner, ders = self._inner, self._derivations
+        # the core's rows are the reduced rows times positive scalars, and
+        # scaling a column moves no pivot column of [inner | derivations]
+        leads = sorted(ders)
+        columns = [inner[q] for q in sorted(inner)] + [ders[q] for q in leads]
+        pivots = _echelon_ints(zip(*columns), p)
+        chosen = {leads[j - len(inner)] for j in pivots if j >= len(inner)}
+        rows = _reduced_rows({q: ders[q] for q in chosen}, p)
+        shapes = _c1_shapes(m, n)
+        return tuple(Derivation(m, n, tuple(_unpack(m.field, r, shapes))) for r in rows)
 
 
 def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
-    """Compute Hom, derivations, inner derivations, and the Ext^1 complement.
+    """Present Hom, derivations, inner derivations and the Ext^1 complement.
 
-    The elimination core of :mod:`linalg` runs on the int rows of
-    :func:`_differential`, whose scaling by D moves no kernel, image or
-    pivot.  It gives ker d1, im d0, ker d0 and the pivot columns of
-    [inner | derivations]; ``Matrix``, ``Derivation`` and ``Fraction``
-    objects are made once, only for the returned fields: d0 and d1
-    divided by D, the bases divided by their rows' leading entries.
+    The elimination core of :mod:`linalg` runs once on each of d0 and
+    d1, as the int rows of :func:`_differential`, whose scaling by D
+    moves no kernel, image, rank or pivot; the bases are made when first
+    read (class docstring).
     """
     _check_pair(m, n)
-    field, p = m.field, m.field.p
     (d0, d1), scale = _differential(m, n, 0, 1)
     # d0 maps C0 to C1 and d1 maps C1 to C2, which has the blocks of C0
     c0, c1 = len(d1), len(d0)
-    echelon_d1 = _echelon_ints(d1, p)
-    derivations = _echelon_ints(_kernel_rows(echelon_d1, c1, p), p)
-    inner = _echelon_ints(zip(*d0), p)
-    hom = _echelon_ints(_kernel_rows(_echelon_ints(d0, p), c0, p), p)
-    # the core's rows are the reduced rows times positive scalars, and
-    # scaling a column moves no pivot column of [inner | derivations]
-    columns = [inner[q] for q in sorted(inner)]
-    columns += [derivations[q] for q in sorted(derivations)]
-    pivots = _echelon_ints(zip(*columns), p)
-    ders = _reduced_rows(derivations, p)
-    c1_shapes = _c1_shapes(m, n)
-    basis = tuple(
-        Derivation(m, n, tuple(_unpack(field, ders[j - len(inner)], c1_shapes)))
-        for j in sorted(pivots)
-        if j >= len(inner)
-    )
+    echelon_d0, echelon_d1 = (_echelon_ints(d, m.field.p) for d in (d0, d1))
+    rank_d0, rank_d1 = len(echelon_d0), len(echelon_d1)
     return ExtPresentation(
-        source=m,
-        target=n,
-        d0=Matrix(field, c1, c0, tuple(tuple(_divide(r, scale, p)) for r in d0)),
-        d1=Matrix(field, c0, c1, tuple(tuple(_divide(r, scale, p)) for r in d1)),
-        hom=_from_columns(field, c0, _reduced_rows(hom, p)),
-        derivations=_from_columns(field, c1, ders),
-        inner=_from_columns(field, c1, _reduced_rows(inner, p)),
-        ext1_basis=basis,
-        ext2_cokernel=c0 - len(echelon_d1),
+        m, n, c0, c1,
+        hom_dim=c0 - rank_d0,
+        ext1_dim=c1 - rank_d1 - rank_d0,
+        ext2_cokernel=c0 - rank_d1,
         ext2_exact=not has_dynkin_component(m.quiver),
+        _d0=d0, _d1=d1, _scale=scale, _echelon_d0=echelon_d0, _echelon_d1=echelon_d1,
     )
 
 
 def hom_basis(m: LambdaModule, n: LambdaModule) -> Tuple[Intertwiner, ...]:
-    """A basis of Hom(M, N) as intertwiners."""
-    hom, shapes = ext_presentation(m, n).hom, _c0_shapes(m, n)
-    return tuple(
-        Intertwiner.build(m, n, _unpack(m.field, hom.col(j), shapes))
-        for j in range(hom.ncols)
-    )
+    """A basis of Hom(M, N) as intertwiners, each checked on the
+    presentation's d0 rows; the message names an arrow it fails on."""
+    pres, shapes = ext_presentation(m, n), _c0_shapes(m, n)
+    basis = tuple(zip(*pres.hom.entries))
+    for coords in basis:
+        image = _apply(pres._d0, pres._scale, coords, m.field.p)
+        a = _first_nonzero(image, _c1_shapes(m, n), m.dq.arrows)
+        if a is not None:
+            raise ValueError(f"map does not commute with arrow {a.name}")
+    return tuple(Intertwiner(m, n, tuple(_unpack(m.field, c, shapes))) for c in basis)
 
 
 def derivation_basis(pres: ExtPresentation) -> Tuple[Derivation, ...]:
@@ -412,8 +441,9 @@ def is_inner(pres: ExtPresentation, d: Derivation) -> bool:
     """Whether d lies in the image of d0."""
     if (d.source, d.target) != (pres.source, pres.target):
         raise ValueError("derivation belongs to a different pair")
-    rows, _ = clear_denominators([*zip(*pres.inner.entries), _pack(d.maps)])
-    return len(_echelon_ints(rows, pres.source.field.p)) == pres.inner.ncols
+    (flat,), _ = clear_denominators([_pack(d.maps)])
+    inner = pres._inner
+    return len(_echelon_ints([*inner.values(), flat], pres.source.field.p)) == len(inner)
 
 
 @dataclass(frozen=True)
@@ -456,11 +486,16 @@ def _extension(
     coordinates ``coords`` once the int rows ``d1`` of a multiple of d1
     kill them; else ValueError naming the first vertex where they do not."""
     image = _apply(d1, 1, coords, m.field.p)
-    at = _offsets(_c0_shapes(m, n))
-    for v, start, end in zip(m.quiver.vertices, at, at[1:]):
-        if any(image[start:end]):
-            raise ValueError(f"derivation equation violated at vertex {v}")
+    v = _first_nonzero(image, _c0_shapes(m, n), m.quiver.vertices)
+    if v is not None:
+        raise ValueError(f"derivation equation violated at vertex {v}")
     return _glue(m, n, coords)
+
+
+def _first_nonzero(image: list, shapes: Sequence[Tuple[int, int]], names: Sequence):
+    """The first of ``names`` whose block of the packed image is not zero."""
+    at = _offsets(shapes)
+    return next((v for v, i, j in zip(names, at, at[1:]) if any(image[i:j])), None)
 
 
 def pullback(d: Derivation, rho: Intertwiner) -> Derivation:

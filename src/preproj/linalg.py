@@ -162,30 +162,10 @@ class Matrix:
         )
 
     def add(self, other: "Matrix") -> "Matrix":
-        self._compatible(other)
-        f = self.field
-        return Matrix(
-            f,
-            self.nrows,
-            self.ncols,
-            tuple(
-                tuple(f.add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return self._entrywise(self.field.add, other)
 
     def sub(self, other: "Matrix") -> "Matrix":
-        self._compatible(other)
-        f = self.field
-        return Matrix(
-            f,
-            self.nrows,
-            self.ncols,
-            tuple(
-                tuple(f.sub(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return self._entrywise(self.field.sub, other)
 
     def scale(self, s: Union[int, Fraction]) -> "Matrix":
         f = self.field
@@ -220,13 +200,17 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def _compatible(self, other: "Matrix") -> None:
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
+        """op of the entries of two matrices of one shape, place by place."""
         if self.field != other.field:
             raise ValueError("mixed fields")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError(
                 f"shape mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
             )
+        rows = zip(self.entries, other.entries)
+        entries = tuple(tuple(map(op, ra, rb)) for ra, rb in rows)
+        return Matrix(self.field, self.nrows, self.ncols, entries)
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:

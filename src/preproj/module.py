@@ -222,6 +222,11 @@ def relation_residual(m: LambdaModule, v: str) -> Matrix:
     """The preprojective relation at vertex v, as a d_v x d_v matrix: the
     signed sum of int products of the actions times D, divided by D^2."""
     (x,), scale = _int_actions(m)
+    return _residual(m, x, scale, v)
+
+
+def _residual(m: LambdaModule, x: List[IntRows], scale: int, v: str) -> Matrix:
+    """:func:`relation_residual` from the actions' int rows times D."""
     aidx, d = m.dq.arrow_index, m.dim_of(v)
     acc = [[0] * d for _ in range(d)]
     for a in m.dq.arrows_from(v):
@@ -243,6 +248,11 @@ def is_nilpotent(m: LambdaModule) -> bool:
     last term is zero.
     """
     (x,), _ = _int_actions(m)
+    return _nilpotent(m, x)
+
+
+def _nilpotent(m: LambdaModule, x: List[IntRows]) -> bool:
+    """:func:`is_nilpotent` from the actions' int rows times D."""
     p, idx = m.field.p, m.quiver.vertex_index
     arrows = [(idx[a.source], idx[a.target]) for a in m.dq.arrows]
     current = [_identity_rows(d) for d in m.dim]
@@ -259,15 +269,16 @@ def is_nilpotent(m: LambdaModule) -> bool:
 
 
 def validate(m: LambdaModule) -> ValidationReport:
-    """Check the preprojective relations and nilpotency.
+    """Check the preprojective relations and nilpotency on shared int rows.
 
     Returns:
         A report listing every vertex with a nonzero relation residual,
         plus the nilpotency verdict.
     """
-    residuals = ((v, relation_residual(m, v)) for v in m.quiver.vertices)
+    (x,), scale = _int_actions(m)
+    residuals = ((v, _residual(m, x, scale, v)) for v in m.quiver.vertices)
     bad = tuple((v, r) for v, r in residuals if not r.is_zero())
-    return ValidationReport(bad, is_nilpotent(m))
+    return ValidationReport(bad, _nilpotent(m, x))
 
 
 def simple(dq: DoubleQuiver, v: str, field: Field) -> LambdaModule:

@@ -238,8 +238,8 @@ def stratify_proj_ext(
             return None
         groups: Dict[Tuple[int, ...], int] = {}
         witness: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        # over F_p the presentation's d1 holds the int rows of d1 (D = 1)
-        d1 = pres_p.d1.entries
+        # over F_p the presentation's stored int rows are d1 itself (D = 1)
+        d1 = pres_p._d1
         columns = list(zip(*(_pack(e.maps) for e in pres_p.ext1_basis)))
         # one echelon row per point of P^{n-1}: first nonzero entry 1
         for (vec,) in enumerate_subspaces(xp_p.field, n, 1):

@@ -717,8 +717,90 @@ def test_presentation_of_empty_blocks(p):
     for m, n, dims in cases:
         pres = ext_presentation(m, n)
         assert (pres.hom_dim, pres.ext1_dim, pres.ext2_cokernel) == dims
+        assert_dimensions_from_ranks(pres)
         assert presentation_fields(pres) == reference_presentation(m, n)
         assert dimension_checks(m, n).ok
+
+
+LAZY = ("d0", "d1", "hom", "derivations", "inner", "ext1_basis")
+
+
+def assert_dimensions_from_ranks(pres):
+    """The dimensions a fresh presentation reads off the ranks of d0 and
+    d1 build no basis, and equal the counts of the bases built after."""
+    dims = (pres.hom_dim, pres.ext1_dim, pres.ext2_cokernel, pres.c0_dim, pres.c1_dim)
+    assert not set(LAZY) & set(vars(pres))
+    d0, d1 = pres.d0, pres.d1
+    assert dims == (
+        pres.hom.ncols,
+        len(pres.ext1_basis),
+        d1.nrows - rank(d1),
+        d0.ncols,
+        d0.nrows,
+    )
+    assert pres.derivations.ncols == pres.inner.ncols + pres.ext1_dim
+    assert set(LAZY) <= set(vars(pres))
+
+
+def test_dimensions_come_from_ranks_without_bases(rng_seed):
+    # hom_dim, ext1_dim and ext2_cokernel are read off rank d0 and rank
+    # d1 at the call; every basis is built only when it is first read
+    rng = random.Random(rng_seed + 29)
+    pairs = []
+    for dq in (a3_double(), kron_double()) * 3:
+        m, n = (random_nilpotent_module(dq, rng, steps=3) for _ in "mn")
+        pairs += [(m, n), (n, m)]
+    for m, n in list(pairs):
+        for p in (5, 7):
+            try:
+                pairs.append((reduce_mod_p(m, p), reduce_mod_p(n, p)))
+            except BadPrime:
+                pass
+    assert {m.field.p for m, _ in pairs} == {None, 5, 7}
+    inner = 0
+    for m, n in pairs:
+        pres = ext_presentation(m, n)
+        assert_dimensions_from_ranks(pres)
+        inner += pres.inner.ncols > 0
+        report = dimension_checks(m, n)
+        assert (report.hom_mn, report.ext1_mn) == (pres.hom_dim, pres.ext1_dim)
+    # ext1_dim subtracts rank d0, which is nonzero on most pairs
+    assert inner >= len(pairs) // 2
+
+
+def test_presentation_checks_its_pair_at_the_call():
+    a2, a3 = a2_double(), a3_double()
+    with pytest.raises(ValueError, match="different quivers"):
+        ext_presentation(simple(a2, "1", QQ), simple(a3, "1", QQ))
+    with pytest.raises(ValueError, match="different fields"):
+        ext_presentation(simple(a2, "1", QQ), simple(a2, "2", Field(5)))
+
+
+def test_hom_basis_and_is_inner_read_the_stored_rows(monkeypatch):
+    # hom_basis checks its vectors on the presentation's d0 rows, so it
+    # builds the differentials once; is_inner builds no inner Matrix
+    import preproj.homext as homext
+
+    real, calls = homext._differential, []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(homext, "_differential", counted)
+    m = d4.m_family(1)
+    assert len(hom_basis(m, m)) == 2
+    assert calls == [(0, 1)]
+    pres = ext_presentation(d4.t_module(), d4.s4_module())
+    assert [is_inner(pres, e) for e in pres.ext1_basis] == [False, False]
+    assert "inner" not in vars(pres)
+    # a vector outside Hom is named by the first arrow it fails on
+    x = x_module(a2_double())
+    bogus = ext_presentation(x, x)
+    bogus.__dict__["hom"] = Matrix.from_cols(QQ, [[1, 0]])
+    monkeypatch.setattr(homext, "ext_presentation", lambda m, n: bogus)
+    with pytest.raises(ValueError, match="does not commute with arrow a$"):
+        hom_basis(x, x)
 
 
 def reference_cy_pairing(d, g):

@@ -260,6 +260,23 @@ def test_validate_matches_matrix_references(rng_seed):
     assert non_nilpotent >= 10 and shrinking >= 1 and fractional >= 1
 
 
+def test_validate_converts_the_actions_once(monkeypatch):
+    # every vertex's residual and the nilpotency chain share one set of
+    # int rows
+    import preproj.module as module
+
+    real, calls = module._int_actions, []
+
+    def counted(*modules):
+        calls.append(modules)
+        return real(*modules)
+
+    monkeypatch.setattr(module, "_int_actions", counted)
+    m = d4.m_family(Fraction(1, 2))
+    assert validate(m).ok
+    assert calls == [(m,)]
+
+
 def test_simple_and_zero_are_nilpotent():
     dq = a2_double()
     assert validate(simple(dq, "1", QQ)).ok

@@ -23,9 +23,11 @@ Coordinates of C0/C1/C2 vectors are the row-major entries of the per-vertex
 Both formulas are written once, in :func:`_differential`, as int rows
 times one common denominator D of both modules' actions (1 over F_p).
 :func:`ext_presentation` eliminates on these rows and keeps them: its
-dimensions come from the ranks of d0 and d1, and a basis, with the
-``Matrix`` and ``Fraction`` objects that hold it, is made only when it
-is first read.  :func:`apply_d1`, :func:`inner_derivation` (which is
+dimensions come from the ranks of d0 and d1, and its chosen Ext^1
+classes are int rows too, which :func:`cy_gram` and the stratifier of
+:mod:`verify` read as they are.  A basis, with the ``Matrix``,
+``Derivation`` and ``Fraction`` objects that hold it, is made only when
+it is first read.  :func:`apply_d1`, :func:`inner_derivation` (which is
 -d0), :func:`hom_basis` (on the presentation's rows) and
 :func:`_extension`, the middle term of packed class coordinates, apply
 them with :func:`_apply`.
@@ -47,7 +49,6 @@ from .linalg import (
     _echelon_ints,
     _from_columns,
     _kernel_rows,
-    _products,
     _reduced_rows,
     clear_denominators,
 )
@@ -301,9 +302,12 @@ class ExtPresentation:
     ``derivations`` and ``inner``, the reduced column echelon bases that
     :func:`column_echelon` gives, unique for the subspace; and
     ``ext1_basis``, the columns of ``derivations`` that are pivot
-    columns of [inner | derivations], a complement of the inner ones.
-    Over Q every entry is a ``Fraction``, every zero the one shared
-    ``Fraction(0)``; over F_p entries are ints in 0..p-1.
+    columns of [inner | derivations], a complement of the inner ones,
+    as the ``Derivation`` objects that ``random_combination`` and
+    :func:`middle_term` take.  :func:`cy_gram` and the stratifier read
+    those classes off the int rows they are made from.  Over Q every
+    entry is a ``Fraction``, every zero the one shared ``Fraction(0)``;
+    over F_p entries are ints in 0..p-1.
     """
 
     source: LambdaModule
@@ -361,16 +365,23 @@ class ExtPresentation:
         return _echelon_ints(_kernel_rows(self._echelon_d1, self.c1_dim, p), p)
 
     @cached_property
-    def ext1_basis(self) -> Tuple[Derivation, ...]:
-        m, n, p = self.source, self.target, self.source.field.p
+    def _ext1_rows(self) -> Dict[int, Sequence[int]]:
+        """The chosen Ext^1 classes as the core's derivation rows, keyed
+        by leading position in increasing order: each is the class's
+        reduced row times its leading entry, which is 1 over F_p."""
         inner, ders = self._inner, self._derivations
         # the core's rows are the reduced rows times positive scalars, and
         # scaling a column moves no pivot column of [inner | derivations]
         leads = sorted(ders)
         columns = [inner[q] for q in sorted(inner)] + [ders[q] for q in leads]
-        pivots = _echelon_ints(zip(*columns), p)
+        pivots = _echelon_ints(zip(*columns), self.source.field.p)
         chosen = {leads[j - len(inner)] for j in pivots if j >= len(inner)}
-        rows = _reduced_rows({q: ders[q] for q in chosen}, p)
+        return {q: ders[q] for q in sorted(chosen)}
+
+    @cached_property
+    def ext1_basis(self) -> Tuple[Derivation, ...]:
+        m, n = self.source, self.target
+        rows = _reduced_rows(self._ext1_rows, m.field.p)
         shapes = _c1_shapes(m, n)
         return tuple(Derivation(m, n, tuple(_unpack(m.field, r, shapes))) for r in rows)
 
@@ -522,23 +533,6 @@ def pushout(d: Derivation, lam: Intertwiner) -> Derivation:
     return Derivation(d.source, lam.target, maps)
 
 
-def _pairing_left(d: Derivation) -> Tuple[Scalar, ...]:
-    """(-1)^{sign(b)} d(bar b) row-major, arrow after arrow: the left
-    factor of :func:`cy_pairing` as one vector."""
-    neg = d.source.field.neg
-    out: List[Scalar] = []
-    for a in d.source.dq.arrows:
-        flat = [x for r in d.map_of(a.bar).entries for x in r]
-        out += map(neg, flat) if a.sign else flat
-    return tuple(out)
-
-
-def _pairing_right(g: Derivation) -> List[Scalar]:
-    """g(b) column-major, arrow after arrow, so that its dot product with
-    :func:`_pairing_left` is the trace pairing."""
-    return [x for mat in g.maps for c in zip(*mat.entries) for x in c]
-
-
 def cy_pairing(d: Derivation, g: Derivation) -> Scalar:
     """The trace pairing sum_b (-1)^{sign(b)} Tr( d(bar b) g(b) ).
 
@@ -550,23 +544,45 @@ def cy_pairing(d: Derivation, g: Derivation) -> Scalar:
     """
     if d.source != g.target or d.target != g.source:
         raise ValueError("pairing requires opposite derivation directions")
-    return _pairings(d.source.field, [d], [g]).entries[0][0]
+    (left,), c = clear_denominators([_pack(d.maps)])
+    (right,), e = clear_denominators([_pack(g.maps)])
+    return _pairings(d.source, d.target, [(left, c)], [(right, e)])[0][0]
 
 
 def cy_gram(pres_mn: ExtPresentation, pres_nm: ExtPresentation) -> Matrix:
-    """The pairing matrix between the two chosen Ext^1 complement bases."""
-    return _pairings(pres_mn.source.field, pres_mn.ext1_basis, pres_nm.ext1_basis)
+    """The pairing matrix between the two chosen Ext^1 complement bases,
+    from both presentations' chosen rows (each class times its leading
+    entry): one int dot product per entry, divided by both leads."""
+    m, n = pres_mn.source, pres_mn.target
+    ds = [(r, r[q]) for q, r in pres_mn._ext1_rows.items()]
+    gs = [(r, r[q]) for q, r in pres_nm._ext1_rows.items()]
+    return Matrix(m.field, len(ds), len(gs), _pairings(m, n, ds, gs))
 
 
-def _pairings(
-    field: Field, ds: Sequence[Derivation], gs: Sequence[Derivation]
-) -> Matrix:
-    """The matrix of the values cy_pairing(d, g), one row per d and one
-    column per g: the dot products of the packed left factors with the
-    packed right factors, with no product matrix in between."""
-    lefts = [_pairing_left(d) for d in ds]
-    rights = [_pairing_right(g) for g in gs]
-    return Matrix(field, len(lefts), len(rights), _products(field.p, lefts, rights))
+def _pairings(m: LambdaModule, n: LambdaModule, ds: Sequence, gs: Sequence) -> tuple:
+    """The values cy_pairing(d, g), one row per d and one column per g,
+    of classes given as packed int coordinates and a divisor (1 over
+    F_p): d's coordinates permuted to (-1)^{sign(b)} d(bar b) row-major,
+    arrow after arrow, dotted with g's permuted to g(b) column-major."""
+    at_mn, at_nm = _offsets(_c1_shapes(m, n)), _offsets(_c1_shapes(n, m))
+    idx, aidx = m.quiver.vertex_index, m.dq.arrow_index
+    left_at: List[Tuple[int, int]] = []
+    right_at: List[int] = []
+    for a, start in zip(m.dq.arrows, at_nm):
+        # d(bar b) is n_{s(b)} x m_{e(b)}, and g(b) is its transpose's shape
+        rows, cols, bar = n.dim[idx[a.source]], m.dim[idx[a.target]], at_mn[aidx[a.bar]]
+        sign = -1 if a.sign else 1
+        left_at += [(bar + i, sign) for i in range(rows * cols)]
+        right_at += [start + k * rows + i for i in range(rows) for k in range(cols)]
+    lefts = [([s * d[i] for i, s in left_at], c) for d, c in ds]
+    rights = [([g[i] for i in right_at], e) for g, e in gs]
+    p = m.field.p
+    if p is None:
+        return tuple(
+            tuple(Fraction(sum(map(mul, x, y)), c * e) for y, e in rights)
+            for x, c in lefts
+        )
+    return tuple(tuple(sum(map(mul, x, y)) % p for y, _ in rights) for x, _ in lefts)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
@@ -162,20 +162,19 @@ class Matrix:
         )
 
     def add(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.add, other)
+        return self._entrywise(add, other)
 
     def sub(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.sub, other)
+        return self._entrywise(sub, other)
 
     def scale(self, s: Union[int, Fraction]) -> "Matrix":
-        f = self.field
-        s = f.of(s)
-        return Matrix(
-            f,
-            self.nrows,
-            self.ncols,
-            tuple(tuple(f.mul(s, a) for a in row) for row in self.entries),
-        )
+        """s times every entry; a zero entry stays zero unmultiplied."""
+        p, s = self.field.p, self.field.of(s)
+        if p is None:
+            entries = tuple(tuple(s * a if a else _ZERO for a in r) for r in self.entries)
+        else:
+            entries = tuple(tuple(s * a % p if a else 0 for a in r) for r in self.entries)
+        return Matrix(self.field, self.nrows, self.ncols, entries)
 
     def mul(self, other: "Matrix") -> "Matrix":
         """Matrix product self * other.
@@ -208,8 +207,12 @@ class Matrix:
             raise ValueError(
                 f"shape mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
             )
-        rows = zip(self.entries, other.entries)
-        entries = tuple(tuple(map(op, ra, rb)) for ra, rb in rows)
+        rows, p = zip(self.entries, other.entries), self.field.p
+        # a zero entry of other leaves the entry of self as it is
+        if p is None:
+            entries = tuple(tuple(op(a, b) if b else a for a, b in zip(*r)) for r in rows)
+        else:
+            entries = tuple(tuple(op(a, b) % p if b else a for a, b in zip(*r)) for r in rows)
         return Matrix(self.field, self.nrows, self.ncols, entries)
 
 

@@ -8,6 +8,7 @@ are no extensions.  Simples are nilpotent and middle terms of nilpotent
 modules are nilpotent, so the result is nilpotent by construction.
 """
 
+from functools import reduce
 from random import Random
 from typing import Optional, Sequence
 
@@ -29,10 +30,9 @@ def random_combination(items: Sequence, rng: Random):
     weights = [rng.randint(-2, 2) for _ in items]
     if not any(weights):
         weights[rng.randrange(len(weights))] = 1
-    out = items[0].scale(weights[0])
-    for item, w in zip(items[1:], weights[1:]):
-        out = out.add(item.scale(w))
-    return out
+    # a zero weight adds nothing and a weight 1 scales nothing
+    terms = [item if w == 1 else item.scale(w) for item, w in zip(items, weights) if w]
+    return reduce(lambda out, term: out.add(term), terms)
 
 
 def random_nilpotent_module(

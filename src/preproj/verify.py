@@ -48,7 +48,6 @@ from .homext import (
     Derivation,
     ExtPresentation,
     _extension,
-    _pack,
     ext_presentation,
     is_inner,
     middle_term,
@@ -240,7 +239,8 @@ def stratify_proj_ext(
         witness: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         # over F_p the presentation's stored int rows are d1 itself (D = 1)
         d1 = pres_p._d1
-        columns = list(zip(*(_pack(e.maps) for e in pres_p.ext1_basis)))
+        # and its chosen Ext^1 rows are the classes (leading entries 1)
+        columns = list(zip(*pres_p._ext1_rows.values()))
         # one echelon row per point of P^{n-1}: first nonzero entry 1
         for (vec,) in enumerate_subspaces(xp_p.field, n, 1):
             coords = _class_derivation(columns, vec, p)

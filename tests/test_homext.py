@@ -878,6 +878,56 @@ def test_cy_pairing_and_gram_agree_with_product_then_trace(rng_seed):
     assert {m.field.p for m, _ in pairs} == {None, 5, 7}
 
 
+def test_cy_gram_reads_the_chosen_rows(rng_seed):
+    # cy_gram pairs the presentations' stored int rows, divided by the
+    # two leading entries, and builds no Ext^1 basis on either side
+    rng = random.Random(rng_seed + 30)
+    pairs = []
+    for dq in (a3_double(), kron_double()) * 3:
+        pairs.append(
+            tuple(random_nilpotent_module(dq, rng, steps=3) for _ in "mn")
+        )
+    # non-integral modules with denominators 2, 3 and 6
+    scalars = (1, Fraction(1, 2), 3)
+    odd = [
+        conjugated(m, scalars)
+        for m in (d4.t_module(), d4.r_module(), d4.m_family(1), x_module(a2_double()))
+    ]
+    found = {x.denominator for m in odd for a in m.action for r in a.entries for x in r}
+    assert {2, 3, 6} <= found
+    pairs += [(odd[0], d4.s4_module()), (odd[1], odd[2]), (odd[3], odd[3])]
+    pairs += [(n, m) for m, n in pairs]
+    for m, n in list(pairs):
+        for p in (5, 7):
+            try:
+                pairs.append((reduce_mod_p(m, p), reduce_mod_p(n, p)))
+            except BadPrime:
+                pass
+    assert {m.field.p for m, _ in pairs} == {None, 5, 7}
+    import preproj.homext as homext
+
+    def one_lead(pres_mn, pres_nm, side):
+        """The pairing divided by the leading entries of one side only."""
+        ds, gs = (
+            [(r, r[q] if k == side else 1) for q, r in pres._ext1_rows.items()]
+            for k, pres in enumerate((pres_mn, pres_nm))
+        )
+        return homext._pairings(pres_mn.source, pres_mn.target, ds, gs)
+
+    caught = [0, 0]
+    for m, n in pairs:
+        pres_mn, pres_nm = ext_presentation(m, n), ext_presentation(n, m)
+        gram = cy_gram(pres_mn, pres_nm)
+        assert "ext1_basis" not in vars(pres_mn)
+        assert "ext1_basis" not in vars(pres_nm)
+        want = reference_cy_gram(pres_mn, pres_nm)
+        assert typed(gram) == typed(want)
+        for side in (0, 1):
+            caught[side] += one_lead(pres_mn, pres_nm, side) != want.entries
+    # (odd[1], odd[2]) has a leading entry 4 on one side, in each order
+    assert min(caught) >= 1
+
+
 def reference_is_inner(pres, d):
     """Reference for is_inner: solve inner * X = the packed class as one
     column, through rref of the stacked Matrix."""

@@ -38,6 +38,7 @@ from .verify import (
     AnchorCollision,
     UnanchoredStratum,
     VerificationReport,
+    _chi_sum,
     verify_thm_1_1,
     verify_thm_1_2,
 )
@@ -290,11 +291,8 @@ def cmd_example_d4(args) -> int:
     lines.append(f"fingerprint identities over {len(words)} words")
     all_ok = True
     for total_name, generic_name, extra_name in _IDENTITIES:
-        ok = all(
-            fps[total_name].chi_of(w)
-            == fps[generic_name].chi_of(w) + fps[extra_name].chi_of(w)
-            for w in words
-        )
+        terms = [(1, fps[total_name]), (-1, fps[generic_name]), (-1, fps[extra_name])]
+        ok = not any(_chi_sum(terms, words))
         all_ok = all_ok and ok
         text = f"delta_{total_name} = delta_{generic_name} + delta_{extra_name}"
         lines.append(f"  {text}    {'ok' if ok else 'FAILED'}")
@@ -312,9 +310,7 @@ def cmd_example_d4(args) -> int:
     data["pairwise"] = report_to_data(rep)
     # rep.left_values is 2 * chi of the direct sum, so halving recovers it
     total_chi = tuple(v // 2 for v in rep.left_values)
-    expansion = tuple(
-        sum(fps[name].chi_of(w) for name in _EXPANSION) for w in words
-    )
+    expansion = _chi_sum([(1, fps[name]) for name in _EXPANSION], words)
     exp_ok = total_chi == expansion
     all_ok = all_ok and exp_ok
     lines.append("")

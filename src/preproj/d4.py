@@ -10,10 +10,11 @@ vertex relations by hand before being frozen here.
 
 Basis convention at the central vertex for the dimension (1,1,1,2) modules:
 coordinates are written (top, bottom).  Apart from R, each such module
-belongs to one of three families, built from one pattern each: the M family
-by its bar scalars, A, B, C by the lone arrow that lands in the top
-coordinate, and F, G, H by the top arrow whose two companions fold back
-through their bars.
+belongs to one of three families, built from one pattern each.  The M
+family is given by its bar scalars; M(inf) has bar scalars (-1, 0, 1).  A,
+B, C are given by the lone arrow that lands in the top coordinate: A is the
+a-string plus the (b,c)-fork.  F, G, H are given by the top arrow, whose two
+companions fold back through their bars: F has top the simple at 1.
 """
 
 from __future__ import annotations
@@ -65,52 +66,9 @@ def m_family(lam: Rational, dq: DoubleQuiver = None) -> LambdaModule:
     return _bar_scalars((-1 - lam, 1, lam), dq)
 
 
-def m_zero(dq: DoubleQuiver = None) -> LambdaModule:
-    return m_family(0, dq)
-
-
-def m_minus_one(dq: DoubleQuiver = None) -> LambdaModule:
-    return m_family(-1, dq)
-
-
-def m_infinity(dq: DoubleQuiver = None) -> LambdaModule:
-    """The remaining degenerate member, with bar scalars (-1, 0, 1)."""
-    return _bar_scalars((-1, 0, 1), dq)
-
-
 def r_module(dq: DoubleQuiver = None) -> LambdaModule:
     """R: the three arrows hit three pairwise distinct lines; bars act by 0."""
     return _central_two(dq, {"a": [[1], [0]], "b": [[0], [1]], "c": [[1], [1]]})
-
-
-def a_sum_module(dq: DoubleQuiver = None) -> LambdaModule:
-    """A: the sum of the a-string and the (b,c)-fork, bars zero."""
-    return _lone_arrow("a", dq)
-
-
-def b_sum_module(dq: DoubleQuiver = None) -> LambdaModule:
-    """B: the sum of the b-string and the (a,c)-fork, bars zero."""
-    return _lone_arrow("b", dq)
-
-
-def c_sum_module(dq: DoubleQuiver = None) -> LambdaModule:
-    """C: the sum of the c-string and the (a,b)-fork, bars zero."""
-    return _lone_arrow("c", dq)
-
-
-def f_module(dq: DoubleQuiver = None) -> LambdaModule:
-    """F: top the simple at 1, with b and c folded back through the bars."""
-    return _top_arrow("a", dq)
-
-
-def g_module(dq: DoubleQuiver = None) -> LambdaModule:
-    """G: top the simple at 2, with a and c folded back through the bars."""
-    return _top_arrow("b", dq)
-
-
-def h_module(dq: DoubleQuiver = None) -> LambdaModule:
-    """H: top the simple at 3, with a and b folded back through the bars."""
-    return _top_arrow("c", dq)
 
 
 def _central_two(dq: DoubleQuiver, action: Dict) -> LambdaModule:
@@ -155,14 +113,14 @@ def zoo(lam: Rational = 1) -> Dict[str, LambdaModule]:
         "T": t_module(dq),
         "S4": s4_module(dq),
         "M(lam)": m_family(lam, dq),
-        "M(0)": m_zero(dq),
-        "M(-1)": m_minus_one(dq),
-        "M(inf)": m_infinity(dq),
+        "M(0)": m_family(0, dq),
+        "M(-1)": m_family(-1, dq),
+        "M(inf)": _bar_scalars((-1, 0, 1), dq),
         "R": r_module(dq),
-        "A": a_sum_module(dq),
-        "B": b_sum_module(dq),
-        "C": c_sum_module(dq),
-        "F": f_module(dq),
-        "G": g_module(dq),
-        "H": h_module(dq),
+        "A": _lone_arrow("a", dq),
+        "B": _lone_arrow("b", dq),
+        "C": _lone_arrow("c", dq),
+        "F": _top_arrow("a", dq),
+        "G": _top_arrow("b", dq),
+        "H": _top_arrow("c", dq),
     }

@@ -22,7 +22,7 @@ with one count memo (see :mod:`preproj.flags`): the anchors'
 fingerprints, the middle terms of the extension classes and the direct
 sum all count through it, and a count row or child list found for one of
 them is reused by the others.  The memo also keeps the presentations of
-Ext^1 over Q, so the two stratifications present each direction once.
+Ext^1, so the two stratifications present each direction once per field.
 """
 
 import time
@@ -30,7 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fields import primes
 from .flags import (
@@ -137,9 +137,9 @@ def _class_derivation(columns: Sequence, vec: Sequence[int], p: int) -> Sequence
 def _presentation(
     x: LambdaModule, y: LambdaModule, memo: Optional[Dict]
 ) -> ExtPresentation:
-    """The presentation of Ext^1(x, y) over Q; kept in ``memo``, when one
-    is given, so the two stratifications of a job present each direction
-    once."""
+    """The presentation of Ext^1(x, y); kept in ``memo``, when one is
+    given, so the two stratifications of a job present each direction
+    once over Q and once per prime."""
     key = ("ext1", x, y)
     pres = None if memo is None else memo.get(key)
     if pres is None:
@@ -178,9 +178,9 @@ def stratify_proj_ext(
         memo: optional count memo shared with the caller, valid for one
             double quiver; the anchors' fingerprints and every sampled
             prime count through it, so an anchor's row is counted once
-            per prime, and it keeps the two presentations of Ext^1 over
-            Q.  When omitted, each prime of each count starts a fresh
-            dict.
+            per prime, and it keeps the presentations of Ext^1 over Q
+            and mod p.  When omitted, each prime of each count starts a
+            fresh dict.
 
     Raises:
         UnanchoredStratum: a class matched no anchor at some prime.
@@ -221,8 +221,8 @@ def stratify_proj_ext(
             mods_p = [reduce_mod_p(mod, p) for mod in mods]
         except BadPrime:
             return None
-        pres_p = ext_presentation(xp_p, xpp_p)
-        back_p = ext_presentation(xpp_p, xp_p)
+        pres_p = _presentation(xp_p, xpp_p, memo)
+        back_p = _presentation(xpp_p, xp_p, memo)
         if (
             pres_p.hom_dim != pres.hom_dim
             or pres_p.ext1_dim != n
@@ -299,6 +299,16 @@ def _merge_strata(
     return merged
 
 
+def _chi_sum(
+    terms: Collection[Tuple[int, DeltaFingerprint]], words: Tuple[Word, ...]
+) -> Tuple[int, ...]:
+    """The sum of c * chi over the (c, fingerprint) terms, word by word;
+    ValueError when a fingerprint lists other words than ``words``."""
+    if any(fp.words != words for _, fp in terms):
+        raise ValueError("the fingerprints list different words")
+    return tuple(sum(c * fp.chi[i] for c, fp in terms) for i in range(len(words)))
+
+
 def _profile_primes(fps: Sequence[DeltaFingerprint]) -> set:
     return {p for fp in fps for pr in fp.profiles for p, _ in pr.samples}
 
@@ -333,11 +343,8 @@ def verify_thm_1_1(
     strata_bwd = stratify_proj_ext(xpp, xp, anchors_bwd, prime_list, memo)
     total = fingerprint(direct_sum(xp, xpp), prime_list, memo=memo)
     merged = _merge_strata(strata_fwd + strata_bwd)
-    left = tuple(n * c for c in total.chi)
-    right = tuple(
-        sum(coeff * fp.chi_of(word) for coeff, fp in merged.values())
-        for word in total.words
-    )
+    left = _chi_sum([(n, total)], total.words)
+    right = _chi_sum(merged.values(), total.words)
     used = _profile_primes([total]) | {
         p for s in strata_fwd + strata_bwd for p, _ in s.sizes
     }
@@ -405,9 +412,8 @@ def verify_thm_1_2(
     total = fingerprint(direct_sum(xp, xpp), prime_list, memo=memo)
     fx = fingerprint(middle_term(d).module, prime_list, memo=memo)
     fy = fingerprint(middle_term(g).module, prime_list, memo=memo)
-    right = tuple(
-        fx.chi_of(word) + fy.chi_of(word) for word in total.words
-    )
+    left = _chi_sum([(1, total)], total.words)
+    right = _chi_sum([(1, fx), (1, fy)], total.words)
     return VerificationReport(
         method="unique-extension",
         left_module=xp,
@@ -416,7 +422,7 @@ def verify_thm_1_2(
         strata_fwd=(),
         strata_bwd=(),
         words=total.words,
-        left_values=total.chi,
+        left_values=left,
         right_values=right,
         primes_used=tuple(sorted(_profile_primes([total, fx, fy]))),
         elapsed=time.perf_counter() - start,

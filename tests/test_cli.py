@@ -1,6 +1,7 @@
 """Command line tests, driven through main() with explicit argv."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +215,21 @@ def test_example_d4_reproduces_the_worked_example(capsys):
         in out
     )
     assert "FAILED" not in out
+
+
+def without_elapsed(data: dict) -> dict:
+    """json.load object hook: drop every timing, keep everything else."""
+    return {k: v for k, v in data.items() if k != "elapsed"}
+
+
+def test_example_d4_json_matches_the_frozen_output(capsys):
+    # tests/example_d4.json is the output with its timings removed; CI
+    # compares against it under python3 -S as well
+    assert main(["example-d4", "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out, object_hook=without_elapsed)
+    frozen = Path(__file__).with_name("example_d4.json").read_text()
+    assert got == json.loads(frozen, object_hook=without_elapsed)
+    assert got["passed"] is True
 
 
 def test_example_d4_generic_parameter_choice(capsys):

@@ -7,6 +7,7 @@ choices and branching only happens in pieces of dimension two or more.
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import groupby, islice
 
@@ -84,6 +85,41 @@ def test_count_rejects_bad_inputs():
     xp = reduce_mod_p(x_module(dq), 5)
     with pytest.raises(ValueError, match="content"):
         count_flags(xp, ("1", "1"))
+
+
+def test_guards_name_the_bad_input():
+    # each guard with its exact message: rational versus prime fields,
+    # word content, and two modules or fingerprints over different
+    # double quivers (a: 1 -> 2 against a: 2 -> 1)
+    dq = a2_double()
+    other = x_module(double(Quiver.build(["1", "2"], [("a", "2", "1")])))
+    x = x_module(dq)
+    xp, other_p = reduce_mod_p(x, 5), reduce_mod_p(other, 5)
+    word = ("1", "2", "1", "2")
+    need_p = "flag counting needs a prime field; reduce first"
+    need_q = "Euler characteristics are computed over the rationals"
+    content = "word content differs from the module dimension"
+    common = "need two modules over one common prime field"
+    quivers = "modules live over different double quivers"
+    cases = [
+        (lambda: count_flags_fp(x), need_p),
+        (lambda: euler_characteristic(xp, ("1", "2")), need_q),
+        (lambda: euler_characteristic(x, ("1", "1")), content),
+        (lambda: fingerprint(xp), need_q),
+        (
+            lambda: split_chi_sum(fingerprint(x), fingerprint(other), ("1", "2")),
+            "fingerprints live over different double quivers",
+        ),
+        (lambda: count_flags_by_splitting(x, x, word), common),
+        (lambda: count_flags_by_splitting(xp, reduce_mod_p(x, 3), word), common),
+        (lambda: count_flags_by_splitting(xp, other_p, word), quivers),
+        (lambda: count_flags_by_splitting(xp, xp, ("1", "2")), content),
+        (lambda: split_euler_table(xp, x, word), need_q),
+        (lambda: split_euler_table(x, other, word), quivers),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_memo_refuses_a_second_double_quiver():

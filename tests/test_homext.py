@@ -380,6 +380,19 @@ def test_derivation_linear_combinations():
     assert is_derivation(combo)
 
 
+def test_derivations_of_another_pair_are_refused():
+    dq = d4.star_double()
+    s4, t = d4.s4_module(dq), d4.t_module(dq)
+    forward = ext_presentation(s4, t)
+    backward = ext_presentation(t, s4).ext1_basis[0]
+    with pytest.raises(ValueError, match="^derivation belongs to a different pair$"):
+        is_inner(forward, backward)
+    with pytest.raises(
+        ValueError, match="^adding derivations between different modules$"
+    ):
+        forward.ext1_basis[0].add(backward)
+
+
 def test_dimension_checks_frozen():
     dq = d4.star_double()
     report = dimension_checks(d4.t_module(dq), d4.s4_module(dq))
@@ -450,7 +463,7 @@ def test_residual_expression_matches_d1_on_arbitrary_tuples(rng_seed):
     # Intertwiner.build name the first vertex or arrow where they fail
     rng = random.Random(rng_seed + 23)
     pairs = [
-        (d4.m_family(2), d4.f_module()),
+        (d4.m_family(2), d4.zoo()["F"]),
         (conjugated(d4.m_family(1), (1, Fraction(1, 2), 3)), d4.r_module()),
     ]
     for dq in (a3_double(), kron_double()) * 2:

@@ -425,8 +425,8 @@ def test_zoo_rejects_degenerate_parameters():
 
 
 def test_m_family_specializes_to_named_degenerations():
-    assert d4.m_family(0).action == d4.m_zero().action
-    assert d4.m_family(-1).action == d4.m_minus_one().action
+    assert d4.m_family(0).action == d4.zoo()["M(0)"].action
+    assert d4.m_family(-1).action == d4.zoo()["M(-1)"].action
     lam = Fraction(7, 2)
     m = d4.m_family(lam)
     assert m.x("a*") == Matrix.from_rows(QQ, [[Fraction(-9, 2), 0]])

@@ -10,6 +10,7 @@ classes and three special ones at every good prime, in both directions.
 """
 
 import random
+import re
 from collections import OrderedDict
 from fractions import Fraction
 from itertools import product
@@ -18,7 +19,7 @@ import pytest
 
 from preproj import d4, flags, homext, verify
 from preproj.fields import QQ, Field
-from preproj.flags import enumerate_subspaces, fingerprint
+from preproj.flags import InsufficientPrimes, enumerate_subspaces, fingerprint
 from preproj.homext import ext_presentation, middle_term
 from preproj.linalg import Matrix
 from preproj.module import BadPrime, LambdaModule, direct_sum, reduce_mod_p, simple
@@ -91,6 +92,53 @@ def test_unique_extension_rejects_wrong_direction_class():
     forward = ext_presentation(s1, s2).ext1_basis[0]
     with pytest.raises(ValueError, match="does not live"):
         verify_thm_1_2(s1, s2, g=forward)
+
+
+def test_guards_name_the_bad_input():
+    # each guard with its exact message
+    dq = a2_double()
+    s1, s2 = simple(dq, "1", QQ), simple(dq, "2", QQ)
+    backward = ext_presentation(s2, s1).ext1_basis[0]
+    zoo = d4.zoo(1)
+    cases = [
+        (
+            lambda: verify_thm_1_2(s1, s2, d=backward),
+            ValueError,
+            "class d does not live in Ext^1(x', x'')",
+        ),
+        (
+            lambda: verify_thm_1_2(s1, s2, g=backward.scale(0)),
+            ValueError,
+            "class g is split, its middle term is the direct sum",
+        ),
+        # 3 is a bad prime of the pair, not an anchor collision
+        (
+            lambda: stratify_proj_ext(
+                zoo["S4"],
+                star_t_with(Fraction(1, 3)),
+                m_anchors(zoo),
+                prime_list=[3, 5, 7, 11],
+            ),
+            InsufficientPrimes,
+            "prime list exhausted after 3 usable primes",
+        ),
+        (
+            lambda: verify._chi_sum([(1, fingerprint(x_module(dq)))], (("1", "2"),)),
+            ValueError,
+            "the fingerprints list different words",
+        ),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_chi_sum_reads_each_chi_by_position():
+    dq = a2_double()
+    fx, fy = fingerprint(x_module(dq)), fingerprint(y_module(dq))
+    assert fx.chi == (1, 0) and fy.chi == (0, 1)
+    assert verify._chi_sum([(3, fx), (-2, fy)], fx.words) == (3, -2)
+    assert verify._chi_sum([], fx.words) == (0, 0)
 
 
 def test_unique_extension_identity_on_random_pairs(rng_seed):
@@ -230,6 +278,61 @@ def test_pairwise_identity_on_the_star_pair():
     total = fingerprint(direct_sum(zoo["T"], zoo["S4"]))
     assert rep.left_values == tuple(2 * c for c in total.chi)
     assert rep.mismatches() == ()
+
+
+def test_pairwise_identity_merges_strata_with_shared_anchors():
+    # M has dimension (1, 1) and dim Ext^1(M, M) = 2; both directions are
+    # stratified against the same anchors, so every anchor fingerprint
+    # collects one coefficient from each side
+    m = random_nilpotent_module(kron_double(), random.Random(4), steps=1, max_total=2)
+    pres = ext_presentation(m, m)
+    assert m.dim == (1, 1) and pres.ext1_dim == 2
+    anchors = OrderedDict(
+        (f"E{i}", middle_term(e).module) for i, e in enumerate(pres.ext1_basis)
+    )
+    rep = verify_thm_1_1(m, m, anchors, anchors)
+    assert rep.passed
+    for strata in (rep.strata_fwd, rep.strata_bwd):
+        assert tuple(s.chi_proj for s in strata) == (1, 1)
+    merged = verify._merge_strata(rep.strata_fwd + rep.strata_bwd)
+    fps = [s.fingerprint for s in rep.strata_fwd]
+    assert [fp.chi for fp in fps] == [(0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 1, 4)]
+    assert list(merged.items()) == [(fp.chi, [2, fp]) for fp in fps]
+    assert rep.left_values == rep.right_values == (0, 0, 0, 0, 4, 8)
+
+
+def test_a_job_presents_each_reduced_direction_once_per_prime(monkeypatch):
+    zoo = d4.zoo(1)
+    xp, xpp = zoo["S4"], zoo["T"]
+    real_present, real_reduce = verify.ext_presentation, verify.reduce_mod_p
+    presented, reduced = [], set()
+
+    def present(m, n):
+        presented.append((m, n))
+        return real_present(m, n)
+
+    def reduce(m, p):
+        if m in (xp, xpp):
+            reduced.add(p)
+        return real_reduce(m, p)
+
+    monkeypatch.setattr(verify, "ext_presentation", present)
+    monkeypatch.setattr(verify, "reduce_mod_p", reduce)
+    assert verify_thm_1_1(xp, xpp, m_anchors(zoo), r_anchors(zoo)).passed
+    # two directions over Q and two at each prime either side reduced at,
+    # each presented once although both stratifications read them
+    assert len(set(presented)) == len(presented) == 2 + 2 * len(reduced)
+    assert {m.field.p for m, _ in presented} == {None} | reduced
+    # without a memo a stratification presents both directions itself,
+    # over Q and at every prime it reduces the pair at
+    presented.clear()
+    reduced.clear()
+    stratify_proj_ext(xpp, xp, r_anchors(zoo))
+    assert len(set(presented)) == len(presented) == 2 + 2 * len(reduced)
+    for p in {None} | reduced:
+        assert sorted(
+            (m.field.p, m.dim) for m, _ in presented if m.field.p == p
+        ) == sorted([(p, xp.dim), (p, xpp.dim)])
 
 
 def test_pairwise_identity_is_symmetric_in_the_pair():

@@ -8,11 +8,18 @@ polynomial-count assumption is never trusted silently: every fit must
 reproduce the counts at extra validation primes or the computation aborts
 with :class:`NonPolynomialCount`.
 
-Interpolation is linear in the counts, so every fit through one window of
-primes shares that window's integer Lagrange weights (cached in
+A rational module is sampled prime by prime: it is reduced mod p straight
+into the row form counting works in (:func:`~preproj.module._reduce_rows`,
+no matrices in between), and each prime's counts for the whole table are
+one row.  Interpolation is linear in the counts, so every fit through one
+window of primes shares that window's integer Lagrange weights (cached in
 :func:`~preproj.linalg.lagrange_weights`): the value at 1 and the values
 at the validation primes are integer dot products with the window counts,
-and a :class:`Polynomial` is made only when a profile's is read.
+and a :class:`Polynomial` is made only when a profile's is read.  The
+windows are made once per shift (:func:`_windows`) and serve every
+column: a fingerprint's words are fitted in one sweep over them, each word
+keeping the first window it passes at, while a split table or a
+stratification keeps the first window every column passes at.
 
 Every count is one row: the step sequences of a table (the words of a
 fingerprint, the splitting types of a split count, or a single word) are
@@ -60,8 +67,8 @@ from .module import (
     LambdaModule,
     RowModule,
     Rows,
+    _reduce_rows,
     direct_sum,
-    reduce_mod_p,
     restrict_rows,
 )
 from .quiver import (
@@ -432,18 +439,19 @@ def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
     return total
 
 
-def _count_row(m: LambdaModule, trie: Trie, memo: Dict) -> Tuple[int, ...]:
-    """The stable flag counts of a finite-field module, one per entry of
-    the step table of a trie (see :func:`_trie`), through one shared
-    memo.  Every count the package takes (words, fingerprint rows, split
-    tables, strata) is taken here, in one :func:`_count` call on the
-    trie's root.
+def _count_row(rm: RowModule, trie: Trie, memo: Dict) -> Tuple[int, ...]:
+    """The stable flag counts of a finite-field module in row form, one
+    per entry of the step table of a trie (see :func:`_trie`), through
+    one shared memo.  Every count the package takes (words, fingerprint
+    rows, split tables, strata) is taken here, in one :func:`_count` call
+    on the trie's root.  A rational module sampled at a prime comes
+    straight from :func:`~preproj.module._reduce_rows`; a module that
+    is already over F_p is passed as ``RowModule.of(m)``.
 
     The memo may hold the counts of other modules and primes, but only of
     one double quiver: on first use it records the module's arrows, and
     a module with other arrows raises ValueError.
     """
-    rm = RowModule.of(m)
     arrows = memo.setdefault(_ARROWS_KEY, rm.arrows)
     if arrows != rm.arrows:
         raise ValueError("the memo holds counts of another double quiver")
@@ -476,7 +484,8 @@ def count_flags(
         raise ValueError("word content differs from the module dimension")
     if memo is None:
         memo = {}
-    (n,) = _count_row(m, _trie((_steps(m.quiver, word, coeffs),), memo), memo)
+    trie = _trie((_steps(m.quiver, word, coeffs),), memo)
+    (n,) = _count_row(RowModule.of(m), trie, memo)
     fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
     return FlagCount(m, tuple(word), fixed, m.field.p, n)
 
@@ -490,7 +499,7 @@ def count_flags_fp(m: LambdaModule) -> Tuple[int, ...]:
     if m.field.is_rational:
         raise ValueError("flag counting needs a prime field; reduce first")
     _, trie = _word_table(m.quiver, m.dim)
-    return _count_row(m, trie, {})
+    return _count_row(RowModule.of(m), trie, {})
 
 
 def degree_bound(m: LambdaModule) -> int:
@@ -542,15 +551,17 @@ class _PrimePool:
 
 def _module_sampler(module: LambdaModule, trie: Trie, memo: Optional[Dict] = None):
     """The pool sampler of a rational module: its count row mod p for the
-    trie's step table, or None at a bad prime.  Every prime counts through
-    ``memo``, or through a fresh dict of its own when it is None."""
+    trie's step table, or None at a bad prime.  The module is reduced
+    straight into rows by :func:`~preproj.module._reduce_rows`, with no
+    matrix in between.  Every prime counts through ``memo``, or through a
+    fresh dict of its own when it is None."""
 
     def sample(p: int) -> Optional[Tuple[int, ...]]:
         try:
-            mp = reduce_mod_p(module, p)
+            rows = _reduce_rows(module, p)
         except BadPrime:
             return None
-        return _count_row(mp, trie, {} if memo is None else memo)
+        return _count_row(rows, trie, {} if memo is None else memo)
 
     return sample
 
@@ -563,6 +574,60 @@ def _window_polynomial(
     return interpolate([(p, values[p]) for p in window])
 
 
+def _windows(pool: _PrimePool, bound: int) -> Iterator[Tuple]:
+    """The fit windows of a pool, one per shift from 0 to
+    MAX_WINDOW_SHIFT: the window primes, the validation primes and a
+    function from a count column to its fit's value at 1, or None when
+    that fit fails.  Rows are drawn from the pool only as far as the
+    shift asked for needs them.
+
+    A column's fit through the window rows must reproduce the
+    VALIDATION_PRIMES rows after it and be integral at 1.  Interpolation
+    is linear in the counts, so the window's :func:`lagrange_weights`
+    (cached) turn each check into integer dot products with the column's
+    window counts y: with common denominator D, the fit is integral at 1
+    exactly when D divides w_1 . y, and it validates at p exactly when
+    w_p . y equals D times the count at p.  No polynomial is built;
+    :func:`_window_polynomial` makes one from the window counts when it
+    is asked for.
+    """
+    need = bound + 1
+    for shift in range(MAX_WINDOW_SHIFT + 1):
+        rows = [pool.row(k) for k in range(shift, shift + need + VALIDATION_PRIMES)]
+        yield _window_fit(rows, need)
+
+
+def _window_fit(rows: Sequence[Tuple[int, Tuple[int, ...]]], need: int) -> Tuple:
+    """One window of :func:`_windows`: the first ``need`` rows fit, the
+    rest validate; the rows are read column by column."""
+    drawn = tuple(p for p, _ in rows)
+    window, validation = drawn[:need], drawn[need:]
+    weights = lagrange_weights(window, (1, *validation))
+    d = weights.denominator
+    w_one, *w_checks = weights.at
+    window_cols = list(zip(*(vec for _, vec in rows[:need])))
+    check_cols = list(zip(*(vec for _, vec in rows[need:])))
+
+    def fit(j: int) -> Optional[int]:
+        ys = window_cols[j]
+        at_one, rem = divmod(sum(map(mul, w_one, ys)), d)
+        if rem or any(
+            sum(map(mul, w, ys)) != d * y for w, y in zip(w_checks, check_cols[j])
+        ):
+            return None
+        return at_one
+
+    return window, validation, fit
+
+
+def _no_fit(word: Word, what: str) -> NonPolynomialCount:
+    return NonPolynomialCount(
+        word,
+        f"{what} fail {VALIDATION_PRIMES}-prime validation "
+        f"at every window shift up to {MAX_WINDOW_SHIFT}",
+    )
+
+
 def _fit_columns(
     pool: _PrimePool,
     columns: Sequence[int],
@@ -572,70 +637,62 @@ def _fit_columns(
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
     """Fit several count columns on one shared sliding window.
 
-    A column's fit through the window rows must reproduce the
-    VALIDATION_PRIMES rows after it and be integral at 1.  When a column
-    fails (typically because the module degenerates at a small prime) the
-    window of every column slides up one prime, at most MAX_WINDOW_SHIFT
-    times.  Returns the window primes, the validation primes and, per
-    column, the fit's value at 1.
-
-    Interpolation is linear in the counts, so a window's
-    :func:`lagrange_weights` (cached) turn each check into integer dot
-    products with the column's window counts y: with common denominator
-    D, the fit is integral at 1 exactly when D divides w_1 . y, and it
-    validates at p exactly when w_p . y equals D times the count at p.
-    No polynomial is built; :func:`_window_polynomial` makes one from the
-    window counts when it is asked for.
+    The first window of :func:`_windows` at which every column passes is
+    taken, so when one column fails (typically because the module
+    degenerates at a small prime) the window of every column slides up
+    one prime.  Returns the window primes, the validation primes and,
+    per column, the fit's value at 1.
     """
-    need = bound + 1
-    for shift in range(MAX_WINDOW_SHIFT + 1):
-        rows = [
-            pool.row(k) for k in range(shift, shift + need + VALIDATION_PRIMES)
-        ]
-        window = tuple(p for p, _ in rows[:need])
-        validation = rows[need:]
-        weights = lagrange_weights(window, (1, *(p for p, _ in validation)))
-        d = weights.denominator
-        w_one, *w_checks = weights.at
-        passed: List[int] = []
-        for j in columns:
-            ys = [vec[j] for _, vec in rows[:need]]
-            at_one, rem = divmod(sum(map(mul, w_one, ys)), d)
-            if rem or any(
-                sum(map(mul, w, ys)) != d * vec[j]
-                for w, (_, vec) in zip(w_checks, validation)
-            ):
-                break
-            passed.append(at_one)
-        else:
-            return window, tuple(p for p, _ in validation), tuple(passed)
-    raise NonPolynomialCount(
-        word,
-        f"{what} fail {VALIDATION_PRIMES}-prime validation "
-        f"at every window shift up to {MAX_WINDOW_SHIFT}",
-    )
+    for window, validation, fit in _windows(pool, bound):
+        fits = [fit(j) for j in columns]
+        if None not in fits:
+            return window, validation, tuple(fits)
+    raise _no_fit(word, what)
 
 
-def _fit_word(
+def _fit_words(
     pool: _PrimePool,
-    index: int,
+    words: Sequence[Word],
+    coeffs: Sequence[Tuple[int, ...]],
     bound: int,
-    word: Word,
-    coeffs: Tuple[int, ...],
-) -> CountProfile:
-    """The fit of one word's count column, with its audit trail."""
-    window, validation, (euler,) = _fit_columns(
-        pool, (index,), bound, word, f"word {word}: counts"
-    )
-    return CountProfile(
-        word=word,
-        coeffs=coeffs,
-        degree_bound=bound,
-        samples=tuple((p, vec[index]) for p, vec in pool.rows),
-        window=window,
-        validation=validation,
-        euler=euler,
-    )
+) -> Tuple[CountProfile, ...]:
+    """The fits of the words' count columns, with their audit trails, in
+    one sweep over the windows of :func:`_windows`.
+
+    Each window checks every word still pending, and a word keeps the
+    first window at which it passes.  A profile records the rows the
+    fits had drawn once its own word and every word before it had
+    passed, which is what fitting the words one by one, in order, would
+    have drawn by the end of that word's fit.
+
+    Raises:
+        NonPolynomialCount: naming the first word that passes at no
+            window.
+    """
+    fits: List[Optional[Tuple]] = [None] * len(words)
+    for shift, (window, validation, fit) in enumerate(_windows(pool, bound)):
+        for j, done in enumerate(fits):
+            if done is None:
+                euler = fit(j)
+                if euler is not None:
+                    fits[j] = shift, window, validation, euler
+        if None not in fits:
+            break
+    else:
+        word = words[fits.index(None)]
+        raise _no_fit(word, f"word {word}: counts")
+    rows, last = pool.rows, 0
+    profiles = []
+    for j, (word, c, (shift, window, validation, euler)) in enumerate(
+        zip(words, coeffs, fits)
+    ):
+        last = max(last, shift)
+        drawn = rows[: last + bound + 1 + VALIDATION_PRIMES]
+        samples = tuple((p, vec[j]) for p, vec in drawn)
+        profiles.append(
+            CountProfile(word, c, bound, samples, window, validation, euler)
+        )
+    return tuple(profiles)
 
 
 def euler_characteristic(
@@ -665,7 +722,8 @@ def euler_characteristic(
         prime_list,
     )
     fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
-    return _fit_word(pool, 0, degree_bound(m), tuple(word), fixed)
+    (profile,) = _fit_words(pool, (tuple(word),), (fixed,), degree_bound(m))
+    return profile
 
 
 def fingerprint(
@@ -692,10 +750,9 @@ def fingerprint(
     if not m.field.is_rational:
         raise ValueError("Euler characteristics are computed over the rationals")
     words, trie = _word_table(m.quiver, m.dim, memo)
-    bound = degree_bound(m)
     pool = _PrimePool(_module_sampler(m, trie, memo), prime_list)
-    profiles = tuple(
-        _fit_word(pool, j, bound, w, (1,) * len(w)) for j, w in enumerate(words)
+    profiles = _fit_words(
+        pool, words, [(1,) * len(w) for w in words], degree_bound(m)
     )
     return DeltaFingerprint(
         module=m,
@@ -759,7 +816,7 @@ def count_flags_by_splitting(
     keys, steps = _split_steps(left, right, word, coeffs)
     if memo is None:
         memo = {}
-    counts = _count_row(whole, _trie(steps, memo), memo)
+    counts = _count_row(RowModule.of(whole), _trie(steps, memo), memo)
     return {key: n for key, n in zip(keys, counts) if n}
 
 

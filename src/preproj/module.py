@@ -333,9 +333,23 @@ class RowModule(NamedTuple):
 
     @classmethod
     def of(cls, m: LambdaModule) -> "RowModule":
-        idx = m.quiver.vertex_index
-        arrows = tuple((a.name, idx[a.source], idx[a.target]) for a in m.dq.arrows)
-        return cls(m.field, m.dim, tuple(mat.entries for mat in m.action), arrows)
+        return cls(m.field, m.dim, tuple(mat.entries for mat in m.action), _ends(m.dq))
+
+
+def _ends(dq: DoubleQuiver) -> Tuple[Tuple[str, int, int], ...]:
+    """Each doubled arrow's name, source index and target index."""
+    idx = dq.base.vertex_index
+    return tuple((a.name, idx[a.source], idx[a.target]) for a in dq.arrows)
+
+
+def _module_of_rows(dq: DoubleQuiver, r: RowModule) -> LambdaModule:
+    """The module whose action matrices hold the rows of r."""
+    shapes = _arrow_shapes(dq, r.dim, r.dim)
+    mats = tuple(
+        Matrix(r.field, nrows, ncols, entries)
+        for (nrows, ncols), entries in zip(shapes, r.rows)
+    )
+    return LambdaModule(dq, r.field, r.dim, mats)
 
 
 def restrict_rows(
@@ -403,28 +417,45 @@ def restrict(m: LambdaModule, v: str, kept: Matrix) -> LambdaModule:
         tuple(tuple(rows[c]) for c in pivots),
         pivots,
     )
-    shapes = _arrow_shapes(m.dq, r.dim, r.dim)
-    mats = tuple(
-        Matrix(m.field, nrows, ncols, entries)
-        for (nrows, ncols), entries in zip(shapes, r.rows)
-    )
-    return LambdaModule(m.dq, m.field, r.dim, mats)
+    return _module_of_rows(m.dq, r)
+
+
+def _reduce_rows(m: LambdaModule, p: int) -> RowModule:
+    """A rational module modulo p, in the row form flag counting uses:
+    each entry n/d becomes n * d^-1 mod p.
+
+    Raises:
+        BadPrime: when p divides some denominator in the action data.
+        ValueError: when the module is not rational or p is not prime.
+    """
+    if not m.field.is_rational:
+        raise ValueError("only rational modules can be reduced")
+    target = Field(p)
+    rows = []
+    for arrow, mat in zip(m.dq.arrows, m.action):
+        try:
+            rows.append(
+                tuple(
+                    tuple(x.numerator * pow(x.denominator, -1, p) % p for x in row)
+                    for row in mat.entries
+                )
+            )
+        except ValueError:
+            # pow found no inverse: p divides the denominator of some entry
+            bad = next(x for row in mat.entries for x in row if x.denominator % p == 0)
+            raise BadPrime(
+                f"arrow {arrow.name}: denominator of {bad} vanishes in F_{p} "
+                f"while reducing mod {p}"
+            ) from None
+    return RowModule(target, m.dim, tuple(rows), _ends(m.dq))
 
 
 def reduce_mod_p(m: LambdaModule, p: int) -> LambdaModule:
-    """Reduce a rational module modulo p.
+    """Reduce a rational module modulo p: the rows of
+    :func:`_reduce_rows`, the one reduction, held as matrices.
 
     Raises:
         BadPrime: when p divides some denominator in the action data.
         ValueError: when the module is not rational.
     """
-    if not m.field.is_rational:
-        raise ValueError("only rational modules can be reduced")
-    target = Field(p)
-    mats: List[Matrix] = []
-    for arrow, mat in zip(m.dq.arrows, m.action):
-        try:
-            mats.append(Matrix.from_rows(target, mat.entries, ncols=mat.ncols))
-        except ZeroDivisionError as exc:
-            raise BadPrime(f"arrow {arrow.name}: {exc} while reducing mod {p}") from exc
-    return LambdaModule(m.dq, target, m.dim, tuple(mats))
+    return _module_of_rows(m.dq, _reduce_rows(m, p))

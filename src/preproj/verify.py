@@ -52,8 +52,16 @@ from .homext import (
     is_inner,
     middle_term,
 )
-from .linalg import Polynomial, _products
-from .module import BadPrime, LambdaModule, direct_sum, reduce_mod_p
+from .linalg import Polynomial, _echelon_ints, _products
+from .module import (
+    BadPrime,
+    LambdaModule,
+    RowModule,
+    _int_actions,
+    _reduce_rows,
+    direct_sum,
+    reduce_mod_p,
+)
 from .quiver import Word
 
 # Hard cap on candidate primes when none are given explicitly, so a pair
@@ -149,6 +157,12 @@ def _presentation(
     return pres
 
 
+def _arrow_ranks(m: LambdaModule) -> Tuple[int, ...]:
+    """The rank of every arrow's action matrix, over the module's field."""
+    (rows,), _ = _int_actions(m)
+    return tuple(len(_echelon_ints(r, m.field.p)) for r in rows)
+
+
 def stratify_proj_ext(
     xp: LambdaModule,
     xpp: LambdaModule,
@@ -162,9 +176,12 @@ def stratify_proj_ext(
     Ext^1 basis of the reduced pair, its middle term is counted over the
     one step table of the anchors' dimension vector, and the classes are
     grouped by count vector; each group must match exactly one anchor.
-    A prime is skipped when something fails to reduce, when a Hom or
-    Ext^1 dimension jumps, or when two anchors become indistinguishable
-    there.  Group sizes are then interpolated across the sampled primes
+    A prime is skipped when something fails to reduce, when an arrow of
+    xp or xpp acts with lower rank mod p than over Q (the reduced pair
+    need not be the pair's own reduction up to isomorphism then), when a
+    Hom or Ext^1 dimension jumps, or when two anchors become
+    indistinguishable there.  Anchors are matched by their counts alone
+    and are not rank-checked.  Group sizes are then interpolated across the sampled primes
     with a shared fit window.
 
     Args:
@@ -212,14 +229,17 @@ def stratify_proj_ext(
             )
     fps = tuple(fingerprint(mod, prime_list, memo=memo) for mod in mods)
     _, trie = _word_table(xp.quiver, want, memo)
+    ranks = _arrow_ranks(xp), _arrow_ranks(xpp)
     collisions: List[int] = []
 
     def sample(p: int) -> Optional[Tuple[int, ...]]:
         try:
             xp_p = reduce_mod_p(xp, p)
             xpp_p = reduce_mod_p(xpp, p)
-            mods_p = [reduce_mod_p(mod, p) for mod in mods]
+            mods_p = [_reduce_rows(mod, p) for mod in mods]
         except BadPrime:
+            return None
+        if (_arrow_ranks(xp_p), _arrow_ranks(xpp_p)) != ranks:
             return None
         pres_p = _presentation(xp_p, xpp_p, memo)
         back_p = _presentation(xpp_p, xp_p, memo)
@@ -244,7 +264,8 @@ def stratify_proj_ext(
         # one echelon row per point of P^{n-1}: first nonzero entry 1
         for (vec,) in enumerate_subspaces(xp_p.field, n, 1):
             coords = _class_derivation(columns, vec, p)
-            key = _count_row(_extension(xp_p, xpp_p, d1, coords), trie, memo_p)
+            middle = RowModule.of(_extension(xp_p, xpp_p, d1, coords))
+            key = _count_row(middle, trie, memo_p)
             groups[key] = groups.get(key, 0) + 1
             witness.setdefault(key, vec)
         sizes = tuple(groups.pop(key, 0) for key in keys)

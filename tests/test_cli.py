@@ -232,6 +232,20 @@ def test_example_d4_json_matches_the_frozen_output(capsys):
     assert got["passed"] is True
 
 
+def test_family_fingerprint_json_matches_the_frozen_output(capsys):
+    # the star family at lambda = 2 slides some words' windows and not
+    # others, so the frozen samples and windows pin every word's fit; CI
+    # compares against it under python3 -S as well
+    here = Path(__file__).parent
+    module = here / "m_family_2.json"
+    assert main(["fingerprint", str(module), "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out, object_hook=without_elapsed)
+    frozen = (here / "m_family_2_fingerprint.json").read_text()
+    assert got == json.loads(frozen, object_hook=without_elapsed)
+    windows = {tuple(pr["window"]) for pr in got["profiles"]}
+    assert windows == {(2, 3), (3, 5), (5, 7)}
+
+
 def test_example_d4_generic_parameter_choice(capsys):
     assert main(["example-d4", "--lambda", "2", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

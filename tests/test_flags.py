@@ -32,6 +32,7 @@ from preproj.linalg import Matrix, Polynomial, hstack, rank, solve
 from preproj.module import (
     BadPrime,
     LambdaModule,
+    RowModule,
     direct_sum,
     reduce_mod_p,
     simple,
@@ -536,13 +537,14 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
             words, trie = flags._word_table(whole.quiver, whole.dim)
             steps = tuple(flags._steps(whole.quiver, w, None) for w in words)
             asked.clear()
-            row = flags._count_row(whole, trie, {})
+            rm = RowModule.of(whole)
+            row = flags._count_row(rm, trie, {})
             assert len(asked) == len(set(asked)), (whole.dim, p)
             splits = [flags._split_steps(lp, rp, w, None) for w in words]
             table = steps + tuple(s for _, split in splits for s in split)
             # words and splitting types in one row, so the trie mixes
             # drop-free and tracked steps
-            mixed = flags._count_row(whole, flags._trie(table, None), {})
+            mixed = flags._count_row(rm, flags._trie(table, None), {})
             assert mixed[: len(words)] == row
             want = []
             for word, n, (keys, _) in zip(words, row, splits):
@@ -554,7 +556,7 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
             order = list(range(len(table)))
             rng.shuffle(order)
             shuffled = tuple(table[i] for i in order)
-            assert flags._count_row(whole, flags._trie(shuffled, None), {}) == tuple(
+            assert flags._count_row(rm, flags._trie(shuffled, None), {}) == tuple(
                 mixed[i] for i in order
             )
             rows += 1
@@ -873,6 +875,93 @@ def test_integer_weight_fit_matches_fraction_reference(rng_seed):
             refused.add(ours[0])
     assert min(seen.values()) >= 3, seen
     assert refused == {"NonPolynomialCount", "InsufficientPrimes"}
+
+
+def sequential_profiles(pool, words, bound):
+    """The word-by-word fits that the one sweep replaces: each word slides
+    its own window (reference_fit on its column alone), and its samples
+    are every row the pool had drawn by the end of its own fit."""
+    profiles = []
+    for j, word in enumerate(words):
+        window, validation, (euler,) = reference_fit(
+            pool, (j,), bound, word, f"word {word}: counts"
+        )
+        samples = tuple((p, vec[j]) for p, vec in pool.rows)
+        profiles.append(
+            flags.CountProfile(
+                word, (1,) * len(word), bound, samples, window, validation, euler
+            )
+        )
+    return tuple(profiles)
+
+
+def swept_profiles(pool, words, bound):
+    return flags._fit_words(pool, words, [(1,) * len(w) for w in words], bound)
+
+
+def fit_every_word(fit, m, prime_list=None):
+    """What fitting every word of m's fingerprint returns or raises, and
+    the rows it drew."""
+    words, trie = flags._word_table(m.quiver, m.dim)
+    pool = flags._PrimePool(flags._module_sampler(m, trie), prime_list)
+    try:
+        outcome = fit(pool, words, degree_bound(m))
+    except (NonPolynomialCount, InsufficientPrimes) as exc:
+        outcome = type(exc).__name__, str(exc), getattr(exc, "word", None)
+    return outcome, pool.rows
+
+
+def test_one_sweep_fits_every_word_as_fitting_them_in_turn(monkeypatch, rng_seed):
+    family = d4.m_family(2)
+    ours = fit_every_word(swept_profiles, family)
+    assert ours == fit_every_word(sequential_profiles, family)
+    assert ours[0] == fingerprint(family).profiles
+    # words slide by different amounts: the first six fit on (2, 3), and
+    # every later word records the rows an earlier word slid to
+    assert [len(pr.samples) for pr in ours[0]] == [4] * 6 + [6] * 54
+    assert {pr.window for pr in ours[0]} == {(2, 3), (3, 5), (5, 7)}
+    rng = random.Random(rng_seed + 29)
+    a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
+    cases = [(d4.m_family(1), None), (family, [2, 3, 5, 7, 11])]
+    cases += [
+        (random_nilpotent_module(dq, rng, steps=2, max_total=3), None)
+        for dq in (a3, kronecker) * 6
+    ]
+    outcomes = set()
+    for m, prime_list in cases:
+        ours = fit_every_word(swept_profiles, m, prime_list)
+        assert ours == fit_every_word(sequential_profiles, m, prime_list), m
+        outcomes.add(type(ours[0]).__name__)
+    assert outcomes == {"tuple"}
+    assert fit_every_word(swept_profiles, family, [2, 3, 5, 7, 11])[0][0] == (
+        "InsufficientPrimes"
+    )
+    # counts that are off at every prime 3 mod 4 fit at no window: the
+    # same first word is named after the same rows, whether every word is
+    # off (two steps from the end) or only words ending at 4, which the
+    # earlier words of the family, some slid, do not
+    real = flags._count
+    crooks = (
+        (x_module(a2_double()), lambda node: len(node) == 2, ("1", "2")),
+        (
+            family,
+            lambda node: len(node) == 1 and node.cases[0][0] == 3,
+            ("4", "1", "2", "3", "4"),
+        ),
+    )
+    for m, off, word in crooks:
+
+        def crooked(m, node, memo, off=off):
+            counts = real(m, node, memo)
+            if off(node) and m.field.p % 4 == 3:
+                counts = tuple(n + 1 for n in counts)
+            return counts
+
+        monkeypatch.setattr(flags, "_count", crooked)
+        ours = fit_every_word(swept_profiles, m)
+        assert ours == fit_every_word(sequential_profiles, m)
+        assert ours[0][::2] == ("NonPolynomialCount", word)
 
 
 def test_zoo_profiles_are_exact_fits():

@@ -13,6 +13,7 @@ from preproj.module import (
     BadPrime,
     LambdaModule,
     RowModule,
+    _reduce_rows,
     direct_sum,
     is_nilpotent,
     reduce_mod_p,
@@ -401,6 +402,42 @@ def test_reduce_mod_p_and_bad_prime():
     assert validate(r).ok
     with pytest.raises(ValueError, match="rational"):
         reduce_mod_p(r, 5)
+
+
+def test_row_reduction_matches_the_matrix_reduction():
+    # frozen from reduce_mod_p as it stood before it wrapped the row
+    # reduction: the bar rows of M(1/2) and M(1/6), whose bar scalars are
+    # (-3/2, 1, 1/2) and (-7/6, 1, 1/6), and x(a) = 1/3 on A2
+    third = LambdaModule.build(a2_double(), QQ, (1, 1), {"a": [[Fraction(1, 3)]]})
+    half, sixth = d4.m_family(Fraction(1, 2)), d4.m_family(Fraction(1, 6))
+    lines = ((0,), (1,))
+    reduced = {
+        (third, 2): (((1,),), ((0,),)),
+        (third, 5): (((2,),), ((0,),)),
+        (third, 7): (((5,),), ((0,),)),
+        (half, 3): (((0, 0),), ((1, 0),), ((2, 0),)),
+        (half, 5): (((1, 0),), ((1, 0),), ((3, 0),)),
+        (half, 7): (((2, 0),), ((1, 0),), ((4, 0),)),
+        (sixth, 5): (((3, 0),), ((1, 0),), ((1, 0),)),
+        (sixth, 7): (((0, 0),), ((1, 0),), ((6, 0),)),
+    }
+    for (m, p), bars in reduced.items():
+        rows = _reduce_rows(m, p)
+        want = bars if m is third else (lines,) * 3 + bars
+        assert rows == RowModule(Field(p), m.dim, want, RowModule.of(m).arrows)
+        assert all(type(x) is int for mat in rows.rows for row in mat for x in row)
+        assert tuple(x.entries for x in reduce_mod_p(m, p).action) == want
+    refused = {
+        (third, 3): "arrow a: denominator of 1/3 vanishes in F_3",
+        (half, 2): "arrow a*: denominator of -3/2 vanishes in F_2",
+        (sixth, 2): "arrow a*: denominator of -7/6 vanishes in F_2",
+        (sixth, 3): "arrow a*: denominator of -7/6 vanishes in F_3",
+    }
+    for (m, p), message in refused.items():
+        for reduce in (_reduce_rows, reduce_mod_p):
+            with pytest.raises(BadPrime) as err:
+                reduce(m, p)
+            assert str(err.value) == f"{message} while reducing mod {p}"
 
 
 def test_zoo_members_are_valid_nilpotent_modules():

@@ -249,22 +249,45 @@ def test_stratification_skips_primes_of_bad_reduction():
     assert tuple(p for p, _ in plain[0].sizes) == (3, 5, 7, 11)
 
 
-def test_stratification_skips_primes_where_hom_or_ext_jumps():
+def test_stratification_skips_primes_where_hom_or_ext_jumps(monkeypatch):
     m = d4.zoo(1)["M(lam)"]
-    samples = []
-    for scalar in (1, 2):
-        t = star_t_with(scalar)
-        pres, back = ext_presentation(t, m), ext_presentation(m, t)
-        anchor = middle_term(pres.ext1_basis[0]).module
-        strata = stratify_proj_ext(t, m, {"E": anchor})
-        assert (pres.hom_dim, pres.ext1_dim, back.hom_dim) == (1, 1, 1)
-        assert strata[0].chi_proj == 1
-        samples.append(tuple(p for p, _ in strata[0].sizes))
+
+    def sampled():
+        samples = []
+        for scalar in (1, 2):
+            t = star_t_with(scalar)
+            pres, back = ext_presentation(t, m), ext_presentation(m, t)
+            anchor = middle_term(pres.ext1_basis[0]).module
+            strata = stratify_proj_ext(t, m, {"E": anchor})
+            assert (pres.hom_dim, pres.ext1_dim, back.hom_dim) == (1, 1, 1)
+            assert strata[0].chi_proj == 1
+            samples.append(tuple(p for p, _ in strata[0].sizes))
+        return samples
+
     t2, m2 = reduce_mod_p(star_t_with(2), 2), reduce_mod_p(m, 2)
     pres2, back2 = ext_presentation(t2, m2), ext_presentation(m2, t2)
     # with x(a) = 2 = 0 mod 2 the dimensions jump at 2, which is skipped
     assert (pres2.hom_dim, pres2.ext1_dim, back2.hom_dim) == (1, 2, 2)
-    assert samples == [(2, 3, 5), (3, 5, 7)]
+    # M(1)'s x(a*) = -2 vanishes mod 2 too, so the rank guard skips 2 for
+    # both pairs; without it the Hom and Ext^1 check alone skips 2 for the
+    # second pair only
+    assert sampled() == [(3, 5, 7), (3, 5, 7)]
+    monkeypatch.setattr(verify, "_arrow_ranks", lambda module: ())
+    assert sampled() == [(2, 3, 5), (3, 5, 7)]
+
+
+def test_pairwise_identity_skips_primes_where_an_arrow_loses_rank():
+    # T with x(a) = 2 is T over Q, but mod 2 its arrow a acts by 0 and the
+    # reduced pair is no longer (S4, T); Hom and Ext^1 do not jump there
+    zoo = d4.zoo(1)
+    t2 = star_t_with(2)
+    rep = verify_thm_1_1(zoo["S4"], t2, m_anchors(zoo), r_anchors(zoo))
+    assert rep.passed
+    for s in rep.strata_fwd + rep.strata_bwd:
+        assert 2 not in dict(s.sizes), s.name
+    assert rep.right_values == verify_thm_1_1(
+        zoo["S4"], zoo["T"], m_anchors(zoo), r_anchors(zoo)
+    ).right_values
 
 
 def test_pairwise_identity_on_the_star_pair():

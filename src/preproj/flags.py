@@ -16,10 +16,10 @@ window of primes shares that window's integer Lagrange weights (cached in
 :func:`~preproj.linalg.lagrange_weights`): the value at 1 and the values
 at the validation primes are integer dot products with the window counts,
 and a :class:`Polynomial` is made only when a profile's is read.  The
-windows are made once per shift (:func:`_windows`) and serve every
-column: a fingerprint's words are fitted in one sweep over them, each word
-keeping the first window it passes at, while a split table or a
-stratification keeps the first window every column passes at.
+windows are made once per shift (:func:`_windows`), and one sweep over
+them (:func:`_sweep`) fits every count column, a fingerprint's words, a
+split table's splitting types and a stratification's stratum sizes
+alike: each column keeps the first window it passes at.
 
 Every count is one row: the step sequences of a table (the words of a
 fingerprint, the splitting types of a split count, or a single word) are
@@ -49,6 +49,7 @@ from functools import cached_property
 from itertools import combinations, product
 from operator import mul
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -67,6 +68,7 @@ from .module import (
     LambdaModule,
     RowModule,
     Rows,
+    _glue,
     _reduce_rows,
     direct_sum,
     restrict_rows,
@@ -445,8 +447,9 @@ def _count_row(rm: RowModule, trie: Trie, memo: Dict) -> Tuple[int, ...]:
     one shared memo.  Every count the package takes (words, fingerprint
     rows, split tables, strata) is taken here, in one :func:`_count` call
     on the trie's root.  A rational module sampled at a prime comes
-    straight from :func:`~preproj.module._reduce_rows`; a module that
-    is already over F_p is passed as ``RowModule.of(m)``.
+    straight from :func:`~preproj.module._reduce_rows`, a middle term or
+    direct sum over F_p from :func:`~preproj.module._glue`; any other
+    module over F_p is passed as ``RowModule.of(m)``.
 
     The memo may hold the counts of other modules and primes, but only of
     one double quiver: on first use it records the module's arrows, and
@@ -620,34 +623,37 @@ def _window_fit(rows: Sequence[Tuple[int, Tuple[int, ...]]], need: int) -> Tuple
     return window, validation, fit
 
 
-def _no_fit(word: Word, what: str) -> NonPolynomialCount:
-    return NonPolynomialCount(
+def _sweep(
+    pool: _PrimePool,
+    width: int,
+    bound: int,
+    name: Callable[[int], Tuple[Word, str]],
+) -> List[Tuple[int, Tuple[int, ...], Tuple[int, ...], int]]:
+    """The one fit of the package's count columns: one sweep over the
+    windows of :func:`_windows`, in which each window checks every column
+    still pending and a column keeps the first window it passes at.
+    Returns, per column, the window's shift, its primes, the validation
+    primes and the fit's value at 1.
+
+    Raises:
+        NonPolynomialCount: for the first column j that passes at no
+            window, with the word and the description ``name(j)`` gives.
+    """
+    fits: List[Optional[Tuple]] = [None] * width
+    for shift, (window, validation, fit) in enumerate(_windows(pool, bound)):
+        for j, done in enumerate(fits):
+            if done is None:
+                euler = fit(j)
+                if euler is not None:
+                    fits[j] = shift, window, validation, euler
+        if None not in fits:
+            return fits
+    word, what = name(fits.index(None))
+    raise NonPolynomialCount(
         word,
         f"{what} fail {VALIDATION_PRIMES}-prime validation "
         f"at every window shift up to {MAX_WINDOW_SHIFT}",
     )
-
-
-def _fit_columns(
-    pool: _PrimePool,
-    columns: Sequence[int],
-    bound: int,
-    word: Word,
-    what: str,
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
-    """Fit several count columns on one shared sliding window.
-
-    The first window of :func:`_windows` at which every column passes is
-    taken, so when one column fails (typically because the module
-    degenerates at a small prime) the window of every column slides up
-    one prime.  Returns the window primes, the validation primes and,
-    per column, the fit's value at 1.
-    """
-    for window, validation, fit in _windows(pool, bound):
-        fits = [fit(j) for j in columns]
-        if None not in fits:
-            return window, validation, tuple(fits)
-    raise _no_fit(word, what)
 
 
 def _fit_words(
@@ -656,31 +662,18 @@ def _fit_words(
     coeffs: Sequence[Tuple[int, ...]],
     bound: int,
 ) -> Tuple[CountProfile, ...]:
-    """The fits of the words' count columns, with their audit trails, in
-    one sweep over the windows of :func:`_windows`.
-
-    Each window checks every word still pending, and a word keeps the
-    first window at which it passes.  A profile records the rows the
-    fits had drawn once its own word and every word before it had
-    passed, which is what fitting the words one by one, in order, would
-    have drawn by the end of that word's fit.
+    """The words' fits by :func:`_sweep`, as profiles.  A profile records
+    the rows drawn once its own word and every word before it had passed,
+    which is what fitting the words one by one, in order, would have
+    drawn by the end of that word's fit.
 
     Raises:
         NonPolynomialCount: naming the first word that passes at no
             window.
     """
-    fits: List[Optional[Tuple]] = [None] * len(words)
-    for shift, (window, validation, fit) in enumerate(_windows(pool, bound)):
-        for j, done in enumerate(fits):
-            if done is None:
-                euler = fit(j)
-                if euler is not None:
-                    fits[j] = shift, window, validation, euler
-        if None not in fits:
-            break
-    else:
-        word = words[fits.index(None)]
-        raise _no_fit(word, f"word {word}: counts")
+    fits = _sweep(
+        pool, len(words), bound, lambda j: (words[j], f"word {words[j]}: counts")
+    )
     rows, last = pool.rows, 0
     profiles = []
     for j, (word, c, (shift, window, validation, euler)) in enumerate(
@@ -810,13 +803,13 @@ def count_flags_by_splitting(
         raise ValueError("need two modules over one common prime field")
     if left.dq != right.dq:
         raise ValueError("modules live over different double quivers")
-    whole = direct_sum(left, right)
-    if word_content(whole.quiver, word, coeffs) != whole.dim:
+    whole = _glue(left, right, None)
+    if word_content(left.quiver, word, coeffs) != whole.dim:
         raise ValueError("word content differs from the module dimension")
     keys, steps = _split_steps(left, right, word, coeffs)
     if memo is None:
         memo = {}
-    counts = _count_row(RowModule.of(whole), _trie(steps, memo), memo)
+    counts = _count_row(whole, _trie(steps, memo), memo)
     return {key: n for key, n in zip(keys, counts) if n}
 
 
@@ -831,11 +824,11 @@ def split_euler_table(
     The direct sum is built once over the rationals and sampled like a
     fingerprint, one column per splitting type (the step table of
     :func:`count_flags_by_splitting`): its reduction mod p is the sum of
-    the reduced summands, and is bad exactly where one of them is.  The
-    columns are fitted on one shared window and evaluated at 1; values
-    are 0 for types realized by no flag.  By the direct-sum factorization
-    every value equals the product of the two subword Euler
-    characteristics.
+    the reduced summands, and is bad exactly where one of them is.  Each
+    column is fitted on the first window it passes at (:func:`_sweep`)
+    and evaluated at 1; values are 0 for types realized by no flag.  By
+    the direct-sum factorization every value equals the product of the
+    two subword Euler characteristics.
     """
     if not left.field.is_rational or not right.field.is_rational:
         raise ValueError("Euler characteristics are computed over the rationals")
@@ -845,7 +838,6 @@ def split_euler_table(
     whole = direct_sum(left, right)
     bound = degree_bound(whole)
     pool = _PrimePool(_module_sampler(whole, _trie(steps, None)), None)
-    _, _, eulers = _fit_columns(
-        pool, range(len(keys)), bound, tuple(word), f"word {tuple(word)}: counts"
-    )
-    return dict(zip(keys, eulers))
+    what = f"word {tuple(word)}: counts"
+    fits = _sweep(pool, len(keys), bound, lambda j: (tuple(word), what))
+    return {key: euler for key, (*_, euler) in zip(keys, fits)}

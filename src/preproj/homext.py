@@ -29,8 +29,9 @@ classes are int rows too, which :func:`cy_gram` and the stratifier of
 ``Derivation`` and ``Fraction`` objects that hold it, is made only when
 it is first read.  :func:`apply_d1`, :func:`inner_derivation` (which is
 -d0), :func:`hom_basis` (on the presentation's rows) and
-:func:`_extension`, the middle term of packed class coordinates, apply
-them with :func:`_apply`.
+:func:`_extension`, the count rows of the middle term of packed class
+coordinates (:func:`middle_term` holds them as matrices), apply them
+with :func:`_apply`.
 """
 
 from __future__ import annotations
@@ -55,12 +56,14 @@ from .linalg import (
 from .module import (
     IntRows,
     LambdaModule,
+    RowModule,
     _arrow_blocks,
     _arrow_shapes,
     _check_blocks,
     _glue,
     _identity_rows,
     _int_actions,
+    _module_of_rows,
 )
 from .quiver import has_dynkin_component, symmetric_form
 
@@ -480,7 +483,7 @@ def middle_term(d: Derivation) -> MiddleTerm:
     """
     m, n = d.source, d.target
     (d1,), _ = _differential(m, n, 1)
-    module = _extension(m, n, d1, _pack(d.maps))
+    module = _module_of_rows(m.dq, _extension(m, n, d1, _pack(d.maps)))
     inclusion: List[Matrix] = []
     projection: List[Matrix] = []
     for dm, dn in zip(m.dim, n.dim):
@@ -492,10 +495,11 @@ def middle_term(d: Derivation) -> MiddleTerm:
 
 def _extension(
     m: LambdaModule, n: LambdaModule, d1: IntRows, coords: Sequence[Scalar]
-) -> LambdaModule:
-    """The module [[x'(b), 0], [d(b), x''(b)]] of the class d with packed
-    coordinates ``coords`` once the int rows ``d1`` of a multiple of d1
-    kill them; else ValueError naming the first vertex where they do not."""
+) -> RowModule:
+    """The count rows of the module [[x'(b), 0], [d(b), x''(b)]] of the
+    class d with packed coordinates ``coords`` once the int rows ``d1``
+    of a multiple of d1 kill them; else ValueError naming the first
+    vertex where they do not."""
     image = _apply(d1, 1, coords, m.field.p)
     v = _first_nonzero(image, _c0_shapes(m, n), m.quiver.vertices)
     if v is not None:

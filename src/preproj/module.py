@@ -296,25 +296,25 @@ def direct_sum(m: LambdaModule, n: LambdaModule) -> LambdaModule:
         raise ValueError("direct sum over different quivers")
     if m.field != n.field:
         raise ValueError("direct sum over different fields")
-    return _glue(m, n, None)
+    return _module_of_rows(m.dq, _glue(m, n, None))
 
 
 def _glue(
     m: LambdaModule, n: LambdaModule, lower: Optional[Sequence[Scalar]]
-) -> LambdaModule:
+) -> RowModule:
     """The module x(b) = [[m(b), 0], [lower(b), n(b)]] on the spaces
-    M_v + N_v, M's coordinates first; ``lower`` packs the blocks row-major
-    in arrow order, and None stands for zero (the direct sum)."""
+    M_v + N_v, M's coordinates first, as the count rows flag counting
+    reads; ``lower`` packs the blocks row-major in arrow order, and None
+    stands for zero (the direct sum)."""
     z = m.field.zero()
     flat = repeat(z) if lower is None else iter(lower)
-    mats: List[Matrix] = []
+    rows = []
     for a, b in zip(m.action, n.action):
         right = (z,) * b.ncols
-        entries = tuple(row + right for row in a.entries)
-        entries += tuple(tuple(islice(flat, a.ncols)) + row for row in b.entries)
-        mats.append(Matrix(m.field, a.nrows + b.nrows, a.ncols + b.ncols, entries))
+        top = tuple(row + right for row in a.entries)
+        rows.append(top + tuple(tuple(islice(flat, a.ncols)) + r for r in b.entries))
     dim = tuple(x + y for x, y in zip(m.dim, n.dim))
-    return LambdaModule(m.dq, m.field, dim, tuple(mats))
+    return RowModule(m.field, dim, tuple(rows), _ends(m.dq))
 
 
 class RowModule(NamedTuple):

@@ -37,8 +37,8 @@ from .flags import (
     DeltaFingerprint,
     InsufficientPrimes,
     _count_row,
-    _fit_columns,
     _PrimePool,
+    _sweep,
     _window_polynomial,
     _word_table,
     enumerate_subspaces,
@@ -56,7 +56,6 @@ from .linalg import Polynomial, _echelon_ints, _products
 from .module import (
     BadPrime,
     LambdaModule,
-    RowModule,
     _int_actions,
     _reduce_rows,
     direct_sum,
@@ -84,9 +83,9 @@ class Stratum:
 
     ``sizes`` records, for every sampled prime, how many projective
     classes produced the anchor's count vector there; ``polynomial``
-    is fitted on the ``window`` primes and checked on the ``validation``
-    primes, and ``chi_proj`` is its value at 1, the Euler characteristic
-    of the stratum.
+    is fitted on the ``window`` primes, the first at which the sizes
+    pass, and checked on the ``validation`` primes, and ``chi_proj`` is
+    its value at 1, the Euler characteristic of the stratum.
     """
 
     name: str
@@ -181,8 +180,9 @@ def stratify_proj_ext(
     need not be the pair's own reduction up to isomorphism then), when a
     Hom or Ext^1 dimension jumps, or when two anchors become
     indistinguishable there.  Anchors are matched by their counts alone
-    and are not rank-checked.  Group sizes are then interpolated across the sampled primes
-    with a shared fit window.
+    and are not rank-checked.  Each anchor's group sizes are then fitted
+    across the sampled primes like a fingerprint word, on the first
+    window at which they pass.
 
     Args:
         xp, xpp: rational modules over one double quiver; a class in
@@ -202,7 +202,8 @@ def stratify_proj_ext(
     Raises:
         UnanchoredStratum: a class matched no anchor at some prime.
         AnchorCollision: the primes ran out with anchors still colliding.
-        NonPolynomialCount: the group sizes failed two-prime validation.
+        NonPolynomialCount: naming the anchor whose group sizes fail
+            validation at every window.
         InsufficientPrimes: the primes ran out for another reason.
         ValueError: Ext^1(xp, xpp) = 0, an anchor is unusable, a prime
             is repeated in the prime list, or the memo holds another
@@ -264,8 +265,7 @@ def stratify_proj_ext(
         # one echelon row per point of P^{n-1}: first nonzero entry 1
         for (vec,) in enumerate_subspaces(xp_p.field, n, 1):
             coords = _class_derivation(columns, vec, p)
-            middle = RowModule.of(_extension(xp_p, xpp_p, d1, coords))
-            key = _count_row(middle, trie, memo_p)
+            key = _count_row(_extension(xp_p, xpp_p, d1, coords), trie, memo_p)
             groups[key] = groups.get(key, 0) + 1
             witness.setdefault(key, vec)
         sizes = tuple(groups.pop(key, 0) for key in keys)
@@ -282,8 +282,8 @@ def stratify_proj_ext(
     )
     try:
         # group sizes are polynomials of degree below n = dim Ext^1
-        window, validation, chis = _fit_columns(
-            pool, range(len(names)), n - 1, (), "stratum sizes"
+        fits = _sweep(
+            pool, len(names), n - 1, lambda j: ((), f"stratum sizes of {names[j]}")
         )
     except InsufficientPrimes:
         if collisions:
@@ -300,9 +300,11 @@ def stratify_proj_ext(
             sizes=tuple((p, vec[j]) for p, vec in sampled),
             window=window,
             validation=validation,
-            chi_proj=chis[j],
+            chi_proj=chi,
         )
-        for j, (name, mod, fp) in enumerate(zip(names, mods, fps))
+        for j, (name, mod, fp, (_, window, validation, chi)) in enumerate(
+            zip(names, mods, fps, fits)
+        )
     )
 
 

@@ -223,13 +223,23 @@ def without_elapsed(data: dict) -> dict:
 
 
 def test_example_d4_json_matches_the_frozen_output(capsys):
-    # tests/example_d4.json is the output with its timings removed; CI
-    # compares against it under python3 -S as well
-    assert main(["example-d4", "--format", "json"]) == 0
-    got = json.loads(capsys.readouterr().out, object_hook=without_elapsed)
-    frozen = Path(__file__).with_name("example_d4.json").read_text()
-    assert got == json.loads(frozen, object_hook=without_elapsed)
-    assert got["passed"] is True
+    # each frozen file is the output with its timings removed; CI compares
+    # against them under python3 -S as well.  At lambda = 2 and 7/2 the
+    # forward stratification skips 2 and 3 (and 7 at 7/2), so its windows
+    # start at 5
+    frozen = {
+        "1": ("example_d4.json", (3, 5)),
+        "2": ("example_d4_lambda_2.json", (5, 7)),
+        "7/2": ("example_d4_lambda_7_2.json", (5, 11)),
+    }
+    for lam, (name, window) in frozen.items():
+        assert main(["example-d4", "--lambda", lam, "--format", "json"]) == 0
+        got = json.loads(capsys.readouterr().out, object_hook=without_elapsed)
+        want = Path(__file__).with_name(name).read_text()
+        assert got == json.loads(want, object_hook=without_elapsed), lam
+        assert got["passed"] is True
+        fwd = got["pairwise"]["strata_fwd"]
+        assert {tuple(s["window"]) for s in fwd} == {window}, lam
 
 
 def test_family_fingerprint_json_matches_the_frozen_output(capsys):

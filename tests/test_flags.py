@@ -720,29 +720,32 @@ def test_accepted_fit_matches_its_primes():
         assert profile.polynomial(p) == table[p]
 
 
-def test_shared_fit_window_slides_every_column():
-    # column 0 counts p + 1 everywhere, column 1 degenerates at 2: on its
-    # own column 0 fits on (2, 3), together both columns leave 2 behind
+def name_column(j):
+    """A count column named by its index, as the sweep's refusal says."""
+    return (str(j),), f"column {j}: synthetic counts"
+
+
+def test_fit_window_slides_each_column_alone():
+    # column 0 counts p + 1 everywhere, column 1 degenerates at 2: column
+    # 0 keeps the first window, only column 1 leaves 2 behind, and no row
+    # is drawn past the last window column 1 needs
     def sampler(p):
         return (p + 1, 1 if p == 2 else p + 1)
 
     pool = flags._PrimePool(sampler, primes())
-    window, validation, eulers = flags._fit_columns(pool, (0, 1), 1, ("1",), "both")
-    assert window == (3, 5)
-    assert validation == (7, 11)
-    assert eulers == (2, 2)
+    fits = flags._sweep(pool, 2, 1, name_column)
+    assert fits == [(0, (2, 3), (5, 7), 2), (1, (3, 5), (7, 11), 2)]
     assert [p for p, _ in pool.rows] == [2, 3, 5, 7, 11]
-    alone = flags._PrimePool(sampler, primes())
-    assert flags._fit_columns(alone, (0,), 1, ("1",), "one")[0] == (2, 3)
 
 
 def test_shared_fit_raises_when_no_window_validates():
     pool = flags._PrimePool(lambda p: (p + 1, 2**p), primes())
     with pytest.raises(NonPolynomialCount) as err:
-        flags._fit_columns(pool, (0, 1), 1, ("1", "2"), "synthetic counts")
-    assert err.value.word == ("1", "2")
+        flags._sweep(pool, 2, 1, name_column)
+    assert err.value.word == ("1",)
     assert str(err.value) == (
-        "synthetic counts fail 2-prime validation at every window shift up to 6"
+        "column 1: synthetic counts fail 2-prime validation "
+        "at every window shift up to 6"
     )
     assert len(pool.rows) == flags.MAX_WINDOW_SHIFT + 2 + flags.VALIDATION_PRIMES
 
@@ -763,28 +766,24 @@ def lagrange_reference(points):
     return Polynomial.from_coeffs(coeffs)
 
 
-def reference_fit(pool, columns, bound, word, what):
-    """The shared sliding-window fit with every column interpolated by
-    lagrange_reference and checked in Fractions; returns the values at 1."""
+def reference_fit(pool, column, bound, word, what):
+    """One count column's sliding-window fit, interpolated by
+    lagrange_reference and checked in Fractions; returns the window
+    primes, the validation primes and the value at 1."""
     need = bound + 1
     for shift in range(flags.MAX_WINDOW_SHIFT + 1):
         rows = [
             pool.row(k) for k in range(shift, shift + need + flags.VALIDATION_PRIMES)
         ]
-        fits = []
-        for j in columns:
-            poly = lagrange_reference([(p, vec[j]) for p, vec in rows[:need]])
-            at_one = poly(1)
-            if at_one.denominator != 1 or any(
-                poly(p) != vec[j] for p, vec in rows[need:]
-            ):
-                break
-            fits.append(int(at_one))
-        else:
+        poly = lagrange_reference([(p, vec[column]) for p, vec in rows[:need]])
+        at_one = poly(1)
+        if at_one.denominator == 1 and all(
+            poly(p) == vec[column] for p, vec in rows[need:]
+        ):
             return (
                 tuple(p for p, _ in rows[:need]),
                 tuple(p for p, _ in rows[need:]),
-                tuple(fits),
+                int(at_one),
             )
     raise NonPolynomialCount(
         word,
@@ -793,16 +792,30 @@ def reference_fit(pool, columns, bound, word, what):
     )
 
 
-def fit_outcome(fit, sampler, candidates, columns, bound):
+def reference_columns(pool, width, bound):
+    """reference_fit on each column alone, in turn."""
+    return [
+        reference_fit(pool, j, bound, (str(j),), f"column {j}: synthetic counts")
+        for j in range(width)
+    ]
+
+
+def swept_columns(pool, width, bound):
+    """The one sweep, without the shift of each column's window."""
+    return [fit[1:] for fit in flags._sweep(pool, width, bound, name_column)]
+
+
+def fit_outcome(fit, sampler, candidates, width, bound):
     """What one fit returns or raises, with the rows it sampled and how
-    far its window slid."""
+    far the window of the column that slid most slid."""
     pool = flags._PrimePool(sampler, candidates)
     try:
-        window, validation, fits = fit(pool, columns, bound, ("1",), "synthetic")
+        fits = fit(pool, width, bound)
     except (NonPolynomialCount, InsufficientPrimes) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "word", None), pool.rows
-    slide = [p for p, _ in pool.rows].index(window[0])
-    return "fit", (window, validation, fits), slide, pool.rows
+    drawn = [p for p, _ in pool.rows]
+    slide = max(drawn.index(window[0]) for window, _, _ in fits)
+    return "fit", fits, slide, pool.rows
 
 
 def random_polynomial(rng, degree):
@@ -844,7 +857,7 @@ def test_integer_weight_fit_matches_fraction_reference(rng_seed):
             base = random_polynomial(rng, rng.randrange(need))
             if kind == "rational":
                 b = random_polynomial(rng, rng.randrange(bound))
-                # checked first, so every window's fit is checked at 1
+                # non-integral at 1 unless k divides b(1) (1 - r)
                 seen["non-integral"] += not columns and b(1) * (1 - r) % k != 0
                 columns.append(
                     lambda p, a=base, b=b, r=r, k=k: a(p) + b(p) * (p - r) // k
@@ -863,8 +876,8 @@ def test_integer_weight_fit_matches_fraction_reference(rng_seed):
             return None if p in bad else tuple(f(p) for f in columns)
 
         ours, ref = (
-            fit_outcome(fit, sampler, candidates, range(len(columns)), bound)
-            for fit in (flags._fit_columns, reference_fit)
+            fit_outcome(fit, sampler, candidates, len(columns), bound)
+            for fit in (swept_columns, reference_columns)
         )
         assert ours == ref, (trial, bound, candidates)
         if ours[0] == "fit":
@@ -883,8 +896,8 @@ def sequential_profiles(pool, words, bound):
     are every row the pool had drawn by the end of its own fit."""
     profiles = []
     for j, word in enumerate(words):
-        window, validation, (euler,) = reference_fit(
-            pool, (j,), bound, word, f"word {word}: counts"
+        window, validation, euler = reference_fit(
+            pool, j, bound, word, f"word {word}: counts"
         )
         samples = tuple((p, vec[j]) for p, vec in pool.rows)
         profiles.append(

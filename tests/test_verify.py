@@ -18,11 +18,24 @@ from itertools import product
 import pytest
 
 from preproj import d4, flags, homext, verify
+from preproj.cli import main
 from preproj.fields import QQ, Field
-from preproj.flags import InsufficientPrimes, enumerate_subspaces, fingerprint
+from preproj.flags import (
+    InsufficientPrimes,
+    NonPolynomialCount,
+    enumerate_subspaces,
+    fingerprint,
+)
 from preproj.homext import ext_presentation, middle_term
 from preproj.linalg import Matrix
-from preproj.module import BadPrime, LambdaModule, direct_sum, reduce_mod_p, simple
+from preproj.module import (
+    BadPrime,
+    LambdaModule,
+    RowModule,
+    direct_sum,
+    reduce_mod_p,
+    simple,
+)
 from preproj.quiver import Quiver, double
 from preproj.randgen import random_combination, random_nilpotent_module
 from preproj.verify import (
@@ -521,6 +534,65 @@ def test_unanchored_stratum_is_reported():
         stratify_proj_ext(zoo["S4"], zoo["T"], {"M(0)": zoo["M(0)"]})
 
 
+def test_failing_stratum_sizes_name_their_anchor(monkeypatch, capsys):
+    # the sizes of the second anchor, M(0), are off by one at every prime
+    # 3 mod 4, so no window fits them; the other three still fit
+    real_pool = verify._PrimePool
+
+    def crooked_pool(sample, candidates):
+        def crooked(p):
+            sizes = sample(p)
+            if sizes is not None and p % 4 == 3:
+                sizes = (sizes[0], sizes[1] + 1, *sizes[2:])
+            return sizes
+
+        return real_pool(crooked, candidates)
+
+    monkeypatch.setattr(verify, "_PrimePool", crooked_pool)
+    zoo = d4.zoo(1)
+    with pytest.raises(NonPolynomialCount) as err:
+        stratify_proj_ext(zoo["S4"], zoo["T"], m_anchors(zoo))
+    assert err.value.word == ()
+    message = (
+        "stratum sizes of M(0) fail 2-prime validation "
+        "at every window shift up to 6"
+    )
+    assert str(err.value) == message
+    assert main(["example-d4"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_no_extension_class_is_built_as_a_matrix(monkeypatch):
+    # every class of the star pair is glued straight into count rows: from
+    # one class's coordinates to the next class's, through its middle term
+    # and its count row, no Matrix is made and no module is stripped back
+    # to rows
+    made, classes = [0], []
+    real_init, real_class = Matrix.__post_init__, verify._class_derivation
+
+    def counted_init(self):
+        made[0] += 1
+        real_init(self)
+
+    def record_class(columns, vec, p):
+        classes.append((p, made[0]))
+        return real_class(columns, vec, p)
+
+    def rows_of(m):
+        raise AssertionError("a module was stripped back to count rows")
+
+    monkeypatch.setattr(Matrix, "__post_init__", counted_init)
+    monkeypatch.setattr(verify, "_class_derivation", record_class)
+    monkeypatch.setattr(RowModule, "of", rows_of)
+    zoo = d4.zoo(1)
+    rep = verify_thm_1_1(zoo["S4"], zoo["T"], m_anchors(zoo), r_anchors(zoo))
+    assert rep.passed
+    steps = [b - a for (p, a), (q, b) in zip(classes, classes[1:]) if p == q]
+    assert len(steps) >= 40
+    assert set(steps) == {0}
+    assert made[0] > 0
+
+
 def test_anchor_collision_is_reported():
     zoo = d4.zoo(1)
     twins = OrderedDict([("one", d4.m_family(1)), ("two", d4.m_family(1))])
@@ -587,10 +659,11 @@ def reference_middle_module(d):
     return module
 
 
-def typed_module(mod):
-    """A module's data with every entry's type, so 1 and Fraction(1) differ."""
-    return mod.field, mod.dim, tuple(
-        tuple((type(x), x) for r in a.entries for x in r) for a in mod.action
+def typed_rows(rm):
+    """A module's count rows with every entry's type, so 1 and Fraction(1)
+    differ."""
+    return rm.field, rm.dim, rm.arrows, tuple(
+        tuple((type(x), x) for r in rows for x in r) for rows in rm.rows
     )
 
 
@@ -604,7 +677,8 @@ def kron_double():
 
 def test_class_modules_match_the_matrix_reference(monkeypatch, rng_seed):
     # seeded pairs: the stratification's per-prime setup and per-class
-    # build, composed here, against the Matrix combination of the basis
+    # count rows, composed here, against the rows of the Matrix
+    # combination of the basis
     rng = random.Random(rng_seed + 41)
     checked, pairs = 0, 0
     while pairs < 6:
@@ -625,10 +699,10 @@ def test_class_modules_match_the_matrix_reference(monkeypatch, rng_seed):
                 coords = verify._class_derivation(columns, vec, p)
                 got = homext._extension(m_p, n_p, pres.d1.entries, coords)
                 want = reference_middle_module(reference_class(pres.ext1_basis, vec))
-                assert typed_module(got) == typed_module(want)
+                assert typed_rows(got) == typed_rows(RowModule.of(want))
                 checked += 1
     assert checked >= 12
-    # the star pair: every module stratify_proj_ext builds, in both
+    # the star pair: every middle term stratify_proj_ext counts, in both
     # directions, recorded with its coefficients and its reduced pair
     seen = []
     real_class, real_extension = verify._class_derivation, verify._extension
@@ -651,7 +725,7 @@ def test_class_modules_match_the_matrix_reference(monkeypatch, rng_seed):
     for p, vec, m_p, n_p, got in seen:
         basis = ext_presentation(m_p, n_p).ext1_basis
         want = reference_middle_module(reference_class(basis, vec))
-        assert typed_module(got) == typed_module(want)
+        assert typed_rows(got) == typed_rows(RowModule.of(want))
     assert {p for p, *_ in seen} >= {5, 7}
     assert len(seen) == 2 * sum(p + 1 for p in primes)
 

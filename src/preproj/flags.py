@@ -34,12 +34,21 @@ of its tables are one node, so a word, a fingerprint row, a stratum row
 and a split table that end alike share their counts below that point.
 A table's trie is built once and counted at every prime the table is
 sampled at; the trie of a dimension vector's words is kept in the dict
-beside its word list.  A single count or fingerprint starts a fresh dict
-per prime; a verification job (see :mod:`preproj.verify`) passes one
-dict to all the modules it counts, so an anchor's row counted by its
-fingerprint is not counted again when the strata are matched against
-it.  The dict records the arrows of the first module counted through it
-and refuses a module of another double quiver.
+beside its word list, and so is the table of every splitting type of
+every word of a direct sum.  A single count or fingerprint starts a
+fresh dict per prime; a verification job (see :mod:`preproj.verify`)
+passes one dict to all the modules it counts, so an anchor's row counted
+by its fingerprint is not counted again when the strata are matched
+against it.  The dict records the arrows of the first module counted
+through it and refuses a module of another double quiver.
+
+A dict passed to :func:`count_flags` or :func:`count_flags_by_splitting`
+says that more words of the same module follow, so a multiplicity-one
+word is read from the count row of the module's whole table (its words,
+or every splitting type of every word): the first word counts the row,
+and each later word of the module at that prime is a lookup of the
+row's root entry.  Without a dict, or for a word with coefficients, the
+one word is counted as a chain of its own.
 """
 
 from __future__ import annotations
@@ -91,6 +100,8 @@ MAX_WINDOW_SHIFT = 6
 _ARROWS_KEY = "arrows"
 # The memo key of the table that interns the trie nodes counted through it.
 _NODES_KEY = "nodes"
+# The tag of the memo keys of direct sums' split tables (see _split_table).
+_SPLIT_KEY = "split"
 
 Steps = Tuple[Tuple[int, int, int], ...]
 # A step trie: its root and the position of every table entry in the
@@ -214,6 +225,34 @@ def _split_steps(
     q = left.quiver
     keys = enumerate_splittings(q, word, coeffs, left.dim, right.dim)
     return keys, tuple(_steps(q, word, coeffs, c_right) for _, c_right in keys)
+
+
+def _split_table(
+    left: LambdaModule, right: LambdaModule, memo: Dict
+) -> Dict[Word, Tuple[Tuple[SplitKey, ...], Trie]]:
+    """Every splitting type of every word with the direct sum's content,
+    as one step table: per word, its splitting types (see
+    :func:`_split_steps`) and the table's trie with the positions of
+    their slice of the row.  Kept in ``memo`` under (_SPLIT_KEY, q,
+    left.dim, right.dim), beside :func:`_word_table`'s entries."""
+    q = left.quiver
+    key = (_SPLIT_KEY, q, left.dim, right.dim)
+    table = memo.get(key)
+    if table is None:
+        dim = tuple(x + y for x, y in zip(left.dim, right.dim))
+        split = {w: _split_steps(left, right, w, None) for w in enumerate_words(q, dim)}
+        root, where = _trie([s for _, steps in split.values() for s in steps], memo)
+        table, at = {}, 0
+        for word, (keys, _) in split.items():
+            table[word] = keys, (root, where[at : at + len(keys)])
+            at += len(keys)
+        memo[key] = table
+    return table
+
+
+def _multiplicity_one(coeffs: Optional[Sequence[int]]) -> bool:
+    """Whether a word's coefficients are omitted or all 1."""
+    return coeffs is None or all(c == 1 for c in coeffs)
 
 
 def enumerate_subspaces(field: Field, ambient: int, dim: int) -> Iterator[Rows]:
@@ -455,12 +494,17 @@ def _count_row(rm: RowModule, trie: Trie, memo: Dict) -> Tuple[int, ...]:
     one double quiver: on first use it records the module's arrows, and
     a module with other arrows raises ValueError.
     """
-    arrows = memo.setdefault(_ARROWS_KEY, rm.arrows)
-    if arrows != rm.arrows:
-        raise ValueError("the memo holds counts of another double quiver")
+    _guard(memo, rm.arrows)
     root, where = trie
     counts = _count(rm, root, memo)
     return tuple(counts[i] for i in where)
+
+
+def _guard(memo: Dict, arrows: Tuple[Tuple[str, int, int], ...]) -> None:
+    """Record the arrows a memo's counts are for on its first use, and
+    refuse a module of another double quiver with ValueError."""
+    if memo.setdefault(_ARROWS_KEY, arrows) != arrows:
+        raise ValueError("the memo holds counts of another double quiver")
 
 
 def count_flags(
@@ -475,7 +519,12 @@ def count_flags(
         m: a module over some F_p whose dimension vector is the content
             of the coefficient word.
         coeffs: step multiplicities, all 1 when omitted; zeros are skipped.
-        memo: optional shared cache, valid for one double quiver.
+        memo: optional shared cache, valid for one double quiver.  With
+            it, a multiplicity-one word is read from the count row of
+            the module's whole word table, which the first such word
+            counts and every later word of the module at this prime
+            looks up.  Without it, or for a word with coefficients, the
+            one word is counted as a chain.
 
     Raises:
         ValueError: on a rational module, a content mismatch or a memo
@@ -485,10 +534,16 @@ def count_flags(
         raise ValueError("flag counting needs a prime field; reduce first")
     if word_content(m.quiver, word, coeffs) != m.dim:
         raise ValueError("word content differs from the module dimension")
-    if memo is None:
-        memo = {}
-    trie = _trie((_steps(m.quiver, word, coeffs),), memo)
-    (n,) = _count_row(RowModule.of(m), trie, memo)
+    rm = RowModule.of(m)
+    if memo is not None and _multiplicity_one(coeffs):
+        _guard(memo, rm.arrows)
+        words, trie = _word_table(m.quiver, m.dim, memo)
+        n = _count_row(rm, trie, memo)[words.index(tuple(word))]
+    else:
+        if memo is None:
+            memo = {}
+        trie = _trie((_steps(m.quiver, word, coeffs),), memo)
+        (n,) = _count_row(rm, trie, memo)
     fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
     return FlagCount(m, tuple(word), fixed, m.field.p, n)
 
@@ -797,7 +852,12 @@ def count_flags_by_splitting(
 
     The direct sum lists the right summand's coordinates last, so each
     splitting type is one step sequence that tracks the right summand,
-    and the table is one :func:`_count_row` over them.
+    and the table is one :func:`_count_row` over them.  With ``memo``, a
+    multiplicity-one word is read from the row of every splitting type
+    of every word with the sum's content, which the first such word
+    counts and every later word of the pair at this prime looks up.
+    Without it, or for a word with coefficients, only the word's own
+    splitting types are counted.
     """
     if left.field.is_rational or left.field != right.field:
         raise ValueError("need two modules over one common prime field")
@@ -806,10 +866,15 @@ def count_flags_by_splitting(
     whole = _glue(left, right, None)
     if word_content(left.quiver, word, coeffs) != whole.dim:
         raise ValueError("word content differs from the module dimension")
-    keys, steps = _split_steps(left, right, word, coeffs)
-    if memo is None:
-        memo = {}
-    counts = _count_row(whole, _trie(steps, memo), memo)
+    if memo is not None and _multiplicity_one(coeffs):
+        _guard(memo, whole.arrows)
+        keys, trie = _split_table(left, right, memo)[tuple(word)]
+    else:
+        keys, steps = _split_steps(left, right, word, coeffs)
+        if memo is None:
+            memo = {}
+        trie = _trie(steps, memo)
+    counts = _count_row(whole, trie, memo)
     return {key: n for key, n in zip(keys, counts) if n}
 
 

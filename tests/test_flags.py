@@ -56,6 +56,16 @@ def y_module(dq):
     return LambdaModule.build(dq, QQ, (1, 1), {"a*": [[1]]})
 
 
+def refuse_whole_tables(monkeypatch):
+    """Fail the test if a whole word or split table is built."""
+
+    def refuse(*args):
+        raise AssertionError("a whole table was built")
+
+    monkeypatch.setattr(flags, "_word_table", refuse)
+    monkeypatch.setattr(flags, "_split_table", refuse)
+
+
 def gaussian_binomial(r, k, p):
     num, den = 1, 1
     for i in range(k):
@@ -137,6 +147,13 @@ def test_memo_refuses_a_second_double_quiver():
         count_flags(mods[1], ("1", "2"), memo=memo)
     with pytest.raises(ValueError, match="another double quiver"):
         fingerprint(x_module(backward), memo=memo)
+    # the guard runs before a whole table is looked up or built
+    word = ("1", "2", "1", "2")
+    assert count_flags_by_splitting(mods[0], mods[0], word, memo=memo)
+    kept = set(memo)
+    with pytest.raises(ValueError, match="another double quiver"):
+        count_flags_by_splitting(mods[1], mods[1], word, memo=memo)
+    assert set(memo) == kept
     # a module of the first quiver still counts through it
     assert count_flags(mods[0], ("2", "1"), memo=memo).count == 0
     # renamed vertices leave the counts alone but not the words
@@ -165,7 +182,9 @@ def test_trie_nodes_are_interned_in_their_memo():
     assert flags._trie(left, {})[0] is not root
 
 
-def test_s4_pair_counts_are_projective_line():
+def test_s4_pair_counts_are_projective_line(monkeypatch):
+    # one word without a memo, or a word with coefficients, is one chain
+    refuse_whole_tables(monkeypatch)
     dq = d4.star_double()
     pair = direct_sum(d4.s4_module(dq), d4.s4_module(dq))
     for p in (2, 3, 5, 7):
@@ -173,6 +192,7 @@ def test_s4_pair_counts_are_projective_line():
         assert count_flags(mp, ("4", "4")).count == p + 1
         # a single multiplicity-2 step keeps only the zero subspace
         assert count_flags(mp, ("4",), coeffs=(2,)).count == 1
+        assert count_flags(mp, ("4",), coeffs=(2,), memo={}).count == 1
 
 
 def test_t_module_counts_depend_on_word_order():
@@ -362,10 +382,12 @@ def test_splitting_partition_exhausts_direct_sum_counts():
             assert set(dist) <= allowed, word
 
 
-def test_raw_count_products_undercount_fibered_strata():
+def test_raw_count_products_undercount_fibered_strata(monkeypatch):
     # the flags of a direct sum fiber over pairs of subflags with affine
     # fibers, so plain products of counts miss the fiber volumes; only
-    # the per-type partition is exact prime by prime
+    # the per-type partition is exact prime by prime.  Without a memo
+    # each count is one chain.
+    refuse_whole_tables(monkeypatch)
     dq = d4.star_double()
     t, s4 = d4.t_module(dq), d4.s4_module(dq)
     word = ("1", "2", "3", "4", "4")
@@ -456,15 +478,53 @@ def test_split_counts_match_a_chain_by_chain_oracle(rng_seed):
                 lp, rp = reduce_mod_p(left, p), reduce_mod_p(right, p)
             except BadPrime:
                 continue
-            memo = {}
+            wp = direct_sum(lp, rp)
+            memo, plain_memo = {}, {}
             for word in words:
                 want = chain_split_counts(lp, rp, word)
                 got = count_flags_by_splitting(lp, rp, word, memo=memo)
                 assert set(got) == set(want), (word, p)
                 for key, n in want.items():
                     assert got[key] == n, (word, p, key)
+                # the memo's row against the word's own chain
+                plain = count_flags(wp, word, memo=plain_memo).count
+                assert plain == count_flags(wp, word).count, (word, p)
                 compared += 1
     assert compared >= 50
+
+
+def test_later_words_of_a_module_are_row_lookups(monkeypatch):
+    # through a memo the first word counts the module's whole table, and
+    # every later word of the module at that prime is one _count call
+    # that hits the row's root entry: no memo entry and no trie node is
+    # added, where counting each word as its own chain adds both
+    real = flags._count
+    calls = [0]
+
+    def counted(m, node, memo):
+        calls[0] += 1
+        return real(m, node, memo)
+
+    monkeypatch.setattr(flags, "_count", counted)
+    dq = d4.star_double()
+    p = 5
+    tp, s4p = reduce_mod_p(d4.t_module(dq), p), reduce_mod_p(d4.s4_module(dq), p)
+    whole = direct_sum(tp, s4p)
+    words = enumerate_words(whole.quiver, whole.dim)
+    entry_points = [
+        lambda word, memo: count_flags(whole, word, memo=memo).count,
+        lambda word, memo: count_flags_by_splitting(tp, s4p, word, memo=memo),
+    ]
+    for count in entry_points:
+        memo = {}
+        for k, word in enumerate(words):
+            before = len(memo), len(memo.get(flags._NODES_KEY, ())), calls[0]
+            got = count(word, memo)
+            after = len(memo), len(memo[flags._NODES_KEY]), calls[0] - 1
+            if k:
+                assert after == before, word
+            assert got == count(word, None), word
+    assert len(words) == 60
 
 
 def test_splitting_types_share_the_enumeration(monkeypatch, rng_seed):
@@ -499,10 +559,8 @@ def test_splitting_types_share_the_enumeration(monkeypatch, rng_seed):
             continue
         whole = direct_sum(lp, rp)
         for word in enumerate_words(whole.quiver, whole.dim):
-            split = enumerated(
-                lambda: count_flags_by_splitting(lp, rp, word, memo={})
-            )
-            plain = enumerated(lambda: count_flags(whole, word, memo={}))
+            split = enumerated(lambda: count_flags_by_splitting(lp, rp, word))
+            plain = enumerated(lambda: count_flags(whole, word))
             assert split <= plain, (word, p, split, plain)
             checked += plain > 0
     assert checked >= 10
@@ -548,7 +606,7 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
             assert mixed[: len(words)] == row
             want = []
             for word, n, (keys, _) in zip(words, row, splits):
-                assert n == count_flags(whole, word, memo={}).count, (word, p)
+                assert n == count_flags(whole, word).count, (word, p)
                 oracle = chain_split_counts(lp, rp, word)
                 assert n == sum(oracle.values()), (word, p)
                 want += [oracle.get(key, 0) for key in keys]
@@ -563,7 +621,9 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
     assert rows >= 6
 
 
-def test_split_counts_with_multiplicity_two():
+def test_split_counts_with_multiplicity_two(monkeypatch):
+    # a word with coefficients is one chain, with a memo or without
+    refuse_whole_tables(monkeypatch)
     dq = a2_double()
     s1 = simple(dq, "1", QQ)
     pair = direct_sum(s1, s1)
@@ -575,7 +635,7 @@ def test_split_counts_with_multiplicity_two():
             ((2, 0), (0, 1)): 1,
         }
         # the right summand's plane loses both dimensions at the first step
-        assert count_flags_by_splitting(s1p, pair_p, word, coeffs) == {
+        assert count_flags_by_splitting(s1p, pair_p, word, coeffs, memo={}) == {
             ((0, 1), (2, 0)): p * p,
             ((1, 0), (1, 1)): p + 1,
         }

@@ -26,9 +26,10 @@ fingerprint, the splitting types of a split count, or a single word) are
 merged into a trie by their first steps, and one recursion over the
 trie counts all of them, listing the subspaces at each branch once.
 Counts are memoized per module and trie node, child lists per module,
-vertex and multiplicity, in a plain dict under keys that start with the
-prime and hold the module's dimension vector and rows, so one dict can
-serve every module, prime and table of one double quiver.  The dict also
+vertex and multiplicity, and orbit lists (below) per module and vertex,
+in a plain dict under keys that start with the prime and hold the
+module's dimension vector and rows, so one dict can serve every module,
+prime and table of one double quiver.  The dict also
 interns the nodes of the tries counted through it: equal rests of any
 of its tables are one node, so a word, a fingerprint row, a stratum row
 and a split table that end alike share their counts below that point.
@@ -49,6 +50,24 @@ or every splitting type of every word): the first word counts the row,
 and each later word of the module at that prime is a lookup of the
 row's root entry.  Without a dict, or for a word with coefficients, the
 one word is counted as a chain of its own.
+
+A step of multiplicity 1 that tracks nothing keeps one of the
+[t]_p = (p^t - 1)/(p - 1) hyperplanes of the v-piece that contain the
+span R of the incoming images (t = dim V_v/R), and is counted over the
+orbits of those hyperplanes under the automorphisms of the module that
+are the identity off v (:func:`_orbits`).  Isomorphic pieces have equal
+counts below, because nothing is tracked at v below such a step and the
+automorphism is the identity wherever something may be, so one
+representative weighted by its orbit size stands for the whole orbit
+and every count stays exact.  With K the common kernel of the arrows out
+of v and s = dim (R+K)/R, the [t-s]_p hyperplanes over R + K are fixed
+and listed with weight 1, and the other p^(t-s) [s]_p form one orbit.
+Only the fixed ones are enumerated.  The automorphisms are read off the
+arrows at v because quivers have no loops (see :mod:`preproj.quiver`):
+an arrow from v to v would add the condition that h commute with it.
+A step with a tracked submodule, or of multiplicity above 1, lists every
+piece: its acceptance filter reads the piece's meet with the tracked
+part, which the automorphisms do not preserve.
 """
 
 from __future__ import annotations
@@ -71,7 +90,13 @@ from typing import (
 )
 
 from .fields import Field, primes
-from .linalg import Polynomial, echelon, interpolate, lagrange_weights
+from .linalg import (
+    Polynomial,
+    _kernel_rows,
+    echelon,
+    interpolate,
+    lagrange_weights,
+)
 from .module import (
     BadPrime,
     LambdaModule,
@@ -292,30 +317,96 @@ def _children(
     m: RowModule, v: int, c: int, memo: Dict
 ) -> List[Tuple[Tuple[int, ...], RowModule]]:
     """Every codimension-c piece at v that contains all incoming images,
-    as (pivots, restricted module).
+    as (pivots, restricted module), cached in the memo under (p, dim,
+    rows, v, c), so every trie node that reaches this module with a step
+    (v, c, drop), whatever the drop, shares one enumeration.
+    """
+    key = (m.field.p, m.dim, m.rows, v, c)
+    children = memo.get(key)
+    if children is None:
+        children = memo[key] = _pieces(m, v, _incoming(m, v), c)
+    return children
 
-    The incoming columns are row reduced to u.  A piece is u plus a
-    subspace in the coordinates that are not pivots of u; lifting that
-    subspace's echelon rows and clearing u's rows at their pivots gives
-    the piece's reduced row echelon basis directly.  The list is cached
-    in the memo under (p, dim, rows, v, c), so every trie node that
-    reaches this module with a step (v, c, drop), whatever the drop,
-    shares one enumeration.
+
+def _orbits(m: RowModule, v: int, memo: Dict) -> List[Tuple[int, RowModule]]:
+    """The hyperplane pieces at v that contain all incoming images, one
+    per orbit of the automorphisms of m that are the identity off v, as
+    (orbit size, restricted module); cached in the memo under (p, dim,
+    rows, v).
+
+    Write R for the span of the incoming images, K for the common kernel
+    of the arrows out of v, t = dim V_v/R, s = dim (R+K)/R and [n]_p =
+    (p^n - 1)/(p - 1).  As the quiver has no loops, those automorphisms
+    are the invertible I + h with h(V_v) in K and h(R) = 0.  They fix
+    each of the [t-s]_p hyperplanes that contain R + K, listed with size
+    1, and move the other p^(t-s) [s]_p, which miss part of K, into one
+    orbit.  Its representative is the hyperplane y_j = sum of u_r[j] y_r
+    over R's echelon rows u_r, where j is the first pivot of R + K that
+    is not one of R: it holds every u_r, and not the row of R + K that
+    pivots at j.  With t <= 1 there is at most one piece, listed without
+    the kernel.
     """
     p = m.field.p
-    key = (p, m.dim, m.rows, v, c)
-    children = memo.get(key)
-    if children is not None:
-        return children
+    key = (p, m.dim, m.rows, v)
+    orbits = memo.get(key)
+    if orbits is not None:
+        return orbits
+    u = _incoming(m, v)
+    d, t = m.dim[v], m.dim[v] - len(u)
+    wide = u
+    if t > 1:
+        out = [
+            row
+            for rows, (_, source, _) in zip(m.rows, m.arrows)
+            if source == v
+            for row in rows
+        ]
+        wide = echelon([*u.values(), *_kernel_rows(echelon(out, p), d, p)], p)
+    orbits = memo[key] = [(1, piece) for _, piece in _pieces(m, v, wide, 1)]
+    s = len(wide) - len(u)
+    if s:
+        j = min(q for q in wide if q not in u)
+        pivots = tuple(i for i in range(d) if i != j)
+        kept = []
+        for i in pivots:
+            row = [0] * d
+            row[i] = 1
+            if i in u:
+                row[j] = u[i][j]
+            kept.append(tuple(row))
+        size = p ** (t - s) * (p**s - 1) // (p - 1)
+        orbits.append((size, restrict_rows(m, v, tuple(kept), pivots)))
+    return orbits
+
+
+def _incoming(m: RowModule, v: int) -> Dict[int, List[int]]:
+    """The reduced row echelon basis of the span of the incoming images
+    at v, keyed by pivot."""
+    return echelon(
+        [
+            col
+            for rows, (_, _, target) in zip(m.rows, m.arrows)
+            if target == v
+            for col in zip(*rows)
+        ],
+        m.field.p,
+    )
+
+
+def _pieces(
+    m: RowModule, v: int, u: Dict[int, List[int]], c: int
+) -> List[Tuple[Tuple[int, ...], RowModule]]:
+    """Every codimension-c piece at v that contains the span of the
+    reduced echelon rows u, as (pivots, restricted module); u spans the
+    incoming images, or more.
+
+    A piece is u plus a subspace in the coordinates that are not pivots
+    of u; lifting that subspace's echelon rows and clearing u's rows at
+    their pivots gives the piece's reduced row echelon basis directly.
+    """
+    p = m.field.p
     d = m.dim[v]
-    incoming = [
-        col
-        for rows, (_, _, target) in zip(m.rows, m.arrows)
-        if target == v
-        for col in zip(*rows)
-    ]
-    u = echelon(incoming, p)
-    children = []
+    pieces = []
     if d - c >= len(u):
         free = [j for j in range(d) if j not in u]
         for small in enumerate_subspaces(m.field, len(free), d - c - len(u)):
@@ -335,9 +426,8 @@ def _children(
                 basis[r] = row
             pivots = tuple(sorted(basis))
             kept = tuple(tuple(basis[q]) for q in pivots)
-            children.append((pivots, restrict_rows(m, v, kept, pivots)))
-    memo[key] = children
-    return children
+            pieces.append((pivots, restrict_rows(m, v, kept, pivots)))
+    return pieces
 
 
 class _Node:
@@ -448,11 +538,18 @@ def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
     by the last coordinates.  With t = 0 nothing is tracked and every
     piece is accepted.
 
-    Count tuples are memoized under (p, dim, rows, node) and child lists
-    under (p, dim, rows, v, c).  The keys hold no arrows, so one dict may
-    serve any modules and primes of one double quiver: the words and
-    splitting types of one module, or every module of one verification
-    job.
+    A case with c = 1 and t = 0 adds up one piece per orbit instead,
+    from :func:`_orbits`: each orbit's count tuple is its
+    representative's times the orbit size.  Nothing is tracked at v from
+    that step on, and the automorphisms that move the pieces are the
+    identity at every other vertex, so pieces of one orbit have equal
+    counts below and the sum is the same as over every piece.
+
+    Count tuples are memoized under (p, dim, rows, node), child lists
+    under (p, dim, rows, v, c) and orbit lists under (p, dim, rows, v).
+    The keys hold no arrows, so one dict may serve any modules and primes
+    of one double quiver: the words and splitting types of one module, or
+    every module of one verification job.
     """
     if not node:
         # every sequence left is empty and counts the one empty flag
@@ -464,16 +561,22 @@ def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
     counts = [1] if node.end else []
     branch = None
     for v, c, drop, tracked, child in node.cases:
-        if branch != (v, c):
-            branch = v, c
-            children = _children(m, v, c, memo)
-        first_tracked = m.dim[v] - tracked
-        below = [
-            _count(piece, child, memo)
-            for pivots, piece in children
-            if not tracked
-            or sum(r >= first_tracked for r in pivots) == tracked - drop
-        ]
+        if c == 1 and not tracked:
+            below = []
+            for size, piece in _orbits(m, v, memo):
+                got = _count(piece, child, memo)
+                below.append(got if size == 1 else [size * n for n in got])
+        else:
+            if branch != (v, c):
+                branch = v, c
+                children = _children(m, v, c, memo)
+            first_tracked = m.dim[v] - tracked
+            below = [
+                _count(piece, child, memo)
+                for pivots, piece in children
+                if not tracked
+                or sum(r >= first_tracked for r in pivots) == tracked - drop
+            ]
         counts.extend(map(sum, zip(*below)) if below else (0,) * child.size)
     total = tuple(counts)
     memo[key] = total

@@ -1,8 +1,13 @@
 """Quivers, their doubles, words of vertices, and the symmetric form.
 
-A quiver here is always loop free.  Its double carries one reversed arrow
-``a*`` for every original arrow ``a``, together with the sign that weights the
-preprojective relations: original arrows have sign 0, reversed arrows sign 1.
+A quiver here is always loop free, and so is its double.  Its double carries
+one reversed arrow ``a*`` for every original arrow ``a``, together with the
+sign that weights the preprojective relations: original arrows have sign 0,
+reversed arrows sign 1.  Flag counting relies on the absence of loops: an
+automorphism of a module that is the identity off one vertex v is then any
+invertible I + h on the v-piece that kills the incoming images and maps into
+the common kernel of the outgoing arrows, and :mod:`preproj.flags` counts the
+hyperplane pieces at v by the orbits of these.
 
 Dimension vectors, word contents, and fingerprint coordinates are all indexed
 by the position of a vertex in ``Quiver.vertices``; that ordering also fixes

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from preproj import d4
+from preproj import d4, flags
 from preproj.cli import main
 from preproj.fields import QQ
 from preproj.module import LambdaModule
@@ -254,6 +254,30 @@ def test_family_fingerprint_json_matches_the_frozen_output(capsys):
     assert got == json.loads(frozen, object_hook=without_elapsed)
     windows = {tuple(pr["window"]) for pr in got["profiles"]}
     assert windows == {(2, 3), (3, 5), (5, 7)}
+
+
+def test_kronecker_fingerprint_json_matches_the_frozen_output(capsys, monkeypatch):
+    # frozen before hyperplane pieces were counted by orbits: at some step
+    # of this Kronecker module the hyperplanes over the incoming images
+    # fall into fixed ones and one orbit, so the frozen counts pin that
+    # path; CI compares against it under python3 -S as well
+    real = flags._orbits
+    mixed = []
+
+    def recorded(m, v, memo):
+        orbits = real(m, v, memo)
+        sizes = [size for size, _ in orbits]
+        mixed.append(1 in sizes and max(sizes) > 1)
+        return orbits
+
+    monkeypatch.setattr(flags, "_orbits", recorded)
+    here = Path(__file__).parent
+    module = here / "kronecker_2_2.json"
+    assert main(["fingerprint", str(module), "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out, object_hook=without_elapsed)
+    frozen = (here / "kronecker_2_2_fingerprint.json").read_text()
+    assert got == json.loads(frozen, object_hook=without_elapsed)
+    assert any(mixed)
 
 
 def test_example_d4_generic_parameter_choice(capsys):

@@ -8,6 +8,7 @@ choices and branching only happens in pieces of dimension two or more.
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import groupby, islice
 
@@ -28,7 +29,7 @@ from preproj.flags import (
     split_chi_sum,
     split_euler_table,
 )
-from preproj.linalg import Matrix, Polynomial, hstack, rank, solve
+from preproj.linalg import Matrix, Polynomial, hstack, kernel_basis, rank, solve
 from preproj.module import (
     BadPrime,
     LambdaModule,
@@ -529,41 +530,62 @@ def test_later_words_of_a_module_are_row_lookups(monkeypatch):
 
 def test_splitting_types_share_the_enumeration(monkeypatch, rng_seed):
     # every splitting type walks a pruned copy of the direct sum's
-    # recursion, so with shared child lists the split count enumerates
-    # no subspace that the plain count of the same word does not
+    # recursion, so with shared child lists the split count's full lists
+    # enumerate no subspace that the every-piece count of the same word
+    # does not; nor do its orbit lists, whose fixed pieces are pieces of
+    # the full list of their module
     real = flags.enumerate_subspaces
-    yielded = [0]
+    yielded = Counter()
+    building = []
 
     def counted(field, ambient, dim):
         for rows in real(field, ambient, dim):
-            yielded[0] += 1
+            yielded[building[-1]] += 1
             yield rows
 
+    def builder(name):
+        build = getattr(flags, name)
+
+        def built(*args):
+            building.append(name)
+            try:
+                return build(*args)
+            finally:
+                building.pop()
+
+        return built
+
     monkeypatch.setattr(flags, "enumerate_subspaces", counted)
+    for name in ("_children", "_orbits"):
+        monkeypatch.setattr(flags, name, builder(name))
 
     def enumerated(compute):
-        yielded[0] = 0
+        yielded.clear()
         compute()
-        return yielded[0]
+        return yielded["_children"], yielded["_orbits"]
 
     rng = random.Random(rng_seed + 5)
     a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
     kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
     cases = [(d4.t_module(), d4.s4_module(), p) for p in (3, 5)]
     cases += [modest_pair(dq, rng) + (3,) for dq in (a3, kronecker)]
-    checked = 0
+    checked = both = 0
     for left, right, p in cases:
         try:
             lp, rp = reduce_mod_p(left, p), reduce_mod_p(right, p)
         except BadPrime:
             continue
         whole = direct_sum(lp, rp)
+        rm = RowModule.of(whole)
         for word in enumerate_words(whole.quiver, whole.dim):
-            split = enumerated(lambda: count_flags_by_splitting(lp, rp, word))
-            plain = enumerated(lambda: count_flags(whole, word))
-            assert split <= plain, (word, p, split, plain)
-            checked += plain > 0
-    assert checked >= 10
+            full, orbits = enumerated(lambda: count_flags_by_splitting(lp, rp, word))
+            root, _ = flags._trie((flags._steps(whole.quiver, word, None),), None)
+            every, none = enumerated(lambda: every_piece_count(rm, root, {}))
+            assert none == 0
+            assert full <= every and orbits <= every, (word, p, full, orbits, every)
+            checked += every > 0
+            both += full > 0 and orbits > 0
+    assert checked >= 10 and both >= 1
 
 
 def test_count_rows_agree_with_single_words_and_the_chain_oracle(
@@ -619,6 +641,120 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
             )
             rows += 1
     assert rows >= 6
+
+
+def every_piece_count(m, node, memo):
+    """The count recursion with every piece listed, each with weight 1:
+    the oracle that counting hyperplane pieces by orbits must match."""
+    if not node:
+        return (1,) * node.size
+    key = ("every piece", m.field.p, m.dim, m.rows, node)
+    if key not in memo:
+        counts = [1] if node.end else []
+        for v, c, drop, tracked, child in node.cases:
+            first_tracked = m.dim[v] - tracked
+            below = [
+                every_piece_count(piece, child, memo)
+                for pivots, piece in flags._children(m, v, c, memo)
+                if sum(r >= first_tracked for r in pivots) == tracked - drop
+            ]
+            counts.extend(map(sum, zip(*below)) if below else (0,) * child.size)
+        memo[key] = tuple(counts)
+    return memo[key]
+
+
+def orbit_regime(m, v):
+    """(t, s) at vertex v of a row module: t = dim V_v/R and s = dim
+    (R+K)/R, where R spans the incoming images and K is the common
+    kernel of the arrows out of v, by plain rank computations."""
+    field, d = m.field, m.dim[v]
+    incoming = [
+        col
+        for rows, (_, _, target) in zip(m.rows, m.arrows)
+        if target == v
+        for col in zip(*rows)
+    ]
+    out = [
+        row
+        for rows, (_, source, _) in zip(m.rows, m.arrows)
+        if source == v
+        for row in rows
+    ]
+    kernel = kernel_basis(Matrix.from_rows(field, out, ncols=d))
+    wide = incoming + [kernel.col(j) for j in range(kernel.ncols)]
+    r = rank(Matrix.from_rows(field, incoming, ncols=d))
+    return d - r, rank(Matrix.from_rows(field, wide, ncols=d)) - r
+
+
+def test_orbit_counts_match_the_every_piece_recursion(monkeypatch, rng_seed):
+    # an untracked hyperplane step counts one weighted piece per orbit of
+    # the automorphisms that are the identity off its vertex: every word
+    # and split table row must equal the recursion over every piece, each
+    # orbit list must weigh all [t]_p hyperplanes over the incoming
+    # images, [t-s]_p of them fixed, and a word row asks for each list once
+    real = flags._orbits
+    regimes = Counter()
+    asked = []
+
+    def recorded(m, v, memo):
+        asked.append((m.field.p, m.dim, m.rows, v))
+        before = len(memo)
+        orbits = real(m, v, memo)
+        if len(memo) > before:
+            p, (t, s) = m.field.p, orbit_regime(m, v)
+            assert sum(size for size, _ in orbits) == gaussian_binomial(t, 1, p)
+            if t >= 2:
+                fixed = sum(size == 1 for size, _ in orbits)
+                assert fixed == gaussian_binomial(t - s, 1, p), (t, s, p)
+            regimes[t, s] += 1
+        return orbits
+
+    monkeypatch.setattr(flags, "_orbits", recorded)
+    rng = random.Random(rng_seed + 31)
+    a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
+    zoo = d4.zoo()
+    pairs = [modest_pair(dq, rng) for dq in (a3, kronecker, a3, kronecker)]
+    pairs.append((zoo["T"], zoo["S4"]))
+    tables = [(m, None) for m in zoo.values()]
+    # at vertex 2, R is spanned by e0 + e1 and K by e1: the orbit's
+    # representative must carry R's entry at the pivot it leaves out
+    tilted = {"a": [[1], [1], [0]], "b": [[1, 0, 0], [0, 0, 1]]}
+    tables.append((LambdaModule.build(a3, QQ, (1, 3, 2), tilted), None))
+    for left, right in pairs:
+        tables += [(left, None), (right, None), (direct_sum(left, right), None)]
+        tables.append((left, right))
+    rows = 0
+    for p in (2, 3, 5, 7):
+        for left, right in tables:
+            try:
+                lp = reduce_mod_p(left, p)
+                rp = None if right is None else reduce_mod_p(right, p)
+            except BadPrime:
+                continue
+            if rp is None:
+                m = lp
+                _, trie = flags._word_table(m.quiver, m.dim)
+            else:
+                m = direct_sum(lp, rp)
+                words = enumerate_words(m.quiver, m.dim)
+                split = [flags._split_steps(lp, rp, w, None)[1] for w in words]
+                trie = flags._trie([s for steps in split for s in steps], None)
+            rm = RowModule.of(m)
+            asked.clear()
+            row = flags._count_row(rm, trie, {})
+            if rp is None:
+                assert len(asked) == len(set(asked)), (m.dim, p)
+            root, where = trie
+            every = every_piece_count(rm, root, {})
+            assert row == tuple(every[i] for i in where), (m.dim, p, rp is None)
+            rows += 1
+    assert rows >= 60
+    # the hyperplanes over the incoming images fall into fixed ones only,
+    # into fixed ones and one orbit, and into one orbit only
+    assert any(t >= 2 and s == 0 for t, s in regimes), regimes
+    assert any(0 < s < t for t, s in regimes), regimes
+    assert any(t >= 2 and s == t for t, s in regimes), regimes
 
 
 def test_split_counts_with_multiplicity_two(monkeypatch):

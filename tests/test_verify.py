@@ -382,18 +382,23 @@ def test_pairwise_identity_is_symmetric_in_the_pair():
 
 
 def count_child_lists(monkeypatch):
-    """Patch flags._children to count the child lists it builds (memo
-    misses), and return the running tally."""
-    real = flags._children
+    """Patch the two builders of child lists, flags._children and
+    flags._orbits, to count the lists they build (memo misses), and
+    return the running tally."""
     built = [0]
 
-    def counted(m, v, c, memo):
-        before = len(memo)
-        children = real(m, v, c, memo)
-        built[0] += len(memo) > before
-        return children
+    def counted(build):
+        def counting(*args):
+            memo = args[-1]
+            before = len(memo)
+            children = build(*args)
+            built[0] += len(memo) > before
+            return children
 
-    monkeypatch.setattr(flags, "_children", counted)
+        return counting
+
+    for name in ("_children", "_orbits"):
+        monkeypatch.setattr(flags, name, counted(getattr(flags, name)))
     return built
 
 

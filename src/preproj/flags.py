@@ -22,9 +22,13 @@ split table's splitting types and a stratification's stratum sizes
 alike: each column keeps the first window it passes at.
 
 Every count is one row: the step sequences of a table (the words of a
-fingerprint, the splitting types of a split count, or a single word) are
-merged into a trie by their first steps, and one recursion over the
-trie counts all of them, listing the subspaces at each branch once.
+fingerprint, the splitting types of a split count, or a single word)
+form a trie, and one recursion over the trie counts all of them,
+listing the subspaces at each branch once.  The trie of a whole table
+(every word of a dimension vector, or every splitting type of every word
+of a direct sum) is built straight from the dimension vectors, one node
+per content left to place (:func:`_table`); a single word or a word with
+coefficients is a chain made from its steps (:func:`_trie`).
 Counts are memoized per module and trie node, child lists per module,
 vertex and multiplicity, and orbit lists (below) per module and vertex,
 in a plain dict under keys that start with the prime and hold the
@@ -74,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, count, product
 from operator import mul
 from typing import (
     Callable,
@@ -229,13 +233,15 @@ def _word_table(
     q: Quiver, dim: Tuple[int, ...], memo: Optional[Dict] = None
 ) -> Tuple[Tuple[Word, ...], Trie]:
     """Every word with content dim, in enumeration order, and the trie of
-    their steps; kept in ``memo`` under (q, dim), when one is given, for
-    the next module of the same quiver and dimension vector."""
+    their steps (see :func:`_table`), whose node order is enumeration
+    order; kept in ``memo`` under (q, dim), when one is given, for the
+    next module of the same quiver and dimension vector."""
     key = (q, dim)
     table = None if memo is None else memo.get(key)
     if table is None:
         words = enumerate_words(q, dim)
-        table = words, _trie(tuple(_steps(q, w, None) for w in words), memo)
+        root = _table(dim, (0,) * len(dim), memo)
+        table = words, (root, tuple(range(len(words))))
         if memo is not None:
             memo[key] = table
     return table
@@ -256,21 +262,40 @@ def _split_table(
     left: LambdaModule, right: LambdaModule, memo: Dict
 ) -> Dict[Word, Tuple[Tuple[SplitKey, ...], Trie]]:
     """Every splitting type of every word with the direct sum's content,
-    as one step table: per word, its splitting types (see
-    :func:`_split_steps`) and the table's trie with the positions of
-    their slice of the row.  Kept in ``memo`` under (_SPLIT_KEY, q,
-    left.dim, right.dim), beside :func:`_word_table`'s entries."""
+    as one step table: per word, its splitting types in the order of
+    :func:`~preproj.quiver.enumerate_splittings` and the table's trie
+    with the positions of their slice of the row.  Kept in ``memo``
+    under (_SPLIT_KEY, q, left.dim, right.dim), beside
+    :func:`_word_table`'s entries.
+
+    The trie is built from the remaining contents (see :func:`_table`),
+    and one walk of it in node order reads off every word's splitting
+    types and positions.  Within a word the walk gives a step to the
+    left summand (drop 0) before the right one (drop 1), the reverse of
+    the enumeration's order, so each word's list is reversed.
+    """
     q = left.quiver
     key = (_SPLIT_KEY, q, left.dim, right.dim)
     table = memo.get(key)
     if table is None:
-        dim = tuple(x + y for x, y in zip(left.dim, right.dim))
-        split = {w: _split_steps(left, right, w, None) for w in enumerate_words(q, dim)}
-        root, where = _trie([s for _, steps in split.values() for s in steps], memo)
-        table, at = {}, 0
-        for word, (keys, _) in split.items():
-            table[word] = keys, (root, where[at : at + len(keys)])
-            at += len(keys)
+        root = _table(left.dim, right.dim, memo)
+        names = q.vertices
+        found: Dict[Word, Tuple[List[SplitKey], List[int]]] = {}
+        at = count()
+
+        def walk(node: _Node, word: Word, drops: Tuple[int, ...]) -> None:
+            if node.end:
+                keys, where = found.setdefault(word, ([], []))
+                keys.append((tuple(1 - d for d in drops), drops))
+                where.append(next(at))
+            for v, _, drop, _, child in node.cases:
+                walk(child, (*word, names[v]), (*drops, drop))
+
+        walk(root, (), ())
+        table = {
+            word: (tuple(reversed(keys)), (root, tuple(reversed(where))))
+            for word, (keys, where) in found.items()
+        }
         memo[key] = table
     return table
 
@@ -441,8 +466,8 @@ class _Node:
     A count tuple of the node lists the empty sequence first, then every
     case's child tuple in turn; ``size`` is its length, and ``len()`` is
     the number of steps left on the longest sequence.  Nodes are interned
-    in the memo they are counted through (see :func:`_trie`), so equal
-    nodes are one object; they hash by identity.
+    in the memo they are counted through (see :func:`_trie` and
+    :func:`_table`), so equal nodes are one object; they hash by identity.
     """
 
     __slots__ = ("end", "cases", "size", "depth")
@@ -490,10 +515,50 @@ def _intern(end: bool, cases: Tuple, nodes: Dict[Tuple, _Node]) -> _Node:
     return node
 
 
+def _table(
+    left: Tuple[int, ...], right: Tuple[int, ...], memo: Optional[Dict]
+) -> _Node:
+    """The root of the trie of every step sequence that places the
+    contents ``left`` and ``right``: a step (v, 1, 0) takes a factor of
+    the untracked left part at v, a step (v, 1, 1) one of the tracked
+    right part.  This is the trie of a word table when ``right`` is zero
+    and of a direct sum's split table otherwise, built by one recursion
+    over what is left to place.
+
+    The node of remaining contents (r1, r2) has, for each vertex v in
+    ascending order, the case (v, 1, 0, r2[v]) into (r1 - e_v, r2) when
+    r1[v] > 0 and then (v, 1, 1, r2[v]) into (r1, r2 - e_v) when
+    r2[v] > 0, and ends when nothing is left: the node :func:`_trie`
+    makes of the same sequences.  Nodes are interned in ``memo`` as
+    there, or only within this trie when ``memo`` is None.
+    """
+    nodes = {} if memo is None else memo.setdefault(_NODES_KEY, {})
+    built: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], _Node] = {}
+
+    def node(r1: Tuple[int, ...], r2: Tuple[int, ...]) -> _Node:
+        got = built.get((r1, r2))
+        if got is None:
+            cases = []
+            for v, (a, b) in enumerate(zip(r1, r2)):
+                if a:
+                    rest = (*r1[:v], a - 1, *r1[v + 1 :])
+                    cases.append((v, 1, 0, b, node(rest, r2)))
+                if b:
+                    rest = (*r2[:v], b - 1, *r2[v + 1 :])
+                    cases.append((v, 1, 1, b, node(r1, rest)))
+            got = built[r1, r2] = _intern(not cases, tuple(cases), nodes)
+        return got
+
+    return node(left, right)
+
+
 def _trie(steps: Sequence[Steps], memo: Optional[Dict]) -> Trie:
     """The trie of a step table and the position of every table entry in
-    the root's count tuple.  A table sampled at several primes is turned
-    into a trie once, and counted through it at each.
+    the root's count tuple, made by sorting and grouping the sequences:
+    the trie of a single word, a word with coefficients or the splitting
+    types of one word (whole tables come from :func:`_table`, into the
+    same nodes).  A table sampled at several primes is turned into a
+    trie once, and counted through it at each.
 
     The nodes are interned in ``memo``, so every table counted through
     one memo shares its equal rests, or only within this trie when

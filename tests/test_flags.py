@@ -39,7 +39,7 @@ from preproj.module import (
     simple,
     validate,
 )
-from preproj.quiver import Quiver, double, enumerate_words
+from preproj.quiver import Quiver, double, enumerate_splittings, enumerate_words
 from preproj.randgen import random_nilpotent_module
 
 
@@ -593,15 +593,21 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
 ):
     # one row counts a whole step table through one trie: it must give
     # each entry's own count in table order, whatever that order is, and
-    # list the pieces of each module at each vertex once per word row
-    real = flags._children
+    # list the pieces of each module at each vertex once per word row,
+    # whether as a full child list or as an orbit list
+    real_children, real_orbits = flags._children, flags._orbits
     asked = []
 
-    def recorded(m, v, c, memo):
+    def children(m, v, c, memo):
         asked.append((m.field.p, m.dim, m.rows, v, c))
-        return real(m, v, c, memo)
+        return real_children(m, v, c, memo)
 
-    monkeypatch.setattr(flags, "_children", recorded)
+    def orbits(m, v, memo):
+        asked.append((m.field.p, m.dim, m.rows, v))
+        return real_orbits(m, v, memo)
+
+    monkeypatch.setattr(flags, "_children", children)
+    monkeypatch.setattr(flags, "_orbits", orbits)
     rng = random.Random(rng_seed + 21)
     a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
     kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
@@ -619,7 +625,7 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
             asked.clear()
             rm = RowModule.of(whole)
             row = flags._count_row(rm, trie, {})
-            assert len(asked) == len(set(asked)), (whole.dim, p)
+            assert asked and len(asked) == len(set(asked)), (whole.dim, p)
             splits = [flags._split_steps(lp, rp, w, None) for w in words]
             table = steps + tuple(s for _, split in splits for s in split)
             # words and splitting types in one row, so the trie mixes
@@ -641,6 +647,81 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
             )
             rows += 1
     assert rows >= 6
+
+
+def test_tables_built_from_contents_match_tries_built_from_paths(rng_seed):
+    # a whole word or split table is built from the remaining dimension
+    # vectors: through one memo its root must be the very node that
+    # _trie makes of the table's step sequences, with the same
+    # positions, and each word's split keys in enumeration order
+    rng = random.Random(rng_seed + 41)
+    a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
+    zoo = d4.zoo()
+    s1, s2, s3 = (simple(a3, v, QQ) for v in ("1", "2", "3"))
+    zero = LambdaModule.build(a3, QQ, (0, 0, 0), {})
+    pairs = [modest_pair(dq, rng) for dq in (a3, kronecker, a3, kronecker)]
+    pairs += [(zoo["T"], zoo["S4"]), (direct_sum(s1, s2), direct_sum(s2, s3))]
+    pairs.append((zero, zero))
+    singles = [m for m in zoo.values() if m.dim == (1, 1, 1, 2)]
+    singles += [direct_sum(left, right) for left, right in pairs]
+    assert len(singles) == 18
+    for m in singles:
+        memo = {}
+        words, (root, where) = flags._word_table(m.quiver, m.dim, memo)
+        assert words == enumerate_words(m.quiver, m.dim)
+        steps = tuple(flags._steps(m.quiver, w, None) for w in words)
+        oracle, at = flags._trie(steps, memo)
+        assert root is oracle and where == at, m.dim
+    for left, right in pairs:
+        memo = {}
+        table = flags._split_table(left, right, memo)
+        q = left.quiver
+        words = enumerate_words(q, direct_sum(left, right).dim)
+        assert set(table) == set(words)
+        split = [flags._split_steps(left, right, w, None) for w in words]
+        oracle, at = flags._trie([s for _, steps in split for s in steps], memo)
+        k = 0
+        for word, (keys, _) in zip(words, split):
+            got, (root, where) = table[word]
+            assert got == enumerate_splittings(q, word, None, left.dim, right.dim)
+            assert root is oracle and where == at[k : k + len(keys)], word
+            k += len(keys)
+        assert k == len(at)
+
+
+def test_whole_tables_are_not_grouped_by_paths(monkeypatch):
+    # word and split tables are built from the remaining dimension
+    # vectors, so building and counting them never sorts and groups
+    # step sequences into nodes
+    dq = d4.star_double()
+    t, s4 = d4.t_module(dq), d4.s4_module(dq)
+    whole = direct_sum(t, s4)
+    p = 5
+    tp, s4p, wp = (reduce_mod_p(m, p) for m in (t, s4, whole))
+    words = enumerate_words(whole.quiver, whole.dim)
+    want = [
+        (count_flags(wp, w).count, count_flags_by_splitting(tp, s4p, w))
+        for w in words
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a table was grouped by its step sequences")
+
+    monkeypatch.setattr(flags, "_node", refuse)
+    memo = {}
+    assert flags._word_table(whole.quiver, whole.dim, memo)[0] == words
+    assert set(flags._split_table(tp, s4p, memo)) == set(words)
+    plain_memo, split_memo = {}, {}
+    got = [
+        (
+            count_flags(wp, w, memo=plain_memo).count,
+            count_flags_by_splitting(tp, s4p, w, memo=split_memo),
+        )
+        for w in words
+    ]
+    assert got == want
+    assert fingerprint(t).chi == fingerprint(t, memo={}).chi
 
 
 def every_piece_count(m, node, memo):

@@ -276,13 +276,14 @@ def cmd_example_d4(args) -> int:
         return 2
     m_anchors = {k: zoo[k] for k in ("M(lam)", "M(0)", "M(-1)", "M(inf)")}
     r_anchors = {k: zoo[k] for k in ("R", "A", "B", "C")}
+    # F, G and H have the direct sum's dimension vector: one count memo
+    # serves them and the whole verification
+    memo: Dict = {}
     rep = verify_thm_1_1(
         zoo["S4"], zoo["T"], m_anchors, r_anchors,
-        prime_list=args.primes,
+        prime_list=args.primes, memo=memo,
     )
     fps = {s.name: s.fingerprint for s in rep.strata_fwd + rep.strata_bwd}
-    # F, G and H have the direct sum's dimension vector: one count memo
-    memo: Dict = {}
     for extra in ("F", "G", "H"):
         fps[extra] = fingerprint(zoo[extra], prime_list=args.primes, memo=memo)
     words = rep.words

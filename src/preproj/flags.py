@@ -72,11 +72,24 @@ an arrow from v to v would add the condition that h commute with it.
 A step with a tracked submodule, or of multiplicity above 1, lists every
 piece: its acceptance filter reads the piece's meet with the tracked
 part, which the automorphisms do not preserve.
+
+Many steps have no choice in them.  When the span R of the incoming
+images already has the codimension c the step asks for, the one piece is
+R itself, kept as it is with no subspace enumerated (:func:`_pieces`),
+and a case whose one piece or orbit has weight 1 passes its child's
+count tuple on unchanged (:func:`_count`).  When the step peels the
+whole v-piece, that piece is zero, and
+:func:`~preproj.module.restrict_rows` takes a short branch for it: the
+arrows out of v lose their columns, and the arrows into v must be zero.
+
+A fingerprint fits and validates every word when it is built; the
+words' :class:`CountProfile` objects are made from the stored fits and
+count rows only when :attr:`DeltaFingerprint.profiles` is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, count, product
 from operator import mul
@@ -86,7 +99,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -137,6 +149,11 @@ Steps = Tuple[Tuple[int, int, int], ...]
 # root's count tuple (see _trie).
 Trie = Tuple["_Node", Tuple[int, ...]]
 SplitKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
+# A count column's fit (see _sweep): the window's shift, its primes, the
+# validation primes and the value at 1.
+Fit = Tuple[int, Tuple[int, ...], Tuple[int, ...], int]
+# A pool row: a prime and the counts sampled there.
+PoolRow = Tuple[int, Tuple[int, ...]]
 
 
 class NonPolynomialCount(RuntimeError):
@@ -192,25 +209,42 @@ class DeltaFingerprint:
 
     Two modules of the same dimension vector define the same counting
     functional exactly when their fingerprints agree coordinatewise.
+
+    The fit of every word is made and checked when the fingerprint is
+    built; a word's :class:`CountProfile` is made from the stored fits
+    and count rows only when ``profiles`` is first read.
     """
 
     module: LambdaModule
     words: Tuple[Word, ...]
     chi: Tuple[int, ...]
-    profiles: Tuple[CountProfile, ...]
+    # per word, its fit by _sweep, and the pool's rows the fits drew
+    _fits: Tuple[Fit, ...] = field(repr=False)
+    _rows: Tuple[PoolRow, ...] = field(repr=False)
 
     @property
     def dim(self) -> Tuple[int, ...]:
         return self.module.dim
 
+    @cached_property
+    def profiles(self) -> Tuple[CountProfile, ...]:
+        """Every word's audit trail, in word order, made when first read."""
+        coeffs = [(1,) * len(w) for w in self.words]
+        bound = degree_bound(self.module)
+        return _profiles(self.words, coeffs, bound, self._rows, self._fits)
+
+    @cached_property
+    def _chi_by_word(self) -> Dict[Word, int]:
+        return dict(zip(self.words, self.chi))
+
     def chi_of(self, word: Word) -> int:
         try:
-            return self.chi[self.words.index(tuple(word))]
-        except ValueError:
+            return self._chi_by_word[tuple(word)]
+        except KeyError:
             raise KeyError(f"word {tuple(word)} has the wrong content") from None
 
     def table(self) -> Dict[Word, int]:
-        return dict(zip(self.words, self.chi))
+        return dict(self._chi_by_word)
 
 
 def _steps(
@@ -369,7 +403,8 @@ def _orbits(m: RowModule, v: int, memo: Dict) -> List[Tuple[int, RowModule]]:
     over R's echelon rows u_r, where j is the first pivot of R + K that
     is not one of R: it holds every u_r, and not the row of R + K that
     pivots at j.  With t <= 1 there is at most one piece, listed without
-    the kernel.
+    the kernel: none at t = 0, and at t = 1 R itself, a forced piece
+    (see :func:`_pieces`).
     """
     p = m.field.p
     key = (p, m.dim, m.rows, v)
@@ -428,11 +463,19 @@ def _pieces(
     A piece is u plus a subspace in the coordinates that are not pivots
     of u; lifting that subspace's echelon rows and clearing u's rows at
     their pivots gives the piece's reduced row echelon basis directly.
+    When u already has codimension c (dim V_v - c == len(u)), the one
+    piece is the span of u, returned with its restriction and nothing
+    enumerated; when u also is empty, that piece is zero.
     """
     p = m.field.p
     d = m.dim[v]
+    if d - c == len(u):
+        # forced: the one piece is the span of u
+        pivots = tuple(sorted(u))
+        kept = tuple(tuple(u[q]) for q in pivots)
+        return [(pivots, restrict_rows(m, v, kept, pivots))]
     pieces = []
-    if d - c >= len(u):
+    if d - c > len(u):
         free = [j for j in range(d) if j not in u]
         for small in enumerate_subspaces(m.field, len(free), d - c - len(u)):
             basis: Dict[int, List[int]] = {}
@@ -610,6 +653,10 @@ def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
     identity at every other vertex, so pieces of one orbit have equal
     counts below and the sum is the same as over every piece.
 
+    A case with exactly one accepted piece of weight 1, which a forced
+    step (see :func:`_pieces`) always gives, extends the counts with its
+    child's tuple as it is, with nothing summed.
+
     Count tuples are memoized under (p, dim, rows, node), child lists
     under (p, dim, rows, v, c) and orbit lists under (p, dim, rows, v).
     The keys hold no arrows, so one dict may serve any modules and primes
@@ -642,7 +689,10 @@ def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
                 if not tracked
                 or sum(r >= first_tracked for r in pivots) == tracked - drop
             ]
-        counts.extend(map(sum, zip(*below)) if below else (0,) * child.size)
+        if len(below) == 1:
+            counts.extend(below[0])
+        else:
+            counts.extend(map(sum, zip(*below)) if below else (0,) * child.size)
     total = tuple(counts)
     memo[key] = total
     return total
@@ -753,13 +803,13 @@ class _PrimePool:
         self._sampler = sampler
         self._candidates = primes() if candidates is None else iter(candidates)
         self._seen: Set[int] = set()
-        self._rows: List[Tuple[int, Tuple[int, ...]]] = []
+        self._rows: List[PoolRow] = []
 
     @property
-    def rows(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    def rows(self) -> Tuple[PoolRow, ...]:
         return tuple(self._rows)
 
-    def row(self, k: int) -> Tuple[int, Tuple[int, ...]]:
+    def row(self, k: int) -> PoolRow:
         while len(self._rows) <= k:
             p = next(self._candidates, None)
             if p is None:
@@ -823,7 +873,7 @@ def _windows(pool: _PrimePool, bound: int) -> Iterator[Tuple]:
         yield _window_fit(rows, need)
 
 
-def _window_fit(rows: Sequence[Tuple[int, Tuple[int, ...]]], need: int) -> Tuple:
+def _window_fit(rows: Sequence[PoolRow], need: int) -> Tuple:
     """One window of :func:`_windows`: the first ``need`` rows fit, the
     rest validate; the rows are read column by column."""
     drawn = tuple(p for p, _ in rows)
@@ -851,7 +901,7 @@ def _sweep(
     width: int,
     bound: int,
     name: Callable[[int], Tuple[Word, str]],
-) -> List[Tuple[int, Tuple[int, ...], Tuple[int, ...], int]]:
+) -> List[Fit]:
     """The one fit of the package's count columns: one sweep over the
     windows of :func:`_windows`, in which each window checks every column
     still pending and a column keeps the first window it passes at.
@@ -879,25 +929,31 @@ def _sweep(
     )
 
 
-def _fit_words(
-    pool: _PrimePool,
-    words: Sequence[Word],
-    coeffs: Sequence[Tuple[int, ...]],
-    bound: int,
-) -> Tuple[CountProfile, ...]:
-    """The words' fits by :func:`_sweep`, as profiles.  A profile records
-    the rows drawn once its own word and every word before it had passed,
-    which is what fitting the words one by one, in order, would have
-    drawn by the end of that word's fit.
+def _sweep_words(pool: _PrimePool, words: Sequence[Word], bound: int) -> List[Fit]:
+    """The words' fits by :func:`_sweep`, one column per word.
 
     Raises:
         NonPolynomialCount: naming the first word that passes at no
             window.
     """
-    fits = _sweep(
+    return _sweep(
         pool, len(words), bound, lambda j: (words[j], f"word {words[j]}: counts")
     )
-    rows, last = pool.rows, 0
+
+
+def _profiles(
+    words: Sequence[Word],
+    coeffs: Sequence[Tuple[int, ...]],
+    bound: int,
+    rows: Sequence[PoolRow],
+    fits: Sequence[Fit],
+) -> Tuple[CountProfile, ...]:
+    """The words' profiles from their fits by :func:`_sweep_words` and the
+    pool rows drawn by then.  A profile records the rows drawn once its
+    own word and every word before it had passed, which is what fitting
+    the words one by one, in order, would have drawn by the end of that
+    word's fit."""
+    last = 0
     profiles = []
     for j, (word, c, (shift, window, validation, euler)) in enumerate(
         zip(words, coeffs, fits)
@@ -937,8 +993,10 @@ def euler_characteristic(
         _module_sampler(m, _trie((_steps(m.quiver, word, coeffs),), None)),
         prime_list,
     )
+    words, bound = (tuple(word),), degree_bound(m)
+    fits = _sweep_words(pool, words, bound)
     fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
-    (profile,) = _fit_words(pool, (tuple(word),), (fixed,), degree_bound(m))
+    (profile,) = _profiles(words, (fixed,), bound, pool.rows, fits)
     return profile
 
 
@@ -967,14 +1025,13 @@ def fingerprint(
         raise ValueError("Euler characteristics are computed over the rationals")
     words, trie = _word_table(m.quiver, m.dim, memo)
     pool = _PrimePool(_module_sampler(m, trie, memo), prime_list)
-    profiles = _fit_words(
-        pool, words, [(1,) * len(w) for w in words], degree_bound(m)
-    )
+    fits = _sweep_words(pool, words, degree_bound(m))
     return DeltaFingerprint(
         module=m,
         words=words,
-        chi=tuple(pr.euler for pr in profiles),
-        profiles=profiles,
+        chi=tuple(euler for *_, euler in fits),
+        _fits=tuple(fits),
+        _rows=pool.rows,
     )
 
 
@@ -989,8 +1046,7 @@ def split_chi_sum(
     if left.module.dq != right.module.dq:
         raise ValueError("fingerprints live over different double quivers")
     q = left.module.quiver
-    lt: Mapping[Word, int] = left.table()
-    rt: Mapping[Word, int] = right.table()
+    lt, rt = left._chi_by_word, right._chi_by_word
     total = 0
     for c1, c2 in enumerate_splittings(q, word, None, left.dim, right.dim):
         w1 = tuple(v for v, c in zip(word, c1) if c)

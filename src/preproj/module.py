@@ -363,30 +363,45 @@ def restrict_rows(
     entries at the pivots.  Entries are reduced mod p, or stay rational
     over the rationals.
 
+    The zero piece (``kept`` empty, a step that peels the whole v-piece)
+    takes a branch of its own: the arrows out of v lose their columns,
+    and the arrows into v must be zero.
+
     Raises:
         ValueError: when some arrow into v leaves the piece; the message
             names the witnessing arrow.
     """
     p = m.field.p
-    red = Fraction if p is None else p.__rmod__
     out = list(m.rows)
     for a, (name, source, target) in enumerate(m.arrows):
         mat = m.rows[a]
         if source == v:
-            out[a] = tuple(
-                tuple(red(sum(map(mul, row, k))) for k in kept) for row in mat
-            )
+            if not kept:
+                out[a] = ((),) * len(mat)
+            elif p is None:
+                out[a] = tuple(
+                    tuple(Fraction(sum(map(mul, row, k))) for k in kept) for row in mat
+                )
+            else:
+                out[a] = tuple(
+                    tuple(sum(map(mul, row, k)) % p for k in kept) for row in mat
+                )
         elif target == v:
+            if not kept:
+                # entries are normalized, so the piece is stable iff all are 0
+                if any(map(any, mat)):
+                    raise ValueError(f"subspace is not stable under arrow {name}")
+                out[a] = ()
+                continue
             coords = tuple(mat[i] for i in pivots)
-            cols = tuple(zip(*coords)) if coords else ((),) * m.dim[source]
+            cols = tuple(zip(*coords))
             # multiply back; rows at the pivots agree by construction
             for i, row in enumerate(mat):
                 if i in pivots:
                     continue
                 coeffs = [k[i] for k in kept]
-                if any(
-                    red(sum(map(mul, coeffs, col)) - x) for col, x in zip(cols, row)
-                ):
+                off = (sum(map(mul, coeffs, col)) - x for col, x in zip(cols, row))
+                if any(off) if p is None else any(y % p for y in off):
                     raise ValueError(f"subspace is not stable under arrow {name}")
             out[a] = coords
     dim = m.dim[:v] + (len(kept),) + m.dim[v + 1 :]

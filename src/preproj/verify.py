@@ -342,6 +342,7 @@ def verify_thm_1_1(
     anchors_fwd: Mapping[str, LambdaModule],
     anchors_bwd: Mapping[str, LambdaModule],
     prime_list: Optional[Sequence[int]] = None,
+    memo: Optional[Dict] = None,
 ) -> VerificationReport:
     """Check the pairwise identity for one module pair.
 
@@ -352,13 +353,21 @@ def verify_thm_1_1(
     verdict and the same per-word values.  Both stratifications and the
     direct sum's fingerprint count through one memo.
 
+    Args:
+        memo: optional count memo shared with the caller, valid for one
+            double quiver, as in :func:`stratify_proj_ext`; further
+            modules of the direct sum's dimension vector that the caller
+            fingerprints through it reuse the job's counts.  When
+            omitted, the job counts through a fresh dict.
+
     Raises:
         ValueError: Ext^1(xp, xpp) = 0, where the identity is
             meaningless.
         (plus everything stratify_proj_ext raises)
     """
     start = time.perf_counter()
-    memo: Dict = {}
+    if memo is None:
+        memo = {}
     n = _presentation(xp, xpp, memo).ext1_dim
     if n == 0:
         raise ValueError("Ext^1(x', x'') = 0: the pairwise identity is meaningless")

@@ -36,6 +36,8 @@ from preproj.module import (
     RowModule,
     direct_sum,
     reduce_mod_p,
+    restrict,
+    restrict_rows,
     simple,
     validate,
 )
@@ -569,6 +571,13 @@ def test_splitting_types_share_the_enumeration(monkeypatch, rng_seed):
     kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
     cases = [(d4.t_module(), d4.s4_module(), p) for p in (3, 5)]
     cases += [modest_pair(dq, rng) + (3,) for dq in (a3, kronecker)]
+    # a two-dimensional top at vertex 2 whose arrow a* is injective: a
+    # tracked first step at 2 lists every plane, and once the right
+    # summand's S2 is peeled the untracked step at 2 has t = 2 and s = 0,
+    # so its orbit list enumerates every line as a fixed piece (forced
+    # pieces, with exactly one choice, enumerate nothing)
+    string = LambdaModule.build(a3, QQ, (1, 1, 0), {"a*": [[1]]})
+    cases.append((direct_sum(string, string), simple(a3, "2", QQ), 3))
     checked = both = 0
     for left, right, p in cases:
         try:
@@ -724,19 +733,24 @@ def test_whole_tables_are_not_grouped_by_paths(monkeypatch):
     assert fingerprint(t).chi == fingerprint(t, memo={}).chi
 
 
-def every_piece_count(m, node, memo):
+def every_piece_count(m, node, memo, pieces=None):
     """The count recursion with every piece listed, each with weight 1:
-    the oracle that counting hyperplane pieces by orbits must match."""
+    the oracle that counting hyperplane pieces by orbits must match.
+    The pieces come from ``flags._children``, or from ``pieces(m, v, c)``
+    when that is given."""
     if not node:
         return (1,) * node.size
-    key = ("every piece", m.field.p, m.dim, m.rows, node)
+    key = ("every piece", pieces, m.field.p, m.dim, m.rows, node)
     if key not in memo:
         counts = [1] if node.end else []
         for v, c, drop, tracked, child in node.cases:
             first_tracked = m.dim[v] - tracked
+            listed = (
+                flags._children(m, v, c, memo) if pieces is None else pieces(m, v, c)
+            )
             below = [
-                every_piece_count(piece, child, memo)
-                for pivots, piece in flags._children(m, v, c, memo)
+                every_piece_count(piece, child, memo, pieces)
+                for pivots, piece in listed
                 if sum(r >= first_tracked for r in pivots) == tracked - drop
             ]
             counts.extend(map(sum, zip(*below)) if below else (0,) * child.size)
@@ -836,6 +850,113 @@ def test_orbit_counts_match_the_every_piece_recursion(monkeypatch, rng_seed):
     assert any(t >= 2 and s == 0 for t, s in regimes), regimes
     assert any(0 < s < t for t, s in regimes), regimes
     assert any(t >= 2 and s == t for t, s in regimes), regimes
+
+
+def listed_pieces(m, v, c):
+    """Every codimension-c piece at v that contains the incoming images,
+    found among all subspaces of that dimension by a rank check: the
+    pieces of :func:`flags._pieces`, forced and zero ones included,
+    without its shortcuts."""
+    field, d = m.field, m.dim[v]
+    incoming = [
+        col
+        for rows, (_, _, target) in zip(m.rows, m.arrows)
+        if target == v
+        for col in zip(*rows)
+    ]
+    pieces = []
+    for small in enumerate_subspaces(field, d, d - c):
+        if rank(Matrix.from_rows(field, [*small, *incoming], ncols=d)) == d - c:
+            pivots = tuple(row.index(1) for row in small)
+            pieces.append((pivots, restrict_rows(m, v, small, pivots)))
+    return pieces
+
+
+def test_count_rows_match_the_oracles_through_forced_and_zero_pieces(
+    monkeypatch, rng_seed
+):
+    # a forced piece (the span of the incoming images, with no choice
+    # left), a zero piece (the whole v-piece peeled) and a one-piece case
+    # passed through as it is: every row of a word or split table must
+    # equal the every-piece recursion, the same recursion over pieces
+    # found among all subspaces, and each entry counted as its own chain
+    real_pieces, real_restrict = flags._pieces, flags.restrict_rows
+    seen = Counter()
+
+    def pieces(m, v, u, c):
+        seen["forced"] += m.dim[v] - c == len(u)
+        return real_pieces(m, v, u, c)
+
+    def restricted(m, v, kept, pivots):
+        seen["zero"] += not kept
+        return real_restrict(m, v, kept, pivots)
+
+    monkeypatch.setattr(flags, "_pieces", pieces)
+    monkeypatch.setattr(flags, "restrict_rows", restricted)
+    rng = random.Random(rng_seed + 43)
+    a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
+    pairs = [modest_pair(dq, rng) for dq in (a3, kronecker, a3, kronecker)]
+    tables = [(m, None) for m in d4.zoo().values() if m.dim == (1, 1, 1, 2)]
+    for left, right in pairs:
+        tables += [(direct_sum(left, right), None), (left, right)]
+    rows = 0
+    for p in (2, 3, 5):
+        for left, right in tables:
+            try:
+                lp = reduce_mod_p(left, p)
+                rp = None if right is None else reduce_mod_p(right, p)
+            except BadPrime:
+                continue
+            if rp is None:
+                m = lp
+                words, trie = flags._word_table(m.quiver, m.dim)
+                steps = [flags._steps(m.quiver, w, None) for w in words]
+            else:
+                m = direct_sum(lp, rp)
+                words = enumerate_words(m.quiver, m.dim)
+                # every word's slice of the split table has the same root
+                table = flags._split_table(lp, rp, {})
+                root = table[words[0]][1][0]
+                trie = root, tuple(i for w in words for i in table[w][1][1])
+                split = [flags._split_steps(lp, rp, w, None)[1] for w in words]
+                steps = [s for word_steps in split for s in word_steps]
+            rm = RowModule.of(m)
+            row = flags._count_row(rm, trie, {})
+            root, where = trie
+            every = every_piece_count(rm, root, {})
+            listed = every_piece_count(rm, root, {}, listed_pieces)
+            assert row == tuple(every[i] for i in where), (m.dim, p)
+            assert row == tuple(listed[i] for i in where), (m.dim, p)
+            memo = {}
+            chains = tuple(
+                flags._count_row(rm, flags._trie((s,), None), memo)[0] for s in steps
+            )
+            assert row == chains, (m.dim, p)
+            rows += 1
+    assert rows >= 30
+    assert seen["forced"] and seen["zero"], seen
+
+
+def test_the_zero_piece_keeps_the_stability_check():
+    # peeling the whole v-piece: the arrows out of v lose their columns,
+    # and a nonzero arrow into v is refused by name (the first such one)
+    # over F_p and, through module.restrict, over the rationals
+    kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
+    arrow = kronecker.arrow_index
+    for field in (Field(5), QQ):
+        m = LambdaModule.build(kronecker, field, (1, 2), {"b": [[0], [-1]]})
+        rm = RowModule.of(m)
+        with pytest.raises(ValueError, match="arrow b$"):
+            restrict_rows(rm, 1, (), ())
+        with pytest.raises(ValueError, match="arrow b$"):
+            restrict(m, "2", Matrix.zeros(field, 2, 0))
+        top = restrict_rows(rm, 0, (), ())
+        assert top.dim == (0, 2)
+        assert top.rows[arrow["a"]] == top.rows[arrow["b"]] == ((), ())
+        assert top.rows[arrow["a*"]] == top.rows[arrow["b*"]] == ()
+        zero_top = LambdaModule.build(kronecker, field, (0, 2), {})
+        assert restrict(m, "1", Matrix.zeros(field, 1, 0)) == zero_top
 
 
 def test_split_counts_with_multiplicity_two(monkeypatch):
@@ -1186,7 +1307,9 @@ def sequential_profiles(pool, words, bound):
 
 
 def swept_profiles(pool, words, bound):
-    return flags._fit_words(pool, words, [(1,) * len(w) for w in words], bound)
+    fits = flags._sweep_words(pool, words, bound)
+    coeffs = [(1,) * len(w) for w in words]
+    return flags._profiles(words, coeffs, bound, pool.rows, fits)
 
 
 def fit_every_word(fit, m, prime_list=None):
@@ -1266,6 +1389,47 @@ def test_zoo_profiles_are_exact_fits():
                 counts[p] for p in profile.validation
             ]
             assert poly(1) == profile.euler
+
+
+def test_fingerprint_profiles_are_built_when_first_read(monkeypatch):
+    # a fingerprint fits and checks every word when it is built, but
+    # makes the words' profiles only when they are first read: the same
+    # profiles as fitting them eagerly, made once; a count that fits at
+    # no window still raises from fingerprint() itself
+    real = flags.CountProfile
+    made = []
+
+    def recorded(word, *rest):
+        made.append(word)
+        return real(word, *rest)
+
+    monkeypatch.setattr(flags, "CountProfile", recorded)
+    family = d4.m_family(2)
+    fp = fingerprint(family)
+    assert made == []
+    eager, _ = fit_every_word(swept_profiles, family)
+    made.clear()
+    assert fp.profiles == eager
+    assert fp.profiles is fp.profiles and made == list(fp.words)
+    # the word table is a fresh dict each time; chi_of reads the same chi
+    table = fp.table()
+    assert table == dict(zip(fp.words, fp.chi)) and table is not fp.table()
+    table.clear()
+    assert [fp.chi_of(w) for w in fp.words] == list(fp.chi)
+    real_count = flags._count
+
+    def crooked(m, node, memo):
+        counts = real_count(m, node, memo)
+        if len(node) == 1 and node.cases[0][0] == 3 and m.field.p % 4 == 3:
+            counts = tuple(n + 1 for n in counts)
+        return counts
+
+    monkeypatch.setattr(flags, "_count", crooked)
+    made.clear()
+    with pytest.raises(NonPolynomialCount) as err:
+        fingerprint(family)
+    assert err.value.word == ("4", "1", "2", "3", "4")
+    assert made == []
 
 
 def test_repeated_prime_in_prime_list_is_rejected():

@@ -309,8 +309,7 @@ def cmd_example_d4(args) -> int:
     )
     all_ok = all_ok and rep.passed
     data["pairwise"] = report_to_data(rep)
-    # rep.left_values is 2 * chi of the direct sum, so halving recovers it
-    total_chi = tuple(v // 2 for v in rep.left_values)
+    total_chi = tuple(v // rep.ext1_dim for v in rep.left_values)
     expansion = _chi_sum([(1, fps[name]) for name in _EXPANSION], words)
     exp_ok = total_chi == expansion
     all_ok = all_ok and exp_ok

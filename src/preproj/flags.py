@@ -41,11 +41,12 @@ A table's trie is built once and counted at every prime the table is
 sampled at; the trie of a dimension vector's words is kept in the dict
 beside its word list, and so is the table of every splitting type of
 every word of a direct sum.  A single count or fingerprint starts a
-fresh dict per prime; a verification job (see :mod:`preproj.verify`)
-passes one dict to all the modules it counts, so an anchor's row counted
-by its fingerprint is not counted again when the strata are matched
-against it.  The dict records the arrows of the first module counted
-through it and refuses a module of another double quiver.
+fresh dict per prime; a verification or stratification is one job (see
+:mod:`preproj.verify`) and passes one dict to all the modules it
+counts, so an anchor's row counted by its fingerprint is not counted
+again when the strata are matched against it.  The dict records the
+arrows of the first module counted through it and refuses a module of
+another double quiver.
 
 A dict passed to :func:`count_flags` or :func:`count_flags_by_splitting`
 says that more words of the same module follow, so a multiplicity-one
@@ -929,18 +930,6 @@ def _sweep(
     )
 
 
-def _sweep_words(pool: _PrimePool, words: Sequence[Word], bound: int) -> List[Fit]:
-    """The words' fits by :func:`_sweep`, one column per word.
-
-    Raises:
-        NonPolynomialCount: naming the first word that passes at no
-            window.
-    """
-    return _sweep(
-        pool, len(words), bound, lambda j: (words[j], f"word {words[j]}: counts")
-    )
-
-
 def _profiles(
     words: Sequence[Word],
     coeffs: Sequence[Tuple[int, ...]],
@@ -948,7 +937,7 @@ def _profiles(
     rows: Sequence[PoolRow],
     fits: Sequence[Fit],
 ) -> Tuple[CountProfile, ...]:
-    """The words' profiles from their fits by :func:`_sweep_words` and the
+    """The words' profiles from their fits by :func:`_sweep` and the
     pool rows drawn by then.  A profile records the rows drawn once its
     own word and every word before it had passed, which is what fitting
     the words one by one, in order, would have drawn by the end of that
@@ -993,10 +982,10 @@ def euler_characteristic(
         _module_sampler(m, _trie((_steps(m.quiver, word, coeffs),), None)),
         prime_list,
     )
-    words, bound = (tuple(word),), degree_bound(m)
-    fits = _sweep_words(pool, words, bound)
+    word, bound = tuple(word), degree_bound(m)
+    fits = _sweep(pool, 1, bound, lambda j: (word, f"word {word}: counts"))
     fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
-    (profile,) = _profiles(words, (fixed,), bound, pool.rows, fits)
+    (profile,) = _profiles((word,), (fixed,), bound, pool.rows, fits)
     return profile
 
 
@@ -1025,7 +1014,12 @@ def fingerprint(
         raise ValueError("Euler characteristics are computed over the rationals")
     words, trie = _word_table(m.quiver, m.dim, memo)
     pool = _PrimePool(_module_sampler(m, trie, memo), prime_list)
-    fits = _sweep_words(pool, words, degree_bound(m))
+    fits = _sweep(
+        pool,
+        len(words),
+        degree_bound(m),
+        lambda j: (words[j], f"word {words[j]}: counts"),
+    )
     return DeltaFingerprint(
         module=m,
         words=words,

@@ -111,21 +111,14 @@ class Matrix:
         cols: Sequence[Sequence[Union[int, Fraction, str]]],
         nrows: Optional[int] = None,
     ) -> "Matrix":
-        """Build a matrix whose columns are the given vectors."""
-        cols = [list(c) for c in cols]
-        if not cols:
-            if nrows is None:
-                raise ValueError("nrows required for a matrix with no columns")
-            return cls(field, nrows, 0, tuple(() for _ in range(nrows)))
-        height = len(cols[0]) if nrows is None else nrows
-        return cls(
-            field,
-            height,
-            len(cols),
-            tuple(
-                tuple(field.of(col[i]) for col in cols) for i in range(height)
-            ),
-        )
+        """Build a matrix whose columns are the given vectors, as the
+        transpose of :meth:`from_rows`.
+
+        ``nrows`` is only required when ``cols`` is empty.
+        """
+        if not cols and nrows is None:
+            raise ValueError("nrows required for a matrix with no columns")
+        return cls.from_rows(field, cols, ncols=nrows).transpose()
 
     @classmethod
     def block(cls, blocks: Sequence[Sequence["Matrix"]]) -> "Matrix":

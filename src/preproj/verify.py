@@ -17,16 +17,18 @@ modules, and the per-anchor group sizes are interpolated across primes
 (polynomials in p of degree below dim Ext^1) and evaluated at 1.
 
 Every module a check counts has the dimension vector of the direct sum,
-and all are counted at the same few primes.  So each check is one job
-with one count memo (see :mod:`preproj.flags`): the anchors'
-fingerprints, the middle terms of the extension classes and the direct
-sum all count through it, and a count row or child list found for one of
-them is reused by the others.  The memo also keeps the presentations of
-Ext^1, so the two stratifications present each direction once per field.
+and all are counted at the same few primes.  So each check, and each
+stratification called on its own, is one job with one count memo (see
+:mod:`preproj.flags`): the anchors' fingerprints, the middle terms of
+the extension classes and the direct sum all count through it, and a
+count row or child list found for one of them is reused by the others.
+The memo also keeps the presentations of Ext^1, so a job presents each
+direction once per field.  A report reads every result once: the right
+side is summed stratum by stratum, and the primes it lists are those
+the fingerprints' sample pools and the strata drew.
 """
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -141,18 +143,13 @@ def _class_derivation(columns: Sequence, vec: Sequence[int], p: int) -> Sequence
     return _products(p, [vec], columns)[0]
 
 
-def _presentation(
-    x: LambdaModule, y: LambdaModule, memo: Optional[Dict]
-) -> ExtPresentation:
-    """The presentation of Ext^1(x, y); kept in ``memo``, when one is
-    given, so the two stratifications of a job present each direction
-    once over Q and once per prime."""
+def _presentation(x: LambdaModule, y: LambdaModule, memo: Dict) -> ExtPresentation:
+    """The presentation of Ext^1(x, y), kept in the job's ``memo``, so a
+    job presents each direction once over Q and once per prime."""
     key = ("ext1", x, y)
-    pres = None if memo is None else memo.get(key)
+    pres = memo.get(key)
     if pres is None:
-        pres = ext_presentation(x, y)
-        if memo is not None:
-            memo[key] = pres
+        pres = memo[key] = ext_presentation(x, y)
     return pres
 
 
@@ -192,12 +189,12 @@ def stratify_proj_ext(
             the dimension vector of the direct sum.
         prime_list: explicit primes to sample (default: ascending from 2,
             capped at CANDIDATE_CAP candidates).
-        memo: optional count memo shared with the caller, valid for one
-            double quiver; the anchors' fingerprints and every sampled
-            prime count through it, so an anchor's row is counted once
-            per prime, and it keeps the presentations of Ext^1 over Q
-            and mod p.  When omitted, each prime of each count starts a
-            fresh dict.
+        memo: the job's count memo, valid for one double quiver; the
+            anchors' fingerprints and every sampled prime count through
+            it, so an anchor's row is counted once per prime, and it
+            keeps the presentations of Ext^1 over Q and mod p.  When
+            omitted, the stratification is a job of its own and counts
+            through one fresh dict.
 
     Raises:
         UnanchoredStratum: a class matched no anchor at some prime.
@@ -211,6 +208,8 @@ def stratify_proj_ext(
     """
     if not (xp.field.is_rational and xpp.field.is_rational):
         raise ValueError("stratification starts from rational modules")
+    if memo is None:
+        memo = {}
     pres = _presentation(xp, xpp, memo)
     n = pres.ext1_dim
     if n == 0:
@@ -251,8 +250,7 @@ def stratify_proj_ext(
             or back_p.ext1_dim != back.ext1_dim
         ):
             return None
-        memo_p = {} if memo is None else memo
-        keys = [_count_row(mod_p, trie, memo_p) for mod_p in mods_p]
+        keys = [_count_row(mod_p, trie, memo) for mod_p in mods_p]
         if len(set(keys)) != len(keys):
             collisions.append(p)
             return None
@@ -265,7 +263,7 @@ def stratify_proj_ext(
         # one echelon row per point of P^{n-1}: first nonzero entry 1
         for (vec,) in enumerate_subspaces(xp_p.field, n, 1):
             coords = _class_derivation(columns, vec, p)
-            key = _count_row(_extension(xp_p, xpp_p, d1, coords), trie, memo_p)
+            key = _count_row(_extension(xp_p, xpp_p, d1, coords), trie, memo)
             groups[key] = groups.get(key, 0) + 1
             witness.setdefault(key, vec)
         sizes = tuple(groups.pop(key, 0) for key in keys)
@@ -308,20 +306,6 @@ def stratify_proj_ext(
     )
 
 
-def _merge_strata(
-    strata: Sequence[Stratum],
-) -> "OrderedDict[Tuple[int, ...], List]":
-    """Total chi coefficient per distinct anchor fingerprint."""
-    merged: "OrderedDict[Tuple[int, ...], List]" = OrderedDict()
-    for s in strata:
-        key = s.fingerprint.chi
-        if key in merged:
-            merged[key][0] += s.chi_proj
-        else:
-            merged[key] = [s.chi_proj, s.fingerprint]
-    return merged
-
-
 def _chi_sum(
     terms: Collection[Tuple[int, DeltaFingerprint]], words: Tuple[Word, ...]
 ) -> Tuple[int, ...]:
@@ -332,8 +316,9 @@ def _chi_sum(
     return tuple(sum(c * fp.chi[i] for c, fp in terms) for i in range(len(words)))
 
 
-def _profile_primes(fps: Sequence[DeltaFingerprint]) -> set:
-    return {p for fp in fps for pr in fp.profiles for p, _ in pr.samples}
+def _sampled_primes(fps: Sequence[DeltaFingerprint]) -> set:
+    """The primes the fingerprints' fits drew from their sample pools."""
+    return {p for fp in fps for p, _ in fp._rows}
 
 
 def verify_thm_1_1(
@@ -347,18 +332,20 @@ def verify_thm_1_1(
     """Check the pairwise identity for one module pair.
 
     Both projective extension spaces are stratified against their anchor
-    lists, strata with equal anchor fingerprints are merged, and both
-    sides are evaluated on every word with the content of the direct
-    sum.  Swapping (xp, xpp) along with the anchor lists yields the same
-    verdict and the same per-word values.  Both stratifications and the
-    direct sum's fingerprint count through one memo.
+    lists, and both sides are evaluated on every word with the content of
+    the direct sum: the right side sums chi of each stratum times its
+    anchor's fingerprint, stratum by stratum.  Swapping (xp, xpp) along
+    with the anchor lists yields the same verdict and the same per-word
+    values.  Both stratifications and the direct sum's fingerprint count
+    through one memo, and ``primes_used`` lists the primes that the
+    strata and the direct sum's fingerprint sampled.
 
     Args:
         memo: optional count memo shared with the caller, valid for one
             double quiver, as in :func:`stratify_proj_ext`; further
             modules of the direct sum's dimension vector that the caller
             fingerprints through it reuse the job's counts.  When
-            omitted, the job counts through a fresh dict.
+            omitted, the job counts through one fresh dict.
 
     Raises:
         ValueError: Ext^1(xp, xpp) = 0, where the identity is
@@ -373,13 +360,11 @@ def verify_thm_1_1(
         raise ValueError("Ext^1(x', x'') = 0: the pairwise identity is meaningless")
     strata_fwd = stratify_proj_ext(xp, xpp, anchors_fwd, prime_list, memo)
     strata_bwd = stratify_proj_ext(xpp, xp, anchors_bwd, prime_list, memo)
+    strata = strata_fwd + strata_bwd
     total = fingerprint(direct_sum(xp, xpp), prime_list, memo=memo)
-    merged = _merge_strata(strata_fwd + strata_bwd)
     left = _chi_sum([(n, total)], total.words)
-    right = _chi_sum(merged.values(), total.words)
-    used = _profile_primes([total]) | {
-        p for s in strata_fwd + strata_bwd for p, _ in s.sizes
-    }
+    right = _chi_sum([(s.chi_proj, s.fingerprint) for s in strata], total.words)
+    used = _sampled_primes([total]) | {p for s in strata for p, _ in s.sizes}
     return VerificationReport(
         method="pairwise",
         left_module=xp,
@@ -409,8 +394,8 @@ def verify_thm_1_2(
         delta_{xp + xpp} = delta_{E_d} + delta_{E_g}
 
     for any non-split classes d in Ext^1(xp, xpp) and g in
-    Ext^1(xpp, xp), with E the middle term.  The three fingerprints count
-    through one memo.
+    Ext^1(xpp, xp), with E the middle term.  The check is one job: both
+    presentations and the three fingerprints go through one memo.
 
     Args:
         d: class in Ext^1(xp, xpp); default is the chosen basis element.
@@ -421,8 +406,9 @@ def verify_thm_1_2(
             between the wrong modules, or a supplied class is split.
     """
     start = time.perf_counter()
-    pres = ext_presentation(xp, xpp)
-    back = ext_presentation(xpp, xp)
+    memo: Dict = {}
+    pres = _presentation(xp, xpp, memo)
+    back = _presentation(xpp, xp, memo)
     if pres.ext1_dim != 1:
         raise ValueError(
             f"Ext^1 dimension is {pres.ext1_dim}, "
@@ -440,7 +426,6 @@ def verify_thm_1_2(
         raise ValueError("class d is split, its middle term is the direct sum")
     if is_inner(back, g):
         raise ValueError("class g is split, its middle term is the direct sum")
-    memo: Dict = {}
     total = fingerprint(direct_sum(xp, xpp), prime_list, memo=memo)
     fx = fingerprint(middle_term(d).module, prime_list, memo=memo)
     fy = fingerprint(middle_term(g).module, prime_list, memo=memo)
@@ -456,6 +441,6 @@ def verify_thm_1_2(
         words=total.words,
         left_values=left,
         right_values=right,
-        primes_used=tuple(sorted(_profile_primes([total, fx, fy]))),
+        primes_used=tuple(sorted(_sampled_primes([total, fx, fy]))),
         elapsed=time.perf_counter() - start,
     )

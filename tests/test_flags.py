@@ -1307,7 +1307,9 @@ def sequential_profiles(pool, words, bound):
 
 
 def swept_profiles(pool, words, bound):
-    fits = flags._sweep_words(pool, words, bound)
+    fits = flags._sweep(
+        pool, len(words), bound, lambda j: (words[j], f"word {words[j]}: counts")
+    )
     coeffs = [(1,) * len(w) for w in words]
     return flags._profiles(words, coeffs, bound, pool.rows, fits)
 

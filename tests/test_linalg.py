@@ -49,6 +49,7 @@ def test_field_f3_inverse():
 def test_rational_entries_stay_in_lowest_terms():
     m = Matrix.from_rows(QQ, [["2/4", "-3/6"]])
     assert m.entries[0] == (Fraction(1, 2), Fraction(-1, 2))
+    assert Matrix.from_cols(QQ, [["2/4"], ["-3/6"]]) == m
 
 
 def test_matrix_product_convention():
@@ -97,6 +98,9 @@ def test_empty_shapes():
     assert a.mul(b) == Matrix.zeros(QQ, 2, 3)
     assert rank(a) == 0
     assert kernel_basis(b).ncols == 3
+    assert Matrix.from_cols(QQ, [], nrows=2) == a
+    with pytest.raises(ValueError, match="nrows required"):
+        Matrix.from_cols(QQ, [])
 
 
 def test_column_echelon_is_canonical():

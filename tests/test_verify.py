@@ -9,6 +9,7 @@ projective extension line of the (S4, T) pair carries p - 2 generic
 classes and three special ones at every good prime, in both directions.
 """
 
+import dataclasses
 import random
 import re
 from collections import OrderedDict
@@ -330,10 +331,17 @@ def test_pairwise_identity_merges_strata_with_shared_anchors():
     assert rep.passed
     for strata in (rep.strata_fwd, rep.strata_bwd):
         assert tuple(s.chi_proj for s in strata) == (1, 1)
-    merged = verify._merge_strata(rep.strata_fwd + rep.strata_bwd)
-    fps = [s.fingerprint for s in rep.strata_fwd]
-    assert [fp.chi for fp in fps] == [(0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 1, 4)]
-    assert list(merged.items()) == [(fp.chi, [2, fp]) for fp in fps]
+        assert [s.fingerprint.chi for s in strata] == [
+            (0, 0, 0, 0, 1, 0),
+            (0, 0, 0, 0, 1, 4),
+        ]
+    # so each anchor gets chi 1 from either side, and the right side is
+    # the sum over the four strata, one term per stratum
+    strata = rep.strata_fwd + rep.strata_bwd
+    assert rep.right_values == tuple(
+        sum(s.chi_proj * s.fingerprint.chi[i] for s in strata)
+        for i in range(len(rep.words))
+    )
     assert rep.left_values == rep.right_values == (0, 0, 0, 0, 4, 8)
 
 
@@ -369,6 +377,27 @@ def test_a_job_presents_each_reduced_direction_once_per_prime(monkeypatch):
         assert sorted(
             (m.field.p, m.dim) for m, _ in presented if m.field.p == p
         ) == sorted([(p, xp.dim), (p, xpp.dim)])
+
+
+def test_verifications_never_read_fingerprint_profiles(monkeypatch):
+    # primes_used comes from the sample pools, so the reports are the
+    # same when building a CountProfile is impossible
+    zoo = d4.zoo(1)
+    dq = a2_double()
+
+    def jobs():
+        return [
+            verify_thm_1_1(zoo["S4"], zoo["T"], m_anchors(zoo), r_anchors(zoo)),
+            verify_thm_1_2(simple(dq, "1", QQ), simple(dq, "2", QQ)),
+        ]
+
+    def refuse(fp):
+        raise AssertionError("a verification read DeltaFingerprint.profiles")
+
+    before = [dataclasses.replace(rep, elapsed=0.0) for rep in jobs()]
+    monkeypatch.setattr(flags.DeltaFingerprint, "profiles", property(refuse))
+    assert [dataclasses.replace(rep, elapsed=0.0) for rep in jobs()] == before
+    assert all(rep.passed and rep.primes_used for rep in before)
 
 
 def test_pairwise_identity_is_symmetric_in_the_pair():
@@ -504,6 +533,31 @@ def test_standalone_calls_count_each_prime_through_a_fresh_memo(monkeypatch):
     shared = {}
     assert fingerprint(zoo["T"], memo=shared) == fp
     assert all(memo is shared for _, memo in seen)
+
+
+def test_a_standalone_stratification_is_one_job(monkeypatch):
+    # without memo= the anchors' fingerprints and every prime of the
+    # stratification count through one dict, as with memo={}
+    zoo = d4.zoo(1)
+    memos, primes = [], set()
+    real = flags._count_row
+
+    def recorded(m, trie, memo):
+        memos.append(memo)
+        primes.add(m.field.p)
+        return real(m, trie, memo)
+
+    monkeypatch.setattr(flags, "_count_row", recorded)
+    monkeypatch.setattr(verify, "_count_row", recorded)
+    strata = stratify_proj_ext(zoo["T"], zoo["S4"], r_anchors(zoo))
+    assert memos and all(memo is memos[0] for memo in memos)
+    assert {p for s in strata for p, _ in s.sizes} <= primes
+    for s in strata:
+        assert {p for p, _ in s.fingerprint._rows} <= primes
+    shared = {}
+    memos.clear()
+    assert stratify_proj_ext(zoo["T"], zoo["S4"], r_anchors(zoo), memo=shared) == strata
+    assert memos and all(memo is shared for memo in memos)
 
 
 def test_pairwise_identity_needs_extensions():

@@ -30,10 +30,11 @@ of a direct sum) is built straight from the dimension vectors, one node
 per content left to place (:func:`_table`); a single word or a word with
 coefficients is a chain made from its steps (:func:`_trie`).
 Counts are memoized per module and trie node, child lists per module,
-vertex and multiplicity, and orbit lists (below) per module and vertex,
-in a plain dict under keys that start with the prime and hold the
-module's dimension vector and rows, so one dict can serve every module,
-prime and table of one double quiver.  The dict also
+vertex and multiplicity, orbit lists (below) per module and vertex, and
+the glued direct sums of split counts per pair, in a plain dict under
+keys that hold the prime and the modules' dimension vectors and rows,
+so one dict can serve every module, prime and table of one double
+quiver.  The dict also
 interns the nodes of the tries counted through it: equal rests of any
 of its tables are one node, so a word, a fingerprint row, a stratum row
 and a split table that end alike share their counts below that point.
@@ -82,6 +83,11 @@ count tuple on unchanged (:func:`_count`).  When the step peels the
 whole v-piece, that piece is zero, and
 :func:`~preproj.module.restrict_rows` takes a short branch for it: the
 arrows out of v lose their columns, and the arrows into v must be zero.
+A one-dimensional v-piece has only that zero hyperplane, so a step of
+multiplicity 1 there needs no elimination: a zero test of the arrows
+into v decides whether it is kept (:func:`_zero_piece`).  And on a
+module whose arrows are all zero the flags of every untracked
+multiplicity-one sequence are counted in closed form (:func:`_count`).
 
 A fingerprint fits and validates every word when it is built; the
 words' :class:`CountProfile` objects are made from the stored fits and
@@ -119,6 +125,7 @@ from .module import (
     LambdaModule,
     RowModule,
     Rows,
+    _ends,
     _glue,
     _reduce_rows,
     direct_sum,
@@ -144,6 +151,8 @@ _ARROWS_KEY = "arrows"
 _NODES_KEY = "nodes"
 # The tag of the memo keys of direct sums' split tables (see _split_table).
 _SPLIT_KEY = "split"
+# The tag of the memo keys of glued direct sums (see count_flags_by_splitting).
+_GLUE_KEY = "glue"
 
 Steps = Tuple[Tuple[int, int, int], ...]
 # A step trie: its root and the position of every table entry in the
@@ -379,12 +388,18 @@ def _children(
     """Every codimension-c piece at v that contains all incoming images,
     as (pivots, restricted module), cached in the memo under (p, dim,
     rows, v, c), so every trie node that reaches this module with a step
-    (v, c, drop), whatever the drop, shares one enumeration.
+    (v, c, drop), whatever the drop, shares one enumeration.  At a
+    one-dimensional v-piece (so c = 1) the pieces come from the zero test
+    of :func:`_zero_piece`, with no elimination.
     """
     key = (m.field.p, m.dim, m.rows, v, c)
     children = memo.get(key)
     if children is None:
-        children = memo[key] = _pieces(m, v, _incoming(m, v), c)
+        if m.dim[v] == 1:
+            children = [((), piece) for piece in _zero_piece(m, v)]
+        else:
+            children = _pieces(m, v, _incoming(m, v), c)
+        memo[key] = children
     return children
 
 
@@ -405,12 +420,16 @@ def _orbits(m: RowModule, v: int, memo: Dict) -> List[Tuple[int, RowModule]]:
     is not one of R: it holds every u_r, and not the row of R + K that
     pivots at j.  With t <= 1 there is at most one piece, listed without
     the kernel: none at t = 0, and at t = 1 R itself, a forced piece
-    (see :func:`_pieces`).
+    (see :func:`_pieces`).  At a one-dimensional v-piece that piece is
+    zero, and :func:`_zero_piece` finds it with no elimination.
     """
     p = m.field.p
     key = (p, m.dim, m.rows, v)
     orbits = memo.get(key)
     if orbits is not None:
+        return orbits
+    if m.dim[v] == 1:
+        orbits = memo[key] = [(1, piece) for piece in _zero_piece(m, v)]
         return orbits
     u = _incoming(m, v)
     d, t = m.dim[v], m.dim[v] - len(u)
@@ -438,6 +457,17 @@ def _orbits(m: RowModule, v: int, memo: Dict) -> List[Tuple[int, RowModule]]:
         size = p ** (t - s) * (p**s - 1) // (p - 1)
         orbits.append((size, restrict_rows(m, v, tuple(kept), pivots)))
     return orbits
+
+
+def _zero_piece(m: RowModule, v: int) -> List[RowModule]:
+    """The hyperplane pieces of a one-dimensional v-piece that contain
+    all incoming images, found with no elimination: the one hyperplane
+    is zero, so there is none when an arrow into v has a nonzero entry
+    (entries are reduced mod p), and otherwise the zero piece, restricted
+    as :func:`_pieces` would restrict it."""
+    if any(any(map(any, rows)) for rows, (_, _, t) in zip(m.rows, m.arrows) if t == v):
+        return []
+    return [restrict_rows(m, v, (), ())]
 
 
 def _incoming(m: RowModule, v: int) -> Dict[int, List[int]]:
@@ -509,21 +539,25 @@ class _Node:
     adjacent and make up its branch.  ``end`` marks the empty sequence.
     A count tuple of the node lists the empty sequence first, then every
     case's child tuple in turn; ``size`` is its length, and ``len()`` is
-    the number of steps left on the longest sequence.  Nodes are interned
-    in the memo they are counted through (see :func:`_trie` and
-    :func:`_table`), so equal nodes are one object; they hash by identity.
+    the number of steps left on the longest sequence.  ``plain`` marks a
+    node below which every step has multiplicity 1 and tracks nothing
+    (see :func:`_count`).  Nodes are interned in the memo they are
+    counted through (see :func:`_trie` and :func:`_table`), so equal
+    nodes are one object; they hash by identity.
     """
 
-    __slots__ = ("end", "cases", "size", "depth")
+    __slots__ = ("end", "cases", "size", "depth", "plain")
 
     def __init__(self, end: bool, cases: Tuple) -> None:
         self.end = end
         self.cases = cases
         self.size = int(end)
         self.depth = 0
-        for *_, child in cases:
+        self.plain = True
+        for _, c, _, tracked, child in cases:
             self.size += child.size
             self.depth = max(self.depth, child.depth + 1)
+            self.plain = self.plain and c == 1 and not tracked and child.plain
 
     def __len__(self) -> int:
         return self.depth
@@ -658,6 +692,15 @@ def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
     step (see :func:`_pieces`) always gives, extends the counts with its
     child's tuple as it is, with nothing summed.
 
+    A plain node (see :class:`_Node`) counted on a module whose arrows
+    are all zero is not recursed into: every sequence below it counts
+    prod over v of [1]_p [2]_p ... [d_v]_p, with [k]_p = (p^k - 1)/(p - 1)
+    and d the module's dimension vector.  Every sequence below a node
+    places exactly the dimension vector of the module it is counted on,
+    each of its steps keeps any of the [k]_p hyperplanes of a k-dimensional
+    v-piece (there are no incoming images), and its restriction again has
+    all arrows zero.
+
     Count tuples are memoized under (p, dim, rows, node), child lists
     under (p, dim, rows, v, c) and orbit lists under (p, dim, rows, v).
     The keys hold no arrows, so one dict may serve any modules and primes
@@ -671,6 +714,13 @@ def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
     cached = memo.get(key)
     if cached is not None:
         return cached
+    if node.plain and not any(any(map(any, rows)) for rows in m.rows):
+        p, n = m.field.p, 1
+        for d in m.dim:
+            for k in range(1, d + 1):
+                n *= (p**k - 1) // (p - 1)
+        total = memo[key] = (n,) * node.size
+        return total
     counts = [1] if node.end else []
     branch = None
     for v, c, drop, tracked, child in node.cases:
@@ -1075,22 +1125,30 @@ def count_flags_by_splitting(
     of every word with the sum's content, which the first such word
     counts and every later word of the pair at this prime looks up.
     Without it, or for a word with coefficients, only the word's own
-    splitting types are counted.
+    splitting types are counted.  The direct sum is glued once per pair
+    and prime of the memo, and kept in it beside the counts.
     """
     if left.field.is_rational or left.field != right.field:
         raise ValueError("need two modules over one common prime field")
     if left.dq != right.dq:
         raise ValueError("modules live over different double quivers")
-    whole = _glue(left, right, None)
-    if word_content(left.quiver, word, coeffs) != whole.dim:
+    dim = tuple(a + b for a, b in zip(left.dim, right.dim))
+    if word_content(left.quiver, word, coeffs) != dim:
         raise ValueError("word content differs from the module dimension")
-    if memo is not None and _multiplicity_one(coeffs):
-        _guard(memo, whole.arrows)
+    whole_table = memo is not None and _multiplicity_one(coeffs)
+    if memo is None:
+        memo = {}
+    _guard(memo, _ends(left.dq))
+    key = (_GLUE_KEY, left.field.p) + tuple(
+        (m.dim, tuple(x.entries for x in m.action)) for m in (left, right)
+    )
+    whole = memo.get(key)
+    if whole is None:
+        whole = memo[key] = _glue(left, right, None)
+    if whole_table:
         keys, trie = _split_table(left, right, memo)[tuple(word)]
     else:
         keys, steps = _split_steps(left, right, word, coeffs)
-        if memo is None:
-            memo = {}
         trie = _trie(steps, memo)
     counts = _count_row(whole, trie, memo)
     return {key: n for key, n in zip(keys, counts) if n}

@@ -1,6 +1,7 @@
 """Command line tests, driven through main() with explicit argv."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from preproj import d4, flags
 from preproj.cli import main
 from preproj.fields import QQ
-from preproj.module import LambdaModule
+from preproj.module import LambdaModule, direct_sum
 from preproj.quiver import Quiver, double
-from preproj.serialize import save_module
+from preproj.randgen import random_nilpotent_module
+from preproj.serialize import module_to_data, save_module
 
 
 def a2_double():
@@ -278,6 +280,30 @@ def test_kronecker_fingerprint_json_matches_the_frozen_output(capsys, monkeypatc
     frozen = (here / "kronecker_2_2_fingerprint.json").read_text()
     assert got == json.loads(frozen, object_hook=without_elapsed)
     assert any(mixed)
+
+
+def test_a3_fingerprint_json_matches_the_frozen_output(capsys):
+    # frozen before one-dimensional pieces were peeled by a zero test and
+    # modules with every arrow zero were counted in closed form: this
+    # direct sum of dimension (3, 1, 1) has two one-dimensional vertices,
+    # and at p = 2 every arrow is zero; CI compares against it under
+    # python3 -S as well
+    dq = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    rng = random.Random("dirsum-split/8")
+    while True:
+        left = random_nilpotent_module(dq, rng, steps=2, max_total=3)
+        right = random_nilpotent_module(dq, rng, steps=2, max_total=2)
+        if all(a + b <= 3 for a, b in zip(left.dim, right.dim)):
+            break
+    here = Path(__file__).parent
+    module = here / "a3_3_1_1.json"
+    whole = module_to_data(direct_sum(left, right), name="A3(3,1,1)")
+    assert json.loads(module.read_text()) == whole
+    assert main(["fingerprint", str(module), "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out, object_hook=without_elapsed)
+    frozen = (here / "a3_3_1_1_fingerprint.json").read_text()
+    assert got == json.loads(frozen, object_hook=without_elapsed)
+    assert len(got["words"]) == 20
 
 
 def test_example_d4_generic_parameter_choice(capsys):

@@ -500,15 +500,21 @@ def test_later_words_of_a_module_are_row_lookups(monkeypatch):
     # through a memo the first word counts the module's whole table, and
     # every later word of the module at that prime is one _count call
     # that hits the row's root entry: no memo entry and no trie node is
-    # added, where counting each word as its own chain adds both
-    real = flags._count
-    calls = [0]
+    # added, where counting each word as its own chain adds both, and a
+    # split count does not glue the direct sum again
+    real, real_glue = flags._count, flags._glue
+    calls = [0, 0]
 
     def counted(m, node, memo):
         calls[0] += 1
         return real(m, node, memo)
 
+    def glue(*args):
+        calls[1] += 1
+        return real_glue(*args)
+
     monkeypatch.setattr(flags, "_count", counted)
+    monkeypatch.setattr(flags, "_glue", glue)
     dq = d4.star_double()
     p = 5
     tp, s4p = reduce_mod_p(d4.t_module(dq), p), reduce_mod_p(d4.s4_module(dq), p)
@@ -521,9 +527,9 @@ def test_later_words_of_a_module_are_row_lookups(monkeypatch):
     for count in entry_points:
         memo = {}
         for k, word in enumerate(words):
-            before = len(memo), len(memo.get(flags._NODES_KEY, ())), calls[0]
+            before = len(memo), len(memo.get(flags._NODES_KEY, ())), *calls
             got = count(word, memo)
-            after = len(memo), len(memo[flags._NODES_KEY]), calls[0] - 1
+            after = len(memo), len(memo[flags._NODES_KEY]), calls[0] - 1, calls[1]
             if k:
                 assert after == before, word
             assert got == count(word, None), word
@@ -603,7 +609,8 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
     # one row counts a whole step table through one trie: it must give
     # each entry's own count in table order, whatever that order is, and
     # list the pieces of each module at each vertex once per word row,
-    # whether as a full child list or as an orbit list
+    # whether as a full child list or as an orbit list (a module whose
+    # arrows are all zero lists none: its row has a closed form)
     real_children, real_orbits = flags._children, flags._orbits
     asked = []
 
@@ -634,7 +641,8 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
             asked.clear()
             rm = RowModule.of(whole)
             row = flags._count_row(rm, trie, {})
-            assert asked and len(asked) == len(set(asked)), (whole.dim, p)
+            assert len(asked) == len(set(asked)), (whole.dim, p)
+            assert asked or not any(any(map(any, x)) for x in rm.rows), (whole.dim, p)
             splits = [flags._split_steps(lp, rp, w, None) for w in words]
             table = steps + tuple(s for _, split in splits for s in split)
             # words and splitting types in one row, so the trie mixes
@@ -872,16 +880,29 @@ def listed_pieces(m, v, c):
     return pieces
 
 
+def split_table_trie(left, right):
+    """The trie of every splitting type of every word of left + right,
+    with the positions of the types in word order: every word's slice of
+    the split table has the same root."""
+    words = enumerate_words(left.quiver, direct_sum(left, right).dim)
+    table = flags._split_table(left, right, {})
+    root = table[words[0]][1][0]
+    return root, tuple(i for w in words for i in table[w][1][1])
+
+
 def test_count_rows_match_the_oracles_through_forced_and_zero_pieces(
     monkeypatch, rng_seed
 ):
     # a forced piece (the span of the incoming images, with no choice
-    # left), a zero piece (the whole v-piece peeled) and a one-piece case
-    # passed through as it is: every row of a word or split table must
-    # equal the every-piece recursion, the same recursion over pieces
-    # found among all subspaces, and each entry counted as its own chain
+    # left), a zero piece (the whole v-piece peeled), a one-dimensional
+    # piece decided by a zero test with no elimination, and a one-piece
+    # case passed through as it is: every row of a word or split table
+    # must equal the every-piece recursion, the same recursion over
+    # pieces found among all subspaces, and each entry counted as its
+    # own chain
     real_pieces, real_restrict = flags._pieces, flags.restrict_rows
-    seen = Counter()
+    real_incoming = flags._incoming
+    seen, eliminated_at = Counter(), Counter()
 
     def pieces(m, v, u, c):
         seen["forced"] += m.dim[v] - c == len(u)
@@ -891,13 +912,19 @@ def test_count_rows_match_the_oracles_through_forced_and_zero_pieces(
         seen["zero"] += not kept
         return real_restrict(m, v, kept, pivots)
 
+    def incoming(m, v):
+        eliminated_at[m.dim[v]] += 1
+        return real_incoming(m, v)
+
     monkeypatch.setattr(flags, "_pieces", pieces)
     monkeypatch.setattr(flags, "restrict_rows", restricted)
+    monkeypatch.setattr(flags, "_incoming", incoming)
     rng = random.Random(rng_seed + 43)
     a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
     kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
     pairs = [modest_pair(dq, rng) for dq in (a3, kronecker, a3, kronecker)]
-    tables = [(m, None) for m in d4.zoo().values() if m.dim == (1, 1, 1, 2)]
+    zoo = d4.zoo()
+    tables = [(m, None) for m in zoo.values()] + [(zoo["T"], zoo["S4"])]
     for left, right in pairs:
         tables += [(direct_sum(left, right), None), (left, right)]
     rows = 0
@@ -913,12 +940,8 @@ def test_count_rows_match_the_oracles_through_forced_and_zero_pieces(
                 words, trie = flags._word_table(m.quiver, m.dim)
                 steps = [flags._steps(m.quiver, w, None) for w in words]
             else:
-                m = direct_sum(lp, rp)
+                m, trie = direct_sum(lp, rp), split_table_trie(lp, rp)
                 words = enumerate_words(m.quiver, m.dim)
-                # every word's slice of the split table has the same root
-                table = flags._split_table(lp, rp, {})
-                root = table[words[0]][1][0]
-                trie = root, tuple(i for w in words for i in table[w][1][1])
                 split = [flags._split_steps(lp, rp, w, None)[1] for w in words]
                 steps = [s for word_steps in split for s in word_steps]
             rm = RowModule.of(m)
@@ -936,6 +959,18 @@ def test_count_rows_match_the_oracles_through_forced_and_zero_pieces(
             rows += 1
     assert rows >= 30
     assert seen["forced"] and seen["zero"], seen
+    # x(a) = [[1]] on A2: the arrow a maps onto the one-dimensional piece
+    # at vertex 2, so no piece is left there and a word that peels
+    # vertex 2 first counts 0
+    x = reduce_mod_p(x_module(a2_double()), 3)
+    rm = RowModule.of(x)
+    assert flags._orbits(rm, 1, {}) == flags._children(rm, 1, 1, {}) == []
+    assert count_flags(x, ("2", "1")).count == 0
+    top = restrict_rows(rm, 0, (), ())
+    assert flags._orbits(rm, 0, {}) == [(1, top)]
+    assert flags._children(rm, 0, 1, {}) == [((), top)]
+    assert count_flags(x, ("1", "2")).count == 1
+    assert eliminated_at and 1 not in eliminated_at, eliminated_at
 
 
 def test_the_zero_piece_keeps_the_stability_check():
@@ -1059,6 +1094,63 @@ def q_factorial(a, p):
     for j in range(1, a + 1):
         out *= (p**j - 1) // (p - 1)
     return out
+
+
+def test_modules_with_every_arrow_zero_are_counted_in_closed_form(monkeypatch):
+    # with every arrow zero each step keeps any hyperplane of its piece
+    # and the restriction again has every arrow zero, so every word of
+    # content d counts the product of the [d_v]_p! with nothing listed;
+    # a split table tracks the right summand and still recurses
+    real_orbits, real_children = flags._orbits, flags._children
+    asked = []
+
+    def refuse(*args):
+        raise AssertionError("a plain node of a zero module was recursed into")
+
+    def children(m, v, c, memo):
+        asked.append((m.dim, v, c))
+        return real_children(m, v, c, memo)
+
+    def plain_below(node):
+        return all(
+            c == 1 and not tracked and plain_below(child)
+            for _, c, _, tracked, child in node.cases
+        )
+
+    def nodes(node):
+        yield node
+        for *_, child in node.cases:
+            yield from nodes(child)
+
+    a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
+    for dq, dims in ((a3, ((2, 1, 1), (1, 0, 1))), (kronecker, ((2, 1), (1, 1)))):
+        for p in (2, 3, 5):
+            left, right = (LambdaModule.build(dq, Field(p), d, {}) for d in dims)
+            whole = direct_sum(left, right)
+            want = math.prod(q_factorial(d, p) for d in whole.dim)
+            words, trie = flags._word_table(whole.quiver, whole.dim)
+            assert trie[0].plain
+            monkeypatch.setattr(flags, "_orbits", refuse)
+            monkeypatch.setattr(flags, "_children", refuse)
+            rm = RowModule.of(whole)
+            assert flags._count_row(rm, trie, {}) == (want,) * len(words), p
+            monkeypatch.setattr(flags, "_orbits", real_orbits)
+            monkeypatch.setattr(flags, "_children", children)
+            root, _ = split_table_trie(left, right)
+            assert not root.plain
+            assert all(node.plain == plain_below(node) for node in nodes(root))
+            asked.clear()
+            memo = {}
+            for word in words:
+                got = count_flags_by_splitting(left, right, word, memo=memo)
+                assert sum(got.values()) == want, (word, p)
+            assert asked
+            for word in (words[0], words[-1]):
+                split = chain_split_counts(left, right, word)
+                assert count_flags_by_splitting(left, right, word) == {
+                    key: n for key, n in split.items() if n
+                }, (word, p)
 
 
 def test_multiplicity_identity_on_random_modules(rng_seed):

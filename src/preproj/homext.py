@@ -22,16 +22,28 @@ Coordinates of C0/C1/C2 vectors are the row-major entries of the per-vertex
 
 Both formulas are written once, in :func:`_differential`, as int rows
 times one common denominator D of both modules' actions (1 over F_p).
-:func:`ext_presentation` eliminates on these rows and keeps them: its
-dimensions come from the ranks of d0 and d1, and its chosen Ext^1
-classes are int rows too, which :func:`cy_gram` and the stratifier of
-:mod:`verify` read as they are.  A basis, with the ``Matrix``,
-``Derivation`` and ``Fraction`` objects that hold it, is made only when
-it is first read.  :func:`apply_d1`, :func:`inner_derivation` (which is
--d0), :func:`hom_basis` (on the presentation's rows) and
-:func:`_extension`, the count rows of the middle term of packed class
-coordinates (:func:`middle_term` holds them as matrices), apply them
-with :func:`_apply`.
+:func:`ext_presentation` eliminates each of d0 and d1 once, with its
+columns reversed, and keeps the rows: its dimensions come from the
+ranks, Hom and the derivations are read off those two echelons, and
+the chosen Ext^1 classes, found by one more elimination, are int rows
+too, which :func:`cy_gram` and the stratifier of :mod:`verify` read as
+they are.  Two facts make that enough:
+
+- the leads of a null space are the columns that are not trailing
+  pivots of the row space, since a kernel vector that leads at j and a
+  row that ends at j have a nonzero dot product;
+- a derivation's coordinates in the derivation echelon basis are its
+  entries at the leads over the leading entries, and a lead q is a
+  pivot column of [inner | derivations] unless some inner derivation
+  has its last nonzero coordinate at q, since then the basis row at q
+  is an inner derivation minus earlier basis rows.
+
+A basis, with the ``Matrix``, ``Derivation`` and ``Fraction`` objects
+that hold it, is made only when it is first read.  :func:`apply_d1`,
+:func:`inner_derivation` (which is -d0), :func:`hom_basis` (on the
+presentation's rows) and :func:`_extension`, the count rows of the
+middle term of packed class coordinates (:func:`middle_term` holds
+them as matrices), apply them with :func:`_apply`.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ from .linalg import (
     _echelon_ints,
     _from_columns,
     _kernel_rows,
+    _primitive,
     _reduced_rows,
     clear_denominators,
 )
@@ -297,17 +310,22 @@ class ExtPresentation:
     """Every space the complex of a module pair yields, with chosen bases.
 
     Built at the call: d0 and d1 as int rows times one denominator D,
-    their echelon rows, and from the two ranks ``hom_dim`` = dim C0 -
+    the echelon rows of each with its columns reversed, and from the
+    two ranks ``hom_dim`` = dim C0 -
     rank d0, ``ext1_dim`` = dim C1 - rank d1 - rank d0 and
     ``ext2_cokernel`` = dim C0 - rank d1, which is dim Ext^2 exactly
     when ``ext2_exact`` is True.  Built from those rows on first read,
     once per object: the differentials ``d0`` and ``d1``; ``hom``,
     ``derivations`` and ``inner``, the reduced column echelon bases that
-    :func:`column_echelon` gives, unique for the subspace; and
+    :func:`column_echelon` gives, unique for the subspace, the first two
+    read off the reversed echelons (:func:`_kernel_echelon`); and
     ``ext1_basis``, the columns of ``derivations`` that are pivot
     columns of [inner | derivations], a complement of the inner ones,
     as the ``Derivation`` objects that ``random_combination`` and
-    :func:`middle_term` take.  :func:`cy_gram` and the stratifier read
+    :func:`middle_term` take.  They are the derivation rows at the
+    leads where no inner derivation has its last nonzero coordinate,
+    found by one elimination of d0's columns at those leads; ``inner``
+    is eliminated only for ``inner`` and :func:`is_inner`.  :func:`cy_gram` and the stratifier read
     those classes off the int rows they are made from.  Over Q every
     entry is a ``Fraction``, every zero the one shared ``Fraction(0)``;
     over F_p entries are ints in 0..p-1.
@@ -346,8 +364,7 @@ class ExtPresentation:
 
     @cached_property
     def hom(self) -> Matrix:
-        p = self.source.field.p
-        rows = _echelon_ints(_kernel_rows(self._echelon_d0, self.c0_dim, p), p)
+        rows = _kernel_echelon(self._echelon_d0, self.c0_dim, self.source.field.p)
         return self._basis(rows, self.c0_dim)
 
     @cached_property
@@ -364,22 +381,20 @@ class ExtPresentation:
 
     @cached_property
     def _derivations(self) -> Dict[int, Sequence[int]]:
-        p = self.source.field.p
-        return _echelon_ints(_kernel_rows(self._echelon_d1, self.c1_dim, p), p)
+        return _kernel_echelon(self._echelon_d1, self.c1_dim, self.source.field.p)
 
     @cached_property
     def _ext1_rows(self) -> Dict[int, Sequence[int]]:
         """The chosen Ext^1 classes as the core's derivation rows, keyed
         by leading position in increasing order: each is the class's
         reduced row times its leading entry, which is 1 over F_p."""
-        inner, ders = self._inner, self._derivations
-        # the core's rows are the reduced rows times positive scalars, and
-        # scaling a column moves no pivot column of [inner | derivations]
-        leads = sorted(ders)
-        columns = [inner[q] for q in sorted(inner)] + [ders[q] for q in leads]
-        pivots = _echelon_ints(zip(*columns), self.source.field.p)
-        chosen = {leads[j - len(inner)] for j in pivots if j >= len(inner)}
-        return {q: ders[q] for q in sorted(chosen)}
+        ders = self._derivations
+        # the columns of d0 span the inner derivations; read at the leads
+        # from the last down, the core leads at their trailing pivots
+        leads = list(ders)[::-1]
+        ends = _echelon_ints(zip(*(self._d0[q] for q in leads)), self.source.field.p)
+        inner = {leads[j] for j in ends}
+        return {q: r for q, r in ders.items() if q not in inner}
 
     @cached_property
     def ext1_basis(self) -> Tuple[Derivation, ...]:
@@ -393,15 +408,18 @@ def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
     """Present Hom, derivations, inner derivations and the Ext^1 complement.
 
     The elimination core of :mod:`linalg` runs once on each of d0 and
-    d1, as the int rows of :func:`_differential`, whose scaling by D
-    moves no kernel, image, rank or pivot; the bases are made when first
-    read (class docstring).
+    d1, as the int rows of :func:`_differential` with their columns
+    reversed; neither the scaling by D nor the reversal moves a kernel,
+    image or rank, and the kernels are read off these echelons.  The
+    bases are made when first read (class docstring).
     """
     _check_pair(m, n)
     (d0, d1), scale = _differential(m, n, 0, 1)
     # d0 maps C0 to C1 and d1 maps C1 to C2, which has the blocks of C0
     c0, c1 = len(d1), len(d0)
-    echelon_d0, echelon_d1 = (_echelon_ints(d, m.field.p) for d in (d0, d1))
+    # columns reversed, so the core's leads are the rows' trailing pivots
+    p = m.field.p
+    echelon_d0, echelon_d1 = (_echelon_ints([r[::-1] for r in d], p) for d in (d0, d1))
     rank_d0, rank_d1 = len(echelon_d0), len(echelon_d1)
     return ExtPresentation(
         m, n, c0, c1,
@@ -411,6 +429,28 @@ def ext_presentation(m: LambdaModule, n: LambdaModule) -> ExtPresentation:
         ext2_exact=not has_dynkin_component(m.quiver),
         _d0=d0, _d1=d1, _scale=scale, _echelon_d0=echelon_d0, _echelon_d1=echelon_d1,
     )
+
+
+def _kernel_echelon(
+    reversed_rows: Dict[int, Sequence[int]], ncols: int, p: Optional[int]
+) -> Dict[int, List[int]]:
+    """The core's echelon rows of the null space of a matrix, keyed by
+    lead in increasing order, read off the core's rows of the matrix
+    with its columns reversed.
+
+    Those rows lead at the matrix rows' trailing pivots, and the null
+    space leads at every other column: a kernel vector that leads at j
+    and a row that ends at j have a nonzero dot product.  So the vector
+    :func:`_kernel_rows` gives at a free column, reversed back, leads
+    there and is zero at every other lead: the reduced row, times its
+    leading entry, which is 1 over F_p and made primitive over Q.
+    """
+    out: Dict[int, List[int]] = {}
+    for vec in reversed(_kernel_rows(reversed_rows, ncols, p)):
+        vec.reverse()
+        lead = next(j for j, x in enumerate(vec) if x)
+        out[lead] = vec if p is not None else _primitive(vec, 1)
+    return out
 
 
 def hom_basis(m: LambdaModule, n: LambdaModule) -> Tuple[Intertwiner, ...]:

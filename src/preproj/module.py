@@ -11,14 +11,17 @@ and it is nilpotent when the chain of graded subspaces
 W_0 = everything, W_{k+1} = span of all x(b)(W_k) reaches zero.
 
 :func:`validate` checks both on int rows, the actions times one common
-denominator D (:func:`_int_actions`, which ``homext`` shares).
+denominator D (:func:`_int_actions`, which ``homext`` and ``verify``
+share); each module clears its own actions once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice, repeat
+from math import lcm
 from operator import mul
 from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -188,6 +191,16 @@ class LambdaModule:
     def quiver(self) -> Quiver:
         return self.dq.base
 
+    @cached_property
+    def _int_rows(self) -> Tuple[Tuple[IntRows, ...], int]:
+        """The action matrices as int rows times D, and D: the least
+        common denominator of their entries, 1 over F_p; cleared once
+        per module, read through :func:`_int_actions`, and held as
+        tuples, since every caller reads the same rows."""
+        flat, scale = clear_denominators([r for x in self.action for r in x.entries])
+        rows = map(tuple, flat)
+        return tuple(tuple(islice(rows, x.nrows)) for x in self.action), scale
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -201,16 +214,22 @@ class ValidationReport:
         return not self.residuals and self.nilpotent
 
 
-def _int_actions(*modules: LambdaModule) -> Tuple[List[List[IntRows]], int]:
+def _int_actions(*modules: LambdaModule) -> Tuple[List[Sequence[IntRows]], int]:
     """Each module's action matrices as int rows, all times one common
-    denominator D, and D: the least one over Q, 1 over F_p."""
-    flat, scale = clear_denominators(
-        [r for m in modules for x in m.action for r in x.entries]
-    )
-    rows = iter(flat)
-    return [
-        [[next(rows) for _ in range(x.nrows)] for x in m.action] for m in modules
-    ], scale
+    denominator D, and D: the least one over Q, 1 over F_p.
+
+    D is the lcm of the modules' own least denominators, so each
+    module's own rows (``LambdaModule._int_rows``, cleared once per
+    module) are read as they are when its denominator is D, and else
+    multiplied by D over it.
+    """
+    scale = lcm(*(m._int_rows[1] for m in modules))
+    out: List[Sequence[IntRows]] = []
+    for m in modules:
+        rows, own = m._int_rows
+        k = scale // own
+        out.append(rows if k == 1 else [[[k * x for x in r] for r in x] for x in rows])
+    return out, scale
 
 
 def _identity_rows(d: int) -> IntRows:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from preproj import d4
+from preproj import d4, homext
 from preproj.fields import QQ, Field
 from preproj.homext import (
     Derivation,
@@ -27,6 +27,11 @@ from preproj.homext import (
 )
 from preproj.linalg import (
     Matrix,
+    _echelon_ints,
+    _from_columns,
+    _kernel_rows,
+    _reduced_rows,
+    clear_denominators,
     column_echelon,
     hstack,
     kernel_basis,
@@ -37,6 +42,7 @@ from preproj.linalg import (
 from preproj.module import (
     BadPrime,
     LambdaModule,
+    _int_actions,
     direct_sum,
     reduce_mod_p,
     simple,
@@ -1002,3 +1008,143 @@ def test_is_inner_agrees_with_solve_reference(rng_seed):
     assert answers == {True, False}
     assert empty >= 2
     assert {m.field.p for m, _ in pairs} == {None, 5, 7}
+
+
+def k3_double():
+    return double(
+        Quiver.build(["1", "2"], [("a1", "1", "2"), ("a2", "1", "2"), ("a3", "1", "2")])
+    )
+
+
+def reference_kernel_echelon(rows, ncols, p):
+    """The null space of int rows as the core's echelon rows, sorted by
+    lead: the natural echelon, its kernel vectors, and a second
+    elimination."""
+    kernel = _echelon_ints(_kernel_rows(_echelon_ints(rows, p), ncols, p), p)
+    return dict(sorted(kernel.items()))
+
+
+def reference_ext1_rows(pres, ders):
+    """The chosen classes as the derivation rows that are pivot columns
+    of [inner | derivations], inner the echelon of the columns of d0."""
+    p = pres.source.field.p
+    inner = _echelon_ints(zip(*pres._d0), p)
+    leads = sorted(ders)
+    columns = [inner[q] for q in sorted(inner)] + [ders[q] for q in leads]
+    pivots = _echelon_ints(zip(*columns), p)
+    chosen = {leads[j - len(inner)] for j in pivots if j >= len(inner)}
+    return {q: ders[q] for q in sorted(chosen)}
+
+
+def listed(rows):
+    return [(q, list(r)) for q, r in rows.items()]
+
+
+def test_kernels_and_classes_agree_with_two_more_eliminations(rng_seed):
+    # ker d0 and ker d1 are read off the reversed echelons of the call,
+    # and the classes off the trailing pivots of the inner derivations'
+    # coordinates; each must equal the route with a second elimination
+    # of every kernel and the pivots of [inner | derivations]
+    rng = random.Random(rng_seed + 31)
+    quivers = (a3_double(), kron_double(), d4.star_double(), k3_double())
+    pairs = []
+    for dq in quivers:
+        for field in (QQ, Field(2), Field(3), Field(5), Field(7)):
+            m, n = (
+                random_nilpotent_module(dq, rng, steps=3, max_total=5, field=field)
+                for _ in "mn"
+            )
+            pairs += [(m, n), (n, m), (m, m), (n, n)]
+    a2, a3 = a2_double(), a3_double()
+    s1 = simple(a2, "1", QQ)
+    t1, t3 = simple(a3, "1", QQ), simple(a3, "3", QQ)
+    # C1 = 0, so no derivations; Ext^1 = 0 between far simples
+    pairs += [(s1, s1), (t1, t3), (t3, t1), (d4.t_module(), d4.s4_module())]
+    pairs += [(d4.s4_module(), d4.t_module())]
+    seen = {"ext1": 0, "no ext1": 0, "no derivations": 0, "zero vertex": 0}
+    for m, n in pairs:
+        pres, p = ext_presentation(m, n), m.field.p
+        ders = reference_kernel_echelon(pres._d1, pres.c1_dim, p)
+        homs = reference_kernel_echelon(pres._d0, pres.c0_dim, p)
+        classes = reference_ext1_rows(pres, ders)
+        assert listed(pres._derivations) == listed(ders)
+        assert listed(pres._ext1_rows) == listed(classes)
+        assert typed(pres.hom) == typed(
+            _from_columns(m.field, pres.c0_dim, _reduced_rows(homs, p))
+        )
+        assert typed(pres.derivations) == typed(
+            _from_columns(m.field, pres.c1_dim, _reduced_rows(ders, p))
+        )
+        shapes = homext._c1_shapes(m, n)
+        want = [
+            tuple(typed(x) for x in homext._unpack(m.field, r, shapes))
+            for r in _reduced_rows(classes, p)
+        ]
+        assert [tuple(typed(x) for x in e.maps) for e in pres.ext1_basis] == want
+        seen["ext1" if classes else "no ext1"] += 1
+        seen["no derivations"] += not ders
+        seen["zero vertex"] += 0 in m.dim or 0 in n.dim
+    assert min(seen.values()) >= 1
+    assert seen["ext1"] >= len(pairs) // 4
+    assert {m.field.p for m, _ in pairs} == {None, 2, 3, 5, 7}
+
+
+def test_classes_cost_one_elimination_and_actions_are_cleared_once(monkeypatch):
+    # the call eliminates d0 and d1, the classes take one more, and
+    # neither cy_gram nor ext1_basis builds the inner echelon
+    import preproj.module as module
+
+    real, calls = homext._echelon_ints, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homext, "_echelon_ints", counted)
+    m, n = d4.t_module(), d4.s4_module()
+    pres = []
+    for x, y in ((m, n), (n, m)):
+        del calls[:]
+        pres.append(ext_presentation(x, y))
+        assert len(pres[-1].ext1_basis) == 2
+        assert len(calls) <= 3
+    del calls[:]
+    cy_gram(*pres)
+    assert calls == []
+    assert not any("_inner" in vars(x) for x in pres)
+    monkeypatch.undo()
+    # both presentations, the dimension checks and a middle term, as an
+    # ext-pairs op runs them, clear each module's actions once
+    real_clear, cleared = module.clear_denominators, []
+
+    def counted_clear(rows):
+        cleared.append(len(rows))
+        return real_clear(rows)
+
+    monkeypatch.setattr(module, "clear_denominators", counted_clear)
+    m, n = d4.t_module(), d4.s4_module()
+    pres_mn, pres_nm = ext_presentation(m, n), ext_presentation(n, m)
+    cy_gram(pres_mn, pres_nm)
+    assert dimension_checks(m, n).ok
+    middle_term(pres_mn.ext1_basis[0])
+    assert len(cleared) == 2
+
+
+def test_joint_actions_rescale_each_modules_own_rows():
+    # own least denominators 2 and 3 give the joint 6, so both modules'
+    # rows are rescaled; they must equal one joint clearing
+    m = conjugated(d4.t_module(), (1, Fraction(1, 2)))
+    n = conjugated(d4.m_family(1), (1, 3))
+    own = [
+        {x.denominator for a in y.action for r in a.entries for x in r} for y in (m, n)
+    ]
+    assert own == [{1, 2}, {1, 3}]
+    flat, scale = clear_denominators(
+        [r for y in (m, n) for a in y.action for r in a.entries]
+    )
+    rows = iter(flat)
+    want = [[[next(rows) for _ in range(a.nrows)] for a in y.action] for y in (m, n)]
+    got, got_scale = _int_actions(m, n)
+    assert scale == 6
+    assert (got_scale, [[[list(r) for r in a] for a in y] for y in got]) == (scale, want)
+    assert [y._int_rows[1] for y in (m, n)] == [2, 3]

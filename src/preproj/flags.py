@@ -15,20 +15,21 @@ one row.  Interpolation is linear in the counts, so every fit through one
 window of primes shares that window's integer Lagrange weights (cached in
 :func:`~preproj.linalg.lagrange_weights`): the value at 1 and the values
 at the validation primes are integer dot products with the window counts,
-and a :class:`Polynomial` is made only when a profile's is read.  The
-windows are made once per shift (:func:`_windows`), and one sweep over
-them (:func:`_sweep`) fits every count column, a fingerprint's words, a
-split table's splitting types and a stratification's stratum sizes
-alike: each column keeps the first window it passes at.
+and a :class:`Polynomial` is made only when a profile's is read.  One
+sweep over the windows, one per shift (:func:`_sweep`), fits every count
+column, a fingerprint's words, a split table's splitting types and a
+stratification's stratum sizes alike: each column keeps the first window
+it passes at.
 
 Every count is one row: the step sequences of a table (the words of a
 fingerprint, the splitting types of a split count, or a single word)
 form a trie, and one recursion over the trie counts all of them,
-listing the subspaces at each branch once.  The trie of a whole table
-(every word of a dimension vector, or every splitting type of every word
-of a direct sum) is built straight from the dimension vectors, one node
-per content left to place (:func:`_table`); a single word or a word with
-coefficients is a chain made from its steps (:func:`_trie`).
+listing the subspaces at each branch once.  Every trie comes from one
+recursion over the contents left to place, one node per content
+(:func:`_table`): the trie of a whole table (every word of a dimension
+vector, or every splitting type of every word of a direct sum) places
+any vertex next, and the trie of one word with coefficients, or of one
+word's splitting types, places only the word's next letter.
 Counts are memoized per module and trie node, child lists per module,
 vertex and multiplicity, orbit lists (below) per module and vertex, and
 the glued direct sums of split counts per pair, in a plain dict under
@@ -54,8 +55,8 @@ says that more words of the same module follow, so a multiplicity-one
 word is read from the count row of the module's whole table (its words,
 or every splitting type of every word): the first word counts the row,
 and each later word of the module at that prime is a lookup of the
-row's root entry.  Without a dict, or for a word with coefficients, the
-one word is counted as a chain of its own.
+row's root entry.  Without a dict, or for a word with coefficients, only
+the one word's trie is counted: a chain, or its splitting types.
 
 A step of multiplicity 1 that tracks nothing keeps one of the
 [t]_p = (p^t - 1)/(p - 1) hyperplanes of the v-piece that contain the
@@ -154,9 +155,8 @@ _SPLIT_KEY = "split"
 # The tag of the memo keys of glued direct sums (see count_flags_by_splitting).
 _GLUE_KEY = "glue"
 
-Steps = Tuple[Tuple[int, int, int], ...]
 # A step trie: its root and the position of every table entry in the
-# root's count tuple (see _trie).
+# root's count tuple (see _table).
 Trie = Tuple["_Node", Tuple[int, ...]]
 SplitKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
 # A count column's fit (see _sweep): the window's shift, its primes, the
@@ -257,20 +257,24 @@ class DeltaFingerprint:
         return dict(self._chi_by_word)
 
 
-def _steps(
-    q: Quiver,
-    word: Word,
-    coeffs: Optional[Sequence[int]],
-    drops: Optional[Sequence[int]] = None,
-) -> Steps:
-    """The effective (vertex index, multiplicity, drop) steps; zero
-    coefficients drop out.  ``drops`` default to 0, which tracks nothing."""
+def _letters(
+    q: Quiver, word: Word, coeffs: Optional[Sequence[int]]
+) -> Tuple[Tuple[int, int], ...]:
+    """A word's (vertex index, coefficient) letters, coefficients all 1
+    when omitted; zero coefficients drop out."""
     if coeffs is None:
         coeffs = [1] * len(word)
-    if drops is None:
-        drops = [0] * len(word)
     idx = q.vertex_index
-    return tuple((idx[v], c, d) for v, c, d in zip(word, coeffs, drops) if c > 0)
+    return tuple((idx[v], c) for v, c in zip(word, coeffs) if c)
+
+
+def _chain(
+    m: LambdaModule, word: Word, coeffs: Optional[Sequence[int]], memo: Optional[Dict]
+) -> Trie:
+    """The trie of one word with coefficients on m, a chain of
+    :func:`_table`'s nodes, with its one entry at position 0."""
+    zero = (0,) * len(m.dim)
+    return _table(m.dim, zero, memo, _letters(m.quiver, word, coeffs)), (0,)
 
 
 def _word_table(
@@ -291,56 +295,62 @@ def _word_table(
     return table
 
 
-def _split_steps(
-    left: LambdaModule, right: LambdaModule, word: Word, coeffs: Optional[Sequence[int]]
-) -> Tuple[Tuple[SplitKey, ...], Tuple[Steps, ...]]:
-    """Every splitting type (c', c'') of (word, coeffs) between the two
-    summands, and the steps that count it on their direct sum: the drops
-    are c'', the right summand's share."""
-    q = left.quiver
-    keys = enumerate_splittings(q, word, coeffs, left.dim, right.dim)
-    return keys, tuple(_steps(q, word, coeffs, c_right) for _, c_right in keys)
-
-
 def _split_table(
-    left: LambdaModule, right: LambdaModule, memo: Dict
+    q: Quiver,
+    left: Tuple[int, ...],
+    right: Tuple[int, ...],
+    memo: Optional[Dict],
+    word: Optional[Word] = None,
+    coeffs: Optional[Sequence[int]] = None,
 ) -> Dict[Word, Tuple[Tuple[SplitKey, ...], Trie]]:
-    """Every splitting type of every word with the direct sum's content,
-    as one step table: per word, its splitting types in the order of
+    """Every splitting type of every word with content left + right, as
+    one step table: per word, its splitting types in the order of
     :func:`~preproj.quiver.enumerate_splittings` and the table's trie
     with the positions of their slice of the row.  Kept in ``memo``
-    under (_SPLIT_KEY, q, left.dim, right.dim), beside
-    :func:`_word_table`'s entries.
+    under (_SPLIT_KEY, q, left, right), beside :func:`_word_table`'s
+    entries.  Given a word (with coefficients), the table of that word
+    alone, keyed by it and kept nowhere; its zero coefficients split as
+    (0, 0).
 
     The trie is built from the remaining contents (see :func:`_table`),
     and one walk of it in node order reads off every word's splitting
-    types and positions.  Within a word the walk gives a step to the
-    left summand (drop 0) before the right one (drop 1), the reverse of
-    the enumeration's order, so each word's list is reversed.
+    types and positions.  Within a word the walk gives a step's drops
+    to the right summand in ascending order, the reverse of the
+    enumeration's order, so each word's list is reversed.
     """
-    q = left.quiver
-    key = (_SPLIT_KEY, q, left.dim, right.dim)
-    table = memo.get(key)
+    key = (_SPLIT_KEY, q, left, right)
+    table = None if word is not None else memo.get(key)
     if table is None:
-        root = _table(left.dim, right.dim, memo)
+        letters = None if word is None else _letters(q, word, coeffs)
+        root = _table(left, right, memo, letters)
         names = q.vertices
         found: Dict[Word, Tuple[List[SplitKey], List[int]]] = {}
         at = count()
 
-        def walk(node: _Node, word: Word, drops: Tuple[int, ...]) -> None:
+        def walk(node: _Node, w: Word, c1: Tuple[int, ...], c2: Tuple[int, ...]):
             if node.end:
-                keys, where = found.setdefault(word, ([], []))
-                keys.append((tuple(1 - d for d in drops), drops))
+                keys, where = found.setdefault(w, ([], []))
+                keys.append((c1, c2))
                 where.append(next(at))
-            for v, _, drop, _, child in node.cases:
-                walk(child, (*word, names[v]), (*drops, drop))
+            for v, c, drop, _, child in node.cases:
+                walk(child, (*w, names[v]), (*c1, c - drop), (*c2, drop))
 
-        walk(root, (), ())
+        walk(root, (), (), ())
+        if word is not None:
+            ((keys, where),) = found.values()
+            full = coeffs or [1] * len(word)
+
+            def spread(part: Tuple[int, ...]) -> Tuple[int, ...]:
+                it = iter(part)
+                return tuple(next(it) if c else 0 for c in full)
+
+            found = {tuple(word): ([tuple(map(spread, k)) for k in keys], where)}
         table = {
-            word: (tuple(reversed(keys)), (root, tuple(reversed(where))))
-            for word, (keys, where) in found.items()
+            w: (tuple(reversed(keys)), (root, tuple(reversed(where))))
+            for w, (keys, where) in found.items()
         }
-        memo[key] = table
+        if word is None:
+            memo[key] = table
     return table
 
 
@@ -541,9 +551,9 @@ class _Node:
     case's child tuple in turn; ``size`` is its length, and ``len()`` is
     the number of steps left on the longest sequence.  ``plain`` marks a
     node below which every step has multiplicity 1 and tracks nothing
-    (see :func:`_count`).  Nodes are interned in the memo they are
-    counted through (see :func:`_trie` and :func:`_table`), so equal
-    nodes are one object; they hash by identity.
+    (see :func:`_count`).  Nodes are made by :func:`_table` alone and
+    interned in the memo they are counted through, so equal nodes are
+    one object; they hash by identity.
     """
 
     __slots__ = ("end", "cases", "size", "depth", "plain")
@@ -563,27 +573,6 @@ class _Node:
         return self.depth
 
 
-Path = Tuple[Tuple[int, int, int, int], ...]
-
-
-def _node(paths: Sequence[Path], k: int, nodes: Dict[Tuple, _Node]) -> _Node:
-    """The node of distinct paths, in ascending order, that share their
-    first k steps, interned in ``nodes`` by its (end, cases); a path's
-    steps are (v, c, drop, tracked)."""
-    if len(paths) == 1:
-        # one path left: a chain of single cases, built from its end
-        node = _intern(True, (), nodes)
-        for step in reversed(paths[0][k:]):
-            node = _intern(False, ((*step, node),), nodes)
-        return node
-    end = bool(paths) and len(paths[0]) == k
-    groups: Dict[Tuple[int, int, int, int], List[Path]] = {}
-    for path in paths[end:]:
-        groups.setdefault(path[k], []).append(path)
-    cases = tuple((*step, _node(same, k + 1, nodes)) for step, same in groups.items())
-    return _intern(end, cases, nodes)
-
-
 def _intern(end: bool, cases: Tuple, nodes: Dict[Tuple, _Node]) -> _Node:
     """The one node of ``nodes`` with this end mark and these cases."""
     key = (end, cases)
@@ -594,71 +583,62 @@ def _intern(end: bool, cases: Tuple, nodes: Dict[Tuple, _Node]) -> _Node:
 
 
 def _table(
-    left: Tuple[int, ...], right: Tuple[int, ...], memo: Optional[Dict]
+    left: Tuple[int, ...],
+    right: Tuple[int, ...],
+    memo: Optional[Dict],
+    letters: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> _Node:
     """The root of the trie of every step sequence that places the
-    contents ``left`` and ``right``: a step (v, 1, 0) takes a factor of
-    the untracked left part at v, a step (v, 1, 1) one of the tracked
-    right part.  This is the trie of a word table when ``right`` is zero
-    and of a direct sum's split table otherwise, built by one recursion
-    over what is left to place.
+    contents ``left`` and ``right``: a step (v, c, drop) takes c - drop
+    factors of the untracked left part at v and drop of the tracked right
+    part.  This is the trie of a word table when ``right`` is zero and of
+    a direct sum's split table otherwise, built by one recursion over
+    what is left to place; it is the one builder of trie nodes.
 
     The node of remaining contents (r1, r2) has, for each vertex v in
     ascending order, the case (v, 1, 0, r2[v]) into (r1 - e_v, r2) when
     r1[v] > 0 and then (v, 1, 1, r2[v]) into (r1, r2 - e_v) when
-    r2[v] > 0, and ends when nothing is left: the node :func:`_trie`
-    makes of the same sequences.  Nodes are interned in ``memo`` as
-    there, or only within this trie when ``memo`` is None.
+    r2[v] > 0, and ends when nothing is left.
+
+    Given ``letters``, one word's (vertex index, coefficient) pairs with
+    no zero coefficient (see :func:`_letters`), a node places only the
+    word's next letter (v, c): one case (v, c, drop, r2[v]) into
+    (r1 - (c - drop) e_v, r2 - drop e_v) for every drop the two parts
+    allow, in ascending order.  This is the chain of the word when
+    ``right`` is zero and the trie of its splitting types otherwise.  The
+    contents must be the word's, which every caller checks.  Every step
+    places something, so (r1, r2) alone keys a node here too.
+
+    Nodes are interned in ``memo``, so every table counted through one
+    memo shares its equal rests, or only within this trie when ``memo``
+    is None.
     """
     nodes = {} if memo is None else memo.setdefault(_NODES_KEY, {})
     built: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], _Node] = {}
 
-    def node(r1: Tuple[int, ...], r2: Tuple[int, ...]) -> _Node:
+    def node(r1: Tuple[int, ...], r2: Tuple[int, ...], k: int = 0) -> _Node:
         got = built.get((r1, r2))
         if got is None:
             cases = []
-            for v, (a, b) in enumerate(zip(r1, r2)):
-                if a:
-                    rest = (*r1[:v], a - 1, *r1[v + 1 :])
-                    cases.append((v, 1, 0, b, node(rest, r2)))
-                if b:
-                    rest = (*r2[:v], b - 1, *r2[v + 1 :])
-                    cases.append((v, 1, 1, b, node(r1, rest)))
+            if letters is None:
+                for v, (a, b) in enumerate(zip(r1, r2)):
+                    if a:
+                        rest = (*r1[:v], a - 1, *r1[v + 1 :])
+                        cases.append((v, 1, 0, b, node(rest, r2)))
+                    if b:
+                        rest = (*r2[:v], b - 1, *r2[v + 1 :])
+                        cases.append((v, 1, 1, b, node(r1, rest)))
+            elif k < len(letters):
+                v, c = letters[k]
+                a, b = r1[v], r2[v]
+                for drop in range(max(0, c - a), min(c, b) + 1):
+                    rest1 = (*r1[:v], a - c + drop, *r1[v + 1 :])
+                    rest2 = (*r2[:v], b - drop, *r2[v + 1 :])
+                    cases.append((v, c, drop, b, node(rest1, rest2, k + 1)))
             got = built[r1, r2] = _intern(not cases, tuple(cases), nodes)
         return got
 
     return node(left, right)
-
-
-def _trie(steps: Sequence[Steps], memo: Optional[Dict]) -> Trie:
-    """The trie of a step table and the position of every table entry in
-    the root's count tuple, made by sorting and grouping the sequences:
-    the trie of a single word, a word with coefficients or the splitting
-    types of one word (whole tables come from :func:`_table`, into the
-    same nodes).  A table sampled at several primes is turned into a
-    trie once, and counted through it at each.
-
-    The nodes are interned in ``memo``, so every table counted through
-    one memo shares its equal rests, or only within this trie when
-    ``memo`` is None.
-
-    A step's tracked amount is the sum of the drops at its vertex from it
-    to the end of its sequence.  Positions follow the ascending order of
-    the sequences written with their tracked amounts, which is the node
-    order; repeated entries share a position.
-    """
-    paths = []
-    for seq in steps:
-        left: Dict[int, int] = {}
-        path = []
-        for v, c, drop in reversed(seq):
-            left[v] = left.get(v, 0) + drop
-            path.append((v, c, drop, left[v]))
-        paths.append(tuple(reversed(path)))
-    order = sorted(set(paths))
-    rank = {path: r for r, path in enumerate(order)}
-    nodes = {} if memo is None else memo.setdefault(_NODES_KEY, {})
-    return _node(order, 0, nodes), tuple(rank[path] for path in paths)
 
 
 def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
@@ -751,7 +731,7 @@ def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
 
 def _count_row(rm: RowModule, trie: Trie, memo: Dict) -> Tuple[int, ...]:
     """The stable flag counts of a finite-field module in row form, one
-    per entry of the step table of a trie (see :func:`_trie`), through
+    per entry of the step table of a trie (see :func:`_table`), through
     one shared memo.  Every count the package takes (words, fingerprint
     rows, split tables, strata) is taken here, in one :func:`_count` call
     on the trie's root.  A rational module sampled at a prime comes
@@ -811,8 +791,7 @@ def count_flags(
     else:
         if memo is None:
             memo = {}
-        trie = _trie((_steps(m.quiver, word, coeffs),), memo)
-        (n,) = _count_row(rm, trie, memo)
+        (n,) = _count_row(rm, _chain(m, word, coeffs, memo), memo)
     fixed = tuple(coeffs) if coeffs is not None else (1,) * len(word)
     return FlagCount(m, tuple(word), fixed, m.field.p, n)
 
@@ -901,12 +880,18 @@ def _window_polynomial(
     return interpolate([(p, values[p]) for p in window])
 
 
-def _windows(pool: _PrimePool, bound: int) -> Iterator[Tuple]:
-    """The fit windows of a pool, one per shift from 0 to
-    MAX_WINDOW_SHIFT: the window primes, the validation primes and a
-    function from a count column to its fit's value at 1, or None when
-    that fit fails.  Rows are drawn from the pool only as far as the
-    shift asked for needs them.
+def _sweep(
+    pool: _PrimePool,
+    width: int,
+    bound: int,
+    name: Callable[[int], Tuple[Word, str]],
+) -> List[Fit]:
+    """The one fit of the package's count columns: one sweep over the
+    fit windows, one per shift from 0 to MAX_WINDOW_SHIFT, in which each
+    window checks every column still pending and a column keeps the
+    first window it passes at.  Rows are drawn from the pool only as far
+    as the shift at hand needs them.  Returns, per column, the window's
+    shift, its primes, the validation primes and the fit's value at 1.
 
     A column's fit through the window rows must reproduce the
     VALIDATION_PRIMES rows after it and be integral at 1.  Interpolation
@@ -917,59 +902,28 @@ def _windows(pool: _PrimePool, bound: int) -> Iterator[Tuple]:
     w_p . y equals D times the count at p.  No polynomial is built;
     :func:`_window_polynomial` makes one from the window counts when it
     is asked for.
-    """
-    need = bound + 1
-    for shift in range(MAX_WINDOW_SHIFT + 1):
-        rows = [pool.row(k) for k in range(shift, shift + need + VALIDATION_PRIMES)]
-        yield _window_fit(rows, need)
-
-
-def _window_fit(rows: Sequence[PoolRow], need: int) -> Tuple:
-    """One window of :func:`_windows`: the first ``need`` rows fit, the
-    rest validate; the rows are read column by column."""
-    drawn = tuple(p for p, _ in rows)
-    window, validation = drawn[:need], drawn[need:]
-    weights = lagrange_weights(window, (1, *validation))
-    d = weights.denominator
-    w_one, *w_checks = weights.at
-    window_cols = list(zip(*(vec for _, vec in rows[:need])))
-    check_cols = list(zip(*(vec for _, vec in rows[need:])))
-
-    def fit(j: int) -> Optional[int]:
-        ys = window_cols[j]
-        at_one, rem = divmod(sum(map(mul, w_one, ys)), d)
-        if rem or any(
-            sum(map(mul, w, ys)) != d * y for w, y in zip(w_checks, check_cols[j])
-        ):
-            return None
-        return at_one
-
-    return window, validation, fit
-
-
-def _sweep(
-    pool: _PrimePool,
-    width: int,
-    bound: int,
-    name: Callable[[int], Tuple[Word, str]],
-) -> List[Fit]:
-    """The one fit of the package's count columns: one sweep over the
-    windows of :func:`_windows`, in which each window checks every column
-    still pending and a column keeps the first window it passes at.
-    Returns, per column, the window's shift, its primes, the validation
-    primes and the fit's value at 1.
 
     Raises:
         NonPolynomialCount: for the first column j that passes at no
             window, with the word and the description ``name(j)`` gives.
     """
-    fits: List[Optional[Tuple]] = [None] * width
-    for shift, (window, validation, fit) in enumerate(_windows(pool, bound)):
+    need = bound + 1
+    fits: List[Optional[Fit]] = [None] * width
+    for shift in range(MAX_WINDOW_SHIFT + 1):
+        rows = [pool.row(k) for k in range(shift, shift + need + VALIDATION_PRIMES)]
+        drawn = tuple(p for p, _ in rows)
+        window, validation = drawn[:need], drawn[need:]
+        weights = lagrange_weights(window, (1, *validation))
+        d = weights.denominator
+        w_one, *w_checks = weights.at
+        window_cols = list(zip(*(vec for _, vec in rows[:need])))
+        check_cols = list(zip(*(vec for _, vec in rows[need:])))
         for j, done in enumerate(fits):
             if done is None:
-                euler = fit(j)
-                if euler is not None:
-                    fits[j] = shift, window, validation, euler
+                ys, checks = window_cols[j], zip(w_checks, check_cols[j])
+                at_one, rem = divmod(sum(map(mul, w_one, ys)), d)
+                if not rem and all(sum(map(mul, w, ys)) == d * y for w, y in checks):
+                    fits[j] = shift, window, validation, at_one
         if None not in fits:
             return fits
     word, what = name(fits.index(None))
@@ -1029,7 +983,7 @@ def euler_characteristic(
     if word_content(m.quiver, word, coeffs) != m.dim:
         raise ValueError("word content differs from the module dimension")
     pool = _PrimePool(
-        _module_sampler(m, _trie((_steps(m.quiver, word, coeffs),), None)),
+        _module_sampler(m, _chain(m, word, coeffs, None)),
         prime_list,
     )
     word, bound = tuple(word), degree_bound(m)
@@ -1135,7 +1089,7 @@ def count_flags_by_splitting(
     dim = tuple(a + b for a, b in zip(left.dim, right.dim))
     if word_content(left.quiver, word, coeffs) != dim:
         raise ValueError("word content differs from the module dimension")
-    whole_table = memo is not None and _multiplicity_one(coeffs)
+    one_word = None if memo is not None and _multiplicity_one(coeffs) else word
     if memo is None:
         memo = {}
     _guard(memo, _ends(left.dq))
@@ -1145,11 +1099,8 @@ def count_flags_by_splitting(
     whole = memo.get(key)
     if whole is None:
         whole = memo[key] = _glue(left, right, None)
-    if whole_table:
-        keys, trie = _split_table(left, right, memo)[tuple(word)]
-    else:
-        keys, steps = _split_steps(left, right, word, coeffs)
-        trie = _trie(steps, memo)
+    table = _split_table(left.quiver, left.dim, right.dim, memo, one_word, coeffs)
+    keys, trie = table[tuple(word)]
     counts = _count_row(whole, trie, memo)
     return {key: n for key, n in zip(keys, counts) if n}
 
@@ -1175,10 +1126,13 @@ def split_euler_table(
         raise ValueError("Euler characteristics are computed over the rationals")
     if left.dq != right.dq:
         raise ValueError("modules live over different double quivers")
-    keys, steps = _split_steps(left, right, word, coeffs)
     whole = direct_sum(left, right)
+    if word_content(whole.quiver, word, coeffs) != whole.dim:
+        raise ValueError("word content differs from the module dimension")
+    table = _split_table(whole.quiver, left.dim, right.dim, None, word, coeffs)
+    keys, trie = table[tuple(word)]
     bound = degree_bound(whole)
-    pool = _PrimePool(_module_sampler(whole, _trie(steps, None)), None)
+    pool = _PrimePool(_module_sampler(whole, trie), None)
     what = f"word {tuple(word)}: counts"
     fits = _sweep(pool, len(keys), bound, lambda j: (tuple(word), what))
     return {key: euler for key, (*_, euler) in zip(keys, fits)}

@@ -306,6 +306,19 @@ def test_a3_fingerprint_json_matches_the_frozen_output(capsys):
     assert len(got["words"]) == 20
 
 
+def test_kronecker_euler_json_matches_the_frozen_output(capsys):
+    # the one-word chain path: the word has a step of multiplicity 2 and
+    # a zero coefficient, and its count at p = 2 (3, not 0) slides the
+    # window past 2; CI compares against it under python3 -S as well
+    here = Path(__file__).parent
+    module = here / "kronecker_2_2.json"
+    argv = ["euler", str(module), "--word", "2,1,2,1", "--coeffs", "2,1,0,1"]
+    assert main([*argv, "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got == json.loads((here / "kronecker_2_2_euler.json").read_text())
+    assert got["samples"][0] == [2, 3] and got["window"] == [3, 5, 7]
+
+
 def test_example_d4_generic_parameter_choice(capsys):
     assert main(["example-d4", "--lambda", "2", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

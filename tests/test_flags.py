@@ -60,13 +60,81 @@ def y_module(dq):
 
 
 def refuse_whole_tables(monkeypatch):
-    """Fail the test if a whole word or split table is built."""
+    """Fail the test if a whole word or split table is built; the split
+    table of one word passes."""
+    real = flags._split_table
 
     def refuse(*args):
         raise AssertionError("a whole table was built")
 
+    def one_word(q, left, right, memo, word=None, coeffs=None):
+        if word is None:
+            refuse()
+        return real(q, left, right, memo, word, coeffs)
+
     monkeypatch.setattr(flags, "_word_table", refuse)
-    monkeypatch.setattr(flags, "_split_table", refuse)
+    monkeypatch.setattr(flags, "_split_table", one_word)
+
+
+# The reference trie builder: step sequences written out as paths,
+# sorted and grouped by first step, with no content recursion.  Every
+# trie of flags._table must be the node this makes of the same table.
+
+
+def path_steps(q, word, coeffs, drops=None):
+    """The effective (vertex index, multiplicity, drop) steps of a word;
+    zero coefficients drop out.  ``drops`` default to 0, which tracks
+    nothing."""
+    if coeffs is None:
+        coeffs = [1] * len(word)
+    if drops is None:
+        drops = [0] * len(word)
+    idx = q.vertex_index
+    return tuple((idx[v], c, d) for v, c, d in zip(word, coeffs, drops) if c > 0)
+
+
+def path_split_steps(left, right, word, coeffs):
+    """Every splitting type (c', c'') of (word, coeffs) between the two
+    summands, in enumeration order, and the steps that count it on their
+    direct sum: the drops are c'', the right summand's share."""
+    q = left.quiver
+    keys = enumerate_splittings(q, word, coeffs, left.dim, right.dim)
+    return keys, tuple(path_steps(q, word, coeffs, c_right) for _, c_right in keys)
+
+
+def path_node(paths, k, nodes):
+    """The node of distinct paths, in ascending order, that share their
+    first k steps, interned in ``nodes`` by its (end, cases); a path's
+    steps are (v, c, drop, tracked)."""
+    end = bool(paths) and len(paths[0]) == k
+    groups = {}
+    for path in paths[end:]:
+        groups.setdefault(path[k], []).append(path)
+    cases = tuple(
+        (*step, path_node(same, k + 1, nodes)) for step, same in groups.items()
+    )
+    return flags._intern(end, cases, nodes)
+
+
+def path_trie(steps, memo):
+    """The trie of a step table and the position of every entry in the
+    root's count tuple, made by sorting and grouping the sequences; nodes
+    are interned in ``memo`` as flags._table interns them.  A step's
+    tracked amount is the sum of the drops at its vertex from it to the
+    end of its sequence.  Positions follow the ascending order of the
+    sequences written with their tracked amounts, which is the node
+    order; repeated entries share a position."""
+    paths = []
+    for seq in steps:
+        left, path = {}, []
+        for v, c, drop in reversed(seq):
+            left[v] = left.get(v, 0) + drop
+            path.append((v, c, drop, left[v]))
+        paths.append(tuple(reversed(path)))
+    order = sorted(set(paths))
+    rank = {path: r for r, path in enumerate(order)}
+    nodes = {} if memo is None else memo.setdefault(flags._NODES_KEY, {})
+    return path_node(order, 0, nodes), tuple(rank[path] for path in paths)
 
 
 def gaussian_binomial(r, k, p):
@@ -130,6 +198,7 @@ def test_guards_name_the_bad_input():
         (lambda: count_flags_by_splitting(xp, xp, ("1", "2")), content),
         (lambda: split_euler_table(xp, x, word), need_q),
         (lambda: split_euler_table(x, other, word), quivers),
+        (lambda: split_euler_table(x, x, ("1", "2")), content),
     ]
     for call, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -169,20 +238,25 @@ def test_memo_refuses_a_second_double_quiver():
 
 
 def test_trie_nodes_are_interned_in_their_memo():
-    # two tables whose words end alike share the node of their common
+    # two chains whose words end alike share the node of their common
     # rest through one memo, and only through it: nothing is kept for
     # the process
-    left = (((0, 1, 0), (1, 1, 0), (2, 1, 0)),)
-    right = (((1, 1, 0), (1, 1, 0), (2, 1, 0)), ((2, 1, 0), (1, 1, 0), (1, 1, 0)))
+    zero = (0, 0, 0)
+    left, right = ((0, 1), (1, 1), (2, 1)), ((1, 1), (1, 1), (2, 1))
     memo = {}
-    (root, where), (other, _) = flags._trie(left, memo), flags._trie(right, memo)
-    assert where == (0,) and len(root) == 3 and root.size == 1
-    assert len(other) == 3 and other.size == 2
+    root = flags._table((1, 1, 1), zero, memo, left)
+    other = flags._table((0, 2, 1), zero, memo, right)
+    assert len(root) == 3 and root.size == 1
+    assert len(other) == 3 and other.size == 1
     rest = root.cases[0][-1]
     assert other.cases[0][-1] is rest
-    assert flags._trie(left, memo)[0] is root
-    assert flags._trie(right, None)[0].cases[0][-1] is not rest
-    assert flags._trie(left, {})[0] is not root
+    # a letter of coefficient 2 is one step that places both factors
+    block = flags._table((0, 2, 1), zero, memo, ((1, 2), (2, 1)))
+    assert len(block) == 2 and block.cases[0][:4] == (1, 2, 0, 0)
+    assert block.cases[0][-1] is rest.cases[0][-1]
+    assert flags._table((1, 1, 1), zero, memo, left) is root
+    assert flags._table((0, 2, 1), zero, None, right).cases[0][-1] is not rest
+    assert flags._table((1, 1, 1), zero, {}, left) is not root
 
 
 def test_s4_pair_counts_are_projective_line(monkeypatch):
@@ -594,7 +668,7 @@ def test_splitting_types_share_the_enumeration(monkeypatch, rng_seed):
         rm = RowModule.of(whole)
         for word in enumerate_words(whole.quiver, whole.dim):
             full, orbits = enumerated(lambda: count_flags_by_splitting(lp, rp, word))
-            root, _ = flags._trie((flags._steps(whole.quiver, word, None),), None)
+            root, _ = path_trie((path_steps(whole.quiver, word, None),), None)
             every, none = enumerated(lambda: every_piece_count(rm, root, {}))
             assert none == 0
             assert full <= every and orbits <= every, (word, p, full, orbits, every)
@@ -637,17 +711,17 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
                 continue
             whole = direct_sum(lp, rp)
             words, trie = flags._word_table(whole.quiver, whole.dim)
-            steps = tuple(flags._steps(whole.quiver, w, None) for w in words)
+            steps = tuple(path_steps(whole.quiver, w, None) for w in words)
             asked.clear()
             rm = RowModule.of(whole)
             row = flags._count_row(rm, trie, {})
             assert len(asked) == len(set(asked)), (whole.dim, p)
             assert asked or not any(any(map(any, x)) for x in rm.rows), (whole.dim, p)
-            splits = [flags._split_steps(lp, rp, w, None) for w in words]
+            splits = [path_split_steps(lp, rp, w, None) for w in words]
             table = steps + tuple(s for _, split in splits for s in split)
             # words and splitting types in one row, so the trie mixes
             # drop-free and tracked steps
-            mixed = flags._count_row(rm, flags._trie(table, None), {})
+            mixed = flags._count_row(rm, path_trie(table, None), {})
             assert mixed[: len(words)] == row
             want = []
             for word, n, (keys, _) in zip(words, row, splits):
@@ -659,18 +733,34 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
             order = list(range(len(table)))
             rng.shuffle(order)
             shuffled = tuple(table[i] for i in order)
-            assert flags._count_row(rm, flags._trie(shuffled, None), {}) == tuple(
+            assert flags._count_row(rm, path_trie(shuffled, None), {}) == tuple(
                 mixed[i] for i in order
             )
             rows += 1
     assert rows >= 6
 
 
+def coefficient_word(word, rng):
+    """A word with coefficients of the same content: each run of equal
+    letters merged into one letter of that multiplicity, and a letter of
+    coefficient 0 put in at a random place."""
+    letters, coeffs = [], []
+    for v, run in groupby(word):
+        letters.append(v)
+        coeffs.append(len(list(run)))
+    k = rng.randrange(len(letters) + 1)
+    letters.insert(k, rng.choice(word))
+    coeffs.insert(k, 0)
+    return tuple(letters), tuple(coeffs)
+
+
 def test_tables_built_from_contents_match_tries_built_from_paths(rng_seed):
-    # a whole word or split table is built from the remaining dimension
-    # vectors: through one memo its root must be the very node that
-    # _trie makes of the table's step sequences, with the same
-    # positions, and each word's split keys in enumeration order
+    # every trie is built from the remaining dimension vectors: through
+    # one memo its root must be the very node that the path builder makes
+    # of the same step sequences, with the same positions, and each
+    # word's split keys in enumeration order.  That holds for whole word
+    # and split tables, and for one word with coefficients (zeros among
+    # them), as a chain or split between two summands
     rng = random.Random(rng_seed + 41)
     a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
     kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
@@ -687,17 +777,22 @@ def test_tables_built_from_contents_match_tries_built_from_paths(rng_seed):
         memo = {}
         words, (root, where) = flags._word_table(m.quiver, m.dim, memo)
         assert words == enumerate_words(m.quiver, m.dim)
-        steps = tuple(flags._steps(m.quiver, w, None) for w in words)
-        oracle, at = flags._trie(steps, memo)
+        steps = tuple(path_steps(m.quiver, w, None) for w in words)
+        oracle, at = path_trie(steps, memo)
         assert root is oracle and where == at, m.dim
+        for w in rng.sample(words, min(4, len(words))):
+            cw, cc = coefficient_word(w, rng) if w else (w, None)
+            oracle, at = path_trie((path_steps(m.quiver, cw, cc),), memo)
+            assert flags._chain(m, cw, cc, memo) == (oracle, at) == (oracle, (0,))
+    zeros = blocks = 0
     for left, right in pairs:
         memo = {}
-        table = flags._split_table(left, right, memo)
         q = left.quiver
+        table = flags._split_table(q, left.dim, right.dim, memo)
         words = enumerate_words(q, direct_sum(left, right).dim)
         assert set(table) == set(words)
-        split = [flags._split_steps(left, right, w, None) for w in words]
-        oracle, at = flags._trie([s for _, steps in split for s in steps], memo)
+        split = [path_split_steps(left, right, w, None) for w in words]
+        oracle, at = path_trie([s for _, steps in split for s in steps], memo)
         k = 0
         for word, (keys, _) in zip(words, split):
             got, (root, where) = table[word]
@@ -705,40 +800,18 @@ def test_tables_built_from_contents_match_tries_built_from_paths(rng_seed):
             assert root is oracle and where == at[k : k + len(keys)], word
             k += len(keys)
         assert k == len(at)
-
-
-def test_whole_tables_are_not_grouped_by_paths(monkeypatch):
-    # word and split tables are built from the remaining dimension
-    # vectors, so building and counting them never sorts and groups
-    # step sequences into nodes
-    dq = d4.star_double()
-    t, s4 = d4.t_module(dq), d4.s4_module(dq)
-    whole = direct_sum(t, s4)
-    p = 5
-    tp, s4p, wp = (reduce_mod_p(m, p) for m in (t, s4, whole))
-    words = enumerate_words(whole.quiver, whole.dim)
-    want = [
-        (count_flags(wp, w).count, count_flags_by_splitting(tp, s4p, w))
-        for w in words
-    ]
-
-    def refuse(*args):
-        raise AssertionError("a table was grouped by its step sequences")
-
-    monkeypatch.setattr(flags, "_node", refuse)
-    memo = {}
-    assert flags._word_table(whole.quiver, whole.dim, memo)[0] == words
-    assert set(flags._split_table(tp, s4p, memo)) == set(words)
-    plain_memo, split_memo = {}, {}
-    got = [
-        (
-            count_flags(wp, w, memo=plain_memo).count,
-            count_flags_by_splitting(tp, s4p, w, memo=split_memo),
-        )
-        for w in words
-    ]
-    assert got == want
-    assert fingerprint(t).chi == fingerprint(t, memo={}).chi
+        kept = set(memo)
+        for w in rng.sample(words, min(4, len(words))):
+            cw, cc = coefficient_word(w, rng) if w else (w, None)
+            keys, steps = path_split_steps(left, right, cw, cc)
+            oracle, at = path_trie(steps, memo)
+            one = flags._split_table(q, left.dim, right.dim, memo, cw, cc)
+            assert one == {cw: (keys, (oracle, at))}, cw
+            zeros += cc is not None and 0 in cc
+            blocks += cc is not None and max(cc) > 1
+        # one word's table is kept nowhere; only its nodes are interned
+        assert set(memo) == kept
+    assert zeros >= 20 and blocks >= 5
 
 
 def every_piece_count(m, node, memo, pieces=None):
@@ -841,8 +914,8 @@ def test_orbit_counts_match_the_every_piece_recursion(monkeypatch, rng_seed):
             else:
                 m = direct_sum(lp, rp)
                 words = enumerate_words(m.quiver, m.dim)
-                split = [flags._split_steps(lp, rp, w, None)[1] for w in words]
-                trie = flags._trie([s for steps in split for s in steps], None)
+                split = [path_split_steps(lp, rp, w, None)[1] for w in words]
+                trie = path_trie([s for steps in split for s in steps], None)
             rm = RowModule.of(m)
             asked.clear()
             row = flags._count_row(rm, trie, {})
@@ -885,7 +958,7 @@ def split_table_trie(left, right):
     with the positions of the types in word order: every word's slice of
     the split table has the same root."""
     words = enumerate_words(left.quiver, direct_sum(left, right).dim)
-    table = flags._split_table(left, right, {})
+    table = flags._split_table(left.quiver, left.dim, right.dim, {})
     root = table[words[0]][1][0]
     return root, tuple(i for w in words for i in table[w][1][1])
 
@@ -938,11 +1011,11 @@ def test_count_rows_match_the_oracles_through_forced_and_zero_pieces(
             if rp is None:
                 m = lp
                 words, trie = flags._word_table(m.quiver, m.dim)
-                steps = [flags._steps(m.quiver, w, None) for w in words]
+                steps = [path_steps(m.quiver, w, None) for w in words]
             else:
                 m, trie = direct_sum(lp, rp), split_table_trie(lp, rp)
                 words = enumerate_words(m.quiver, m.dim)
-                split = [flags._split_steps(lp, rp, w, None)[1] for w in words]
+                split = [path_split_steps(lp, rp, w, None)[1] for w in words]
                 steps = [s for word_steps in split for s in word_steps]
             rm = RowModule.of(m)
             row = flags._count_row(rm, trie, {})
@@ -953,7 +1026,7 @@ def test_count_rows_match_the_oracles_through_forced_and_zero_pieces(
             assert row == tuple(listed[i] for i in where), (m.dim, p)
             memo = {}
             chains = tuple(
-                flags._count_row(rm, flags._trie((s,), None), memo)[0] for s in steps
+                flags._count_row(rm, path_trie((s,), None), memo)[0] for s in steps
             )
             assert row == chains, (m.dim, p)
             rows += 1
@@ -995,14 +1068,21 @@ def test_the_zero_piece_keeps_the_stability_check():
 
 
 def test_split_counts_with_multiplicity_two(monkeypatch):
-    # a word with coefficients is one chain, with a memo or without
+    # a word with coefficients counts only its own splitting types, with
+    # a memo or without; a zero coefficient splits as (0, 0)
     refuse_whole_tables(monkeypatch)
     dq = a2_double()
-    s1 = simple(dq, "1", QQ)
+    s1, x = simple(dq, "1", QQ), x_module(dq)
     pair = direct_sum(s1, s1)
     word, coeffs = ("1", "1"), (2, 1)
+    padded, gaps = ("2", "1", "1", "2"), (0, 1, 1, 1)
     for p in (2, 3, 5):
-        s1p, pair_p = reduce_mod_p(s1, p), reduce_mod_p(pair, p)
+        s1p, pair_p, xp = (reduce_mod_p(m, p) for m in (s1, pair, x))
+        for memo in (None, {}):
+            assert count_flags_by_splitting(s1p, xp, padded, gaps, memo) == {
+                ((0, 0, 1, 0), (0, 1, 0, 1)): p,
+                ((0, 1, 0, 0), (0, 0, 1, 1)): 1,
+            }
         assert count_flags_by_splitting(pair_p, s1p, word, coeffs) == {
             ((1, 1), (1, 0)): p * p + p,
             ((2, 0), (0, 1)): 1,
@@ -1019,6 +1099,10 @@ def test_split_counts_with_multiplicity_two(monkeypatch):
     assert split_euler_table(s1, pair, word, coeffs) == {
         ((0, 1), (2, 0)): 1,
         ((1, 0), (1, 1)): 2,
+    }
+    assert split_euler_table(s1, x, padded, gaps) == {
+        ((0, 0, 1, 0), (0, 1, 0, 1)): 1,
+        ((0, 1, 0, 0), (0, 0, 1, 1)): 1,
     }
 
 

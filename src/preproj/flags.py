@@ -18,8 +18,9 @@ at the validation primes are integer dot products with the window counts,
 and a :class:`Polynomial` is made only when a profile's is read.  One
 sweep over the windows, one per shift (:func:`_sweep`), fits every count
 column, a fingerprint's words, a split table's splitting types and a
-stratification's stratum sizes alike: each column keeps the first window
-it passes at.
+stratification's stratum sizes alike: each window checks every pending
+column at once, one window row at a time, and each column keeps the
+first window it passes at.
 
 Every count is one row: the step sequences of a table (the words of a
 fingerprint, the splitting types of a split count, or a single word)
@@ -31,11 +32,13 @@ vector, or every splitting type of every word of a direct sum) places
 any vertex next, and the trie of one word with coefficients, or of one
 word's splitting types, places only the word's next letter.
 Counts are memoized per module and trie node, child lists per module,
-vertex and multiplicity, orbit lists (below) per module and vertex, and
-the glued direct sums of split counts per pair, in a plain dict under
-keys that hold the prime and the modules' dimension vectors and rows,
-so one dict can serve every module, prime and table of one double
-quiver.  The dict also
+vertex and multiplicity, and the glued direct sums of split counts per
+pair, in a plain dict under keys that hold the prime and the modules'
+dimension vectors and rows, so one dict can serve every module, prime
+and table of one double quiver.  Orbit lists (below) are not kept: a
+module of a word table is reached only at the trie node of its own
+dimension vector, so the count memo answers every repeat before its
+orbit list is asked for again.  The dict also
 interns the nodes of the tries counted through it: equal rests of any
 of its tables are one node, so a word, a fingerprint row, a stratum row
 and a split table that end alike share their counts below that point.
@@ -45,10 +48,10 @@ beside its word list, and so is the table of every splitting type of
 every word of a direct sum.  A single count or fingerprint starts a
 fresh dict per prime; a verification or stratification is one job (see
 :mod:`preproj.verify`) and passes one dict to all the modules it
-counts, so an anchor's row counted by its fingerprint is not counted
-again when the strata are matched against it.  The dict records the
-arrows of the first module counted through it and refuses a module of
-another double quiver.
+counts, and an anchor's row at a prime its fingerprint sampled is read
+from the fingerprint's pool when the strata are matched against it.
+The dict records the arrows of the first module counted through it and
+refuses a module of another double quiver.
 
 A dict passed to :func:`count_flags` or :func:`count_flags_by_splitting`
 says that more words of the same module follow, so a multiplicity-one
@@ -81,12 +84,13 @@ images already has the codimension c the step asks for, the one piece is
 R itself, kept as it is with no subspace enumerated (:func:`_pieces`),
 and a case whose one piece or orbit has weight 1 passes its child's
 count tuple on unchanged (:func:`_count`).  When the step peels the
-whole v-piece, that piece is zero, and
-:func:`~preproj.module.restrict_rows` takes a short branch for it: the
-arrows out of v lose their columns, and the arrows into v must be zero.
-A one-dimensional v-piece has only that zero hyperplane, so a step of
-multiplicity 1 there needs no elimination: a zero test of the arrows
-into v decides whether it is kept (:func:`_zero_piece`).  And on a
+whole v-piece, that piece is zero: the arrows out of v lose their
+columns, and the arrows into v must be zero.  A one-dimensional v-piece
+has only that zero hyperplane, so a step of multiplicity 1 there needs
+no elimination: one pass over the arrows tests the arrows into v for
+zero and builds the zero piece as it goes (:func:`_zero_piece`).  A
+forced zero piece of a larger step takes the short branch of
+:func:`~preproj.module.restrict_rows` that does the same.  And on a
 module whose arrows are all zero the flags of every untracked
 multiplicity-one sequence are counted in closed form (:func:`_count`).
 
@@ -100,7 +104,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, count, product
-from operator import mul
 from typing import (
     Callable,
     Dict,
@@ -413,11 +416,13 @@ def _children(
     return children
 
 
-def _orbits(m: RowModule, v: int, memo: Dict) -> List[Tuple[int, RowModule]]:
+def _orbits(m: RowModule, v: int) -> List[Tuple[int, RowModule]]:
     """The hyperplane pieces at v that contain all incoming images, one
     per orbit of the automorphisms of m that are the identity off v, as
-    (orbit size, restricted module); cached in the memo under (p, dim,
-    rows, v).
+    (orbit size, restricted module).  Nothing is cached: a word table
+    reaches a module only at the trie node of its own dimension vector,
+    where :func:`_count`'s memo answers every repeat, so an orbit list is
+    asked for once per (module, vertex) of a word row.
 
     Write R for the span of the incoming images, K for the common kernel
     of the arrows out of v, t = dim V_v/R, s = dim (R+K)/R and [n]_p =
@@ -433,14 +438,9 @@ def _orbits(m: RowModule, v: int, memo: Dict) -> List[Tuple[int, RowModule]]:
     (see :func:`_pieces`).  At a one-dimensional v-piece that piece is
     zero, and :func:`_zero_piece` finds it with no elimination.
     """
-    p = m.field.p
-    key = (p, m.dim, m.rows, v)
-    orbits = memo.get(key)
-    if orbits is not None:
-        return orbits
     if m.dim[v] == 1:
-        orbits = memo[key] = [(1, piece) for piece in _zero_piece(m, v)]
-        return orbits
+        return [(1, piece) for piece in _zero_piece(m, v)]
+    p = m.field.p
     u = _incoming(m, v)
     d, t = m.dim[v], m.dim[v] - len(u)
     wide = u
@@ -452,7 +452,7 @@ def _orbits(m: RowModule, v: int, memo: Dict) -> List[Tuple[int, RowModule]]:
             for row in rows
         ]
         wide = echelon([*u.values(), *_kernel_rows(echelon(out, p), d, p)], p)
-    orbits = memo[key] = [(1, piece) for _, piece in _pieces(m, v, wide, 1)]
+    orbits = [(1, piece) for _, piece in _pieces(m, v, wide, 1)]
     s = len(wide) - len(u)
     if s:
         j = min(q for q in wide if q not in u)
@@ -473,11 +473,21 @@ def _zero_piece(m: RowModule, v: int) -> List[RowModule]:
     """The hyperplane pieces of a one-dimensional v-piece that contain
     all incoming images, found with no elimination: the one hyperplane
     is zero, so there is none when an arrow into v has a nonzero entry
-    (entries are reduced mod p), and otherwise the zero piece, restricted
-    as :func:`_pieces` would restrict it."""
-    if any(any(map(any, rows)) for rows, (_, _, t) in zip(m.rows, m.arrows) if t == v):
-        return []
-    return [restrict_rows(m, v, (), ())]
+    (entries are reduced mod p), and otherwise the zero piece.  One pass
+    over the arrows makes the test and the restriction together: the
+    arrows out of v lose their columns and the arrows into v their rows,
+    the same :class:`~preproj.module.RowModule` that
+    ``restrict_rows(m, v, (), ())`` makes, so memo keys agree."""
+    out = list(m.rows)
+    for a, (rows, (_, source, target)) in enumerate(zip(m.rows, m.arrows)):
+        if target == v:
+            if any(map(any, rows)):
+                return []
+            out[a] = ()
+        elif source == v:
+            out[a] = ((),) * len(rows)
+    dim = (*m.dim[:v], 0, *m.dim[v + 1 :])
+    return [RowModule(m.field, dim, tuple(out), m.arrows)]
 
 
 def _incoming(m: RowModule, v: int) -> Dict[int, List[int]]:
@@ -681,11 +691,12 @@ def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
     v-piece (there are no incoming images), and its restriction again has
     all arrows zero.
 
-    Count tuples are memoized under (p, dim, rows, node), child lists
-    under (p, dim, rows, v, c) and orbit lists under (p, dim, rows, v).
-    The keys hold no arrows, so one dict may serve any modules and primes
-    of one double quiver: the words and splitting types of one module, or
-    every module of one verification job.
+    Count tuples are memoized under (p, dim, rows, node) and child lists
+    under (p, dim, rows, v, c); orbit lists are made afresh, since a word
+    row asks for each (module, vertex) once.  The keys hold no arrows, so
+    one dict may serve any modules and primes of one double quiver: the
+    words and splitting types of one module, or every module of one
+    verification job.
     """
     if not node:
         # every sequence left is empty and counts the one empty flag
@@ -706,7 +717,7 @@ def _count(m: RowModule, node: _Node, memo: Dict) -> Tuple[int, ...]:
     for v, c, drop, tracked, child in node.cases:
         if c == 1 and not tracked:
             below = []
-            for size, piece in _orbits(m, v, memo):
+            for size, piece in _orbits(m, v):
                 got = _count(piece, child, memo)
                 below.append(got if size == 1 else [size * n for n in got])
         else:
@@ -899,7 +910,10 @@ def _sweep(
     (cached) turn each check into integer dot products with the column's
     window counts y: with common denominator D, the fit is integral at 1
     exactly when D divides w_1 . y, and it validates at p exactly when
-    w_p . y equals D times the count at p.  No polynomial is built;
+    w_p . y equals D times the count at p.  A window checks all pending
+    columns at once, one window row at a time: w_1 . y and each w_p . y
+    of every pending column are entries of integer combinations of whole
+    rows (:func:`_combine`).  No polynomial is built;
     :func:`_window_polynomial` makes one from the window counts when it
     is asked for.
 
@@ -909,22 +923,27 @@ def _sweep(
     """
     need = bound + 1
     fits: List[Optional[Fit]] = [None] * width
+    pending = list(range(width))
     for shift in range(MAX_WINDOW_SHIFT + 1):
         rows = [pool.row(k) for k in range(shift, shift + need + VALIDATION_PRIMES)]
         drawn = tuple(p for p, _ in rows)
         window, validation = drawn[:need], drawn[need:]
         weights = lagrange_weights(window, (1, *validation))
         d = weights.denominator
+        vecs = [vec for _, vec in rows]
+        if len(pending) < width:
+            vecs = [[vec[j] for j in pending] for vec in vecs]
         w_one, *w_checks = weights.at
-        window_cols = list(zip(*(vec for _, vec in rows[:need])))
-        check_cols = list(zip(*(vec for _, vec in rows[need:])))
-        for j, done in enumerate(fits):
-            if done is None:
-                ys, checks = window_cols[j], zip(w_checks, check_cols[j])
-                at_one, rem = divmod(sum(map(mul, w_one, ys)), d)
-                if not rem and all(sum(map(mul, w, ys)) == d * y for w, y in checks):
-                    fits[j] = shift, window, validation, at_one
-        if None not in fits:
+        at_one = _combine(w_one, vecs[:need])
+        ok = [not n % d for n in at_one]
+        for w, vec in zip(w_checks, vecs[need:]):
+            got = _combine(w, vecs[:need])
+            ok = [o and n == d * y for o, n, y in zip(ok, got, vec)]
+        for j, n, passed in zip(pending, at_one, ok):
+            if passed:
+                fits[j] = shift, window, validation, n // d
+        pending = [j for j, passed in zip(pending, ok) if not passed]
+        if not pending:
             return fits
     word, what = name(fits.index(None))
     raise NonPolynomialCount(
@@ -932,6 +951,16 @@ def _sweep(
         f"{what} fail {VALIDATION_PRIMES}-prime validation "
         f"at every window shift up to {MAX_WINDOW_SHIFT}",
     )
+
+
+def _combine(weights: Sequence[int], vecs: Sequence[Sequence[int]]) -> List[int]:
+    """The integer combination sum of weights[k] * vecs[k] of whole rows,
+    entry by entry."""
+    (w, vec), *rest = zip(weights, vecs)
+    total = [w * y for y in vec]
+    for w, vec in rest:
+        total = [t + w * y for t, y in zip(total, vec)]
+    return total
 
 
 def _profiles(

@@ -22,6 +22,9 @@ stratification called on its own, is one job with one count memo (see
 :mod:`preproj.flags`): the anchors' fingerprints, the middle terms of
 the extension classes and the direct sum all count through it, and a
 count row or child list found for one of them is reused by the others.
+A stratification reads an anchor's count row at a prime its
+fingerprint's sample pool drew straight from that pool, and reduces
+and counts the anchor only at the primes the pool did not draw.
 The memo also keeps the presentations of Ext^1, so a job presents each
 direction once per field.  A report reads every result once: the right
 side is summed stratum by stratum, and the primes it lists are those
@@ -172,11 +175,13 @@ def stratify_proj_ext(
     Ext^1 basis of the reduced pair, its middle term is counted over the
     one step table of the anchors' dimension vector, and the classes are
     grouped by count vector; each group must match exactly one anchor.
-    A prime is skipped when something fails to reduce, when an arrow of
-    xp or xpp acts with lower rank mod p than over Q (the reduced pair
-    need not be the pair's own reduction up to isomorphism then), when a
-    Hom or Ext^1 dimension jumps, or when two anchors become
-    indistinguishable there.  Anchors are matched by their counts alone
+    An anchor's row at a prime its fingerprint drew is that fingerprint's
+    pool row, so the anchor is reduced and counted only at the other
+    primes.  A prime is skipped when something fails to reduce, when an
+    arrow of xp or xpp acts with lower rank mod p than over Q (the
+    reduced pair need not be the pair's own reduction up to isomorphism
+    then), when a Hom or Ext^1 dimension jumps, or when two anchors
+    become indistinguishable there.  Anchors are matched by their counts alone
     and are not rank-checked.  Each anchor's group sizes are then fitted
     across the sampled primes like a fingerprint word, on the first
     window at which they pass.
@@ -191,8 +196,8 @@ def stratify_proj_ext(
             capped at CANDIDATE_CAP candidates).
         memo: the job's count memo, valid for one double quiver; the
             anchors' fingerprints and every sampled prime count through
-            it, so an anchor's row is counted once per prime, and it
-            keeps the presentations of Ext^1 over Q and mod p.  When
+            it, and it keeps the presentations of Ext^1 over Q and
+            mod p.  When
             omitted, the stratification is a job of its own and counts
             through one fresh dict.
 
@@ -228,6 +233,7 @@ def stratify_proj_ext(
                 f"anchor {name} has dimension vector {mod.dim}, expected {want}"
             )
     fps = tuple(fingerprint(mod, prime_list, memo=memo) for mod in mods)
+    drawn = [dict(fp._rows) for fp in fps]
     _, trie = _word_table(xp.quiver, want, memo)
     ranks = _arrow_ranks(xp), _arrow_ranks(xpp)
     collisions: List[int] = []
@@ -236,7 +242,12 @@ def stratify_proj_ext(
         try:
             xp_p = reduce_mod_p(xp, p)
             xpp_p = reduce_mod_p(xpp, p)
-            mods_p = [_reduce_rows(mod, p) for mod in mods]
+            # the anchors whose fingerprints did not sample p, mod p
+            fresh = {
+                i: _reduce_rows(mod, p)
+                for i, (mod, rows) in enumerate(zip(mods, drawn))
+                if p not in rows
+            }
         except BadPrime:
             return None
         if (_arrow_ranks(xp_p), _arrow_ranks(xpp_p)) != ranks:
@@ -250,7 +261,10 @@ def stratify_proj_ext(
             or back_p.ext1_dim != back.ext1_dim
         ):
             return None
-        keys = [_count_row(mod_p, trie, memo) for mod_p in mods_p]
+        keys = [
+            _count_row(fresh[i], trie, memo) if i in fresh else rows[p]
+            for i, rows in enumerate(drawn)
+        ]
         if len(set(keys)) != len(keys):
             collisions.append(p)
             return None

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from preproj import d4, flags
+from preproj import d4, flags, verify
 from preproj.cli import main
 from preproj.fields import QQ
 from preproj.module import LambdaModule, direct_sum
@@ -244,6 +244,23 @@ def test_example_d4_json_matches_the_frozen_output(capsys):
         assert {tuple(s["window"]) for s in fwd} == {window}, lam
 
 
+def test_example_d4_on_explicit_primes_matches_the_frozen_output(capsys, monkeypatch):
+    # frozen before the stratifier read anchors' count rows from their
+    # fingerprints' sample pools: on these primes the fingerprints draw
+    # every prime the strata sample, so no anchor is reduced again; CI
+    # compares against it under python3 -S as well
+    def refuse(m, p):
+        raise AssertionError(f"an anchor was reduced again at {p}")
+
+    monkeypatch.setattr(verify, "_reduce_rows", refuse)
+    args = ["example-d4", "--primes", "5,7,11,13,17,19,23", "--format", "json"]
+    assert main(args) == 0
+    got = json.loads(capsys.readouterr().out, object_hook=without_elapsed)
+    want = Path(__file__).with_name("example_d4_primes.json").read_text()
+    assert got == json.loads(want, object_hook=without_elapsed)
+    assert got["passed"] is True
+
+
 def test_family_fingerprint_json_matches_the_frozen_output(capsys):
     # the star family at lambda = 2 slides some words' windows and not
     # others, so the frozen samples and windows pin every word's fit; CI
@@ -266,8 +283,8 @@ def test_kronecker_fingerprint_json_matches_the_frozen_output(capsys, monkeypatc
     real = flags._orbits
     mixed = []
 
-    def recorded(m, v, memo):
-        orbits = real(m, v, memo)
+    def recorded(m, v):
+        orbits = real(m, v)
         sizes = [size for size, _ in orbits]
         mixed.append(1 in sizes and max(sizes) > 1)
         return orbits

@@ -10,7 +10,8 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import count, groupby, islice
+from operator import mul
 
 import pytest
 
@@ -29,7 +30,15 @@ from preproj.flags import (
     split_chi_sum,
     split_euler_table,
 )
-from preproj.linalg import Matrix, Polynomial, hstack, kernel_basis, rank, solve
+from preproj.linalg import (
+    Matrix,
+    Polynomial,
+    hstack,
+    kernel_basis,
+    lagrange_weights,
+    rank,
+    solve,
+)
 from preproj.module import (
     BadPrime,
     LambdaModule,
@@ -692,9 +701,9 @@ def test_count_rows_agree_with_single_words_and_the_chain_oracle(
         asked.append((m.field.p, m.dim, m.rows, v, c))
         return real_children(m, v, c, memo)
 
-    def orbits(m, v, memo):
+    def orbits(m, v):
         asked.append((m.field.p, m.dim, m.rows, v))
-        return real_orbits(m, v, memo)
+        return real_orbits(m, v)
 
     monkeypatch.setattr(flags, "_children", children)
     monkeypatch.setattr(flags, "_orbits", orbits)
@@ -872,17 +881,15 @@ def test_orbit_counts_match_the_every_piece_recursion(monkeypatch, rng_seed):
     regimes = Counter()
     asked = []
 
-    def recorded(m, v, memo):
+    def recorded(m, v):
         asked.append((m.field.p, m.dim, m.rows, v))
-        before = len(memo)
-        orbits = real(m, v, memo)
-        if len(memo) > before:
-            p, (t, s) = m.field.p, orbit_regime(m, v)
-            assert sum(size for size, _ in orbits) == gaussian_binomial(t, 1, p)
-            if t >= 2:
-                fixed = sum(size == 1 for size, _ in orbits)
-                assert fixed == gaussian_binomial(t - s, 1, p), (t, s, p)
-            regimes[t, s] += 1
+        orbits = real(m, v)
+        p, (t, s) = m.field.p, orbit_regime(m, v)
+        assert sum(size for size, _ in orbits) == gaussian_binomial(t, 1, p)
+        if t >= 2:
+            fixed = sum(size == 1 for size, _ in orbits)
+            assert fixed == gaussian_binomial(t - s, 1, p), (t, s, p)
+        regimes[t, s] += 1
         return orbits
 
     monkeypatch.setattr(flags, "_orbits", recorded)
@@ -973,7 +980,7 @@ def test_count_rows_match_the_oracles_through_forced_and_zero_pieces(
     # must equal the every-piece recursion, the same recursion over
     # pieces found among all subspaces, and each entry counted as its
     # own chain
-    real_pieces, real_restrict = flags._pieces, flags.restrict_rows
+    real_pieces, real_zero = flags._pieces, flags._zero_piece
     real_incoming = flags._incoming
     seen, eliminated_at = Counter(), Counter()
 
@@ -981,16 +988,17 @@ def test_count_rows_match_the_oracles_through_forced_and_zero_pieces(
         seen["forced"] += m.dim[v] - c == len(u)
         return real_pieces(m, v, u, c)
 
-    def restricted(m, v, kept, pivots):
-        seen["zero"] += not kept
-        return real_restrict(m, v, kept, pivots)
+    def zero_piece(m, v):
+        found = real_zero(m, v)
+        seen["zero"] += len(found)
+        return found
 
     def incoming(m, v):
         eliminated_at[m.dim[v]] += 1
         return real_incoming(m, v)
 
     monkeypatch.setattr(flags, "_pieces", pieces)
-    monkeypatch.setattr(flags, "restrict_rows", restricted)
+    monkeypatch.setattr(flags, "_zero_piece", zero_piece)
     monkeypatch.setattr(flags, "_incoming", incoming)
     rng = random.Random(rng_seed + 43)
     a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
@@ -1037,13 +1045,46 @@ def test_count_rows_match_the_oracles_through_forced_and_zero_pieces(
     # vertex 2 first counts 0
     x = reduce_mod_p(x_module(a2_double()), 3)
     rm = RowModule.of(x)
-    assert flags._orbits(rm, 1, {}) == flags._children(rm, 1, 1, {}) == []
+    assert flags._orbits(rm, 1) == flags._children(rm, 1, 1, {}) == []
     assert count_flags(x, ("2", "1")).count == 0
     top = restrict_rows(rm, 0, (), ())
-    assert flags._orbits(rm, 0, {}) == [(1, top)]
+    assert flags._orbits(rm, 0) == [(1, top)]
     assert flags._children(rm, 0, 1, {}) == [((), top)]
     assert count_flags(x, ("1", "2")).count == 1
     assert eliminated_at and 1 not in eliminated_at, eliminated_at
+
+
+def test_the_zero_piece_is_restrict_rows_zero_piece(rng_seed):
+    # one pass over the arrows tests the arrows into a one-dimensional v
+    # for zero and builds the zero piece as it goes: the piece must be
+    # restrict_rows' zero piece, field, dimension vector, rows and arrows
+    # alike, so memo keys agree, and there is none exactly when
+    # restrict_rows refuses the zero piece
+    rng = random.Random(rng_seed + 47)
+    a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
+    modules = list(d4.zoo().values())
+    for dq in (a3, kronecker) * 4:
+        left, right = modest_pair(dq, rng)
+        modules += [left, right, direct_sum(left, right)]
+    outcomes = Counter()
+    for p in (2, 3, 5):
+        for m in modules:
+            try:
+                rm = RowModule.of(reduce_mod_p(m, p))
+            except BadPrime:
+                continue
+            for v in (v for v, d in enumerate(rm.dim) if d == 1):
+                try:
+                    want = [restrict_rows(rm, v, (), ())]
+                except ValueError:
+                    want = []
+                got = flags._zero_piece(rm, v)
+                assert [tuple(piece) for piece in got] == [
+                    (piece.field, piece.dim, piece.rows, piece.arrows) for piece in want
+                ], (rm, v)
+                outcomes[bool(want)] += 1
+    assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
 
 
 def test_the_zero_piece_keeps_the_stability_check():
@@ -1322,6 +1363,110 @@ def test_shared_fit_raises_when_no_window_validates():
         "at every window shift up to 6"
     )
     assert len(pool.rows) == flags.MAX_WINDOW_SHIFT + 2 + flags.VALIDATION_PRIMES
+
+
+def column_by_column_sweep(pool, width, bound, name):
+    """The sweep checking one pending column at a time, as dot products
+    of the window weights with that column's window counts."""
+    need = bound + 1
+    fits = [None] * width
+    for shift in range(flags.MAX_WINDOW_SHIFT + 1):
+        rows = [
+            pool.row(k) for k in range(shift, shift + need + flags.VALIDATION_PRIMES)
+        ]
+        drawn = tuple(p for p, _ in rows)
+        window, validation = drawn[:need], drawn[need:]
+        weights = lagrange_weights(window, (1, *validation))
+        d = weights.denominator
+        w_one, *w_checks = weights.at
+        window_cols = list(zip(*(vec for _, vec in rows[:need])))
+        check_cols = list(zip(*(vec for _, vec in rows[need:])))
+        for j, done in enumerate(fits):
+            if done is None:
+                ys, checks = window_cols[j], zip(w_checks, check_cols[j])
+                at_one, rem = divmod(sum(map(mul, w_one, ys)), d)
+                if not rem and all(sum(map(mul, w, ys)) == d * y for w, y in checks):
+                    fits[j] = shift, window, validation, at_one
+        if None not in fits:
+            return fits
+    word, what = name(fits.index(None))
+    raise NonPolynomialCount(
+        word,
+        f"{what} fail {flags.VALIDATION_PRIMES}-prime validation "
+        f"at every window shift up to {flags.MAX_WINDOW_SHIFT}",
+    )
+
+
+def sweep_outcome(sweep, columns, candidates, bound):
+    """What a sweep returns or raises on the count columns, with the
+    rows it drew."""
+    pool = flags._PrimePool(lambda x: tuple(f(x) for f in columns), candidates)
+    try:
+        return "fit", sweep(pool, len(columns), bound, name_column), pool.rows
+    except NonPolynomialCount as exc:
+        return "raised", exc.word, str(exc), pool.rows
+
+
+def count_column(rng, kind, bound):
+    """A count column as a function of the sample point x: an integer
+    polynomial of degree at most bound that passes at shift 0 ("first"),
+    the same polynomial off at the first few points ("later"), or a
+    column that never passes.  At points x = 3 mod 4 the polynomial plus
+    an odd multiple of (x - 3)/4 is integral and validates, and only its
+    value at 1 is not an integer ("half"), at every window or only at
+    the first few ("half later")."""
+    coeffs = [rng.randrange(-6, 7) for _ in range(bound + 1)]
+    odd = 2 * rng.randrange(-3, 3) + 1
+    until = 3 + 4 * rng.randrange(1, flags.MAX_WINDOW_SHIFT + 1)
+    noise = rng.randrange(1, 9)
+
+    def poly(x):
+        return sum(c * x**k for k, c in enumerate(coeffs))
+
+    def half(x):
+        return poly(x) + odd * (x - 3) // 4
+
+    return {
+        "first": poly,
+        "later": lambda x: poly(x) + (noise * x ** (bound + 1) if x < until else 0),
+        "half": half,
+        "half later": lambda x: half(x) if x < until else poly(x),
+        "never": lambda x: 2**x + poly(x),
+    }[kind]
+
+
+def test_the_row_by_row_sweep_matches_the_column_by_column_sweep(rng_seed):
+    # a window checks every pending column at once, as integer
+    # combinations of whole rows: every fit must match the column by
+    # column check tuple for tuple, the same rows must be drawn, and a
+    # refusal must name the same column
+    rng = random.Random(rng_seed + 53)
+    passing = ["first", "later", "half later"]
+    seen = Counter()
+    for _ in range(40):
+        bound = rng.randrange(1, 4)
+        kinds = [rng.choice(passing) for _ in range(rng.randrange(1, 12))]
+        if rng.random() < 0.4:
+            for _ in range(rng.randrange(1, 3)):
+                kind = rng.choice(["half", "never"])
+                kinds.insert(rng.randrange(len(kinds) + 1), kind)
+        columns = [count_column(rng, kind, bound) for kind in kinds]
+        ours = sweep_outcome(flags._sweep, columns, count(3, 4), bound)
+        ref = sweep_outcome(column_by_column_sweep, columns, count(3, 4), bound)
+        assert ours == ref, kinds
+        if ours[0] == "fit":
+            seen["later"] += any(shift for shift, *_ in ours[1])
+            seen["first"] += any(not shift for shift, *_ in ours[1])
+        else:
+            seen[kinds[int(ours[1][0])]] += 1
+    # over the primes, too
+    for _ in range(10):
+        bound = rng.randrange(1, 4)
+        kinds = [rng.choice(["first", "later"]) for _ in range(rng.randrange(1, 12))]
+        columns = [count_column(rng, kind, bound) for kind in kinds]
+        ours = sweep_outcome(flags._sweep, columns, primes(), bound)
+        assert ours == sweep_outcome(column_by_column_sweep, columns, primes(), bound)
+    assert all(seen[kind] for kind in ("first", "later", "half", "never")), seen
 
 
 def lagrange_reference(points):

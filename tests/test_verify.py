@@ -411,23 +411,24 @@ def test_pairwise_identity_is_symmetric_in_the_pair():
 
 
 def count_child_lists(monkeypatch):
-    """Patch the two builders of child lists, flags._children and
-    flags._orbits, to count the lists they build (memo misses), and
-    return the running tally."""
+    """Patch the two builders of child lists to count the lists they
+    build: the memo misses of flags._children, and every call of
+    flags._orbits, which keeps nothing; return the running tally."""
     built = [0]
+    real_children, real_orbits = flags._children, flags._orbits
 
-    def counted(build):
-        def counting(*args):
-            memo = args[-1]
-            before = len(memo)
-            children = build(*args)
-            built[0] += len(memo) > before
-            return children
+    def children(m, v, c, memo):
+        before = len(memo)
+        found = real_children(m, v, c, memo)
+        built[0] += len(memo) > before
+        return found
 
-        return counting
+    def orbits(m, v):
+        built[0] += 1
+        return real_orbits(m, v)
 
-    for name in ("_children", "_orbits"):
-        monkeypatch.setattr(flags, name, counted(getattr(flags, name)))
+    monkeypatch.setattr(flags, "_children", children)
+    monkeypatch.setattr(flags, "_orbits", orbits)
     return built
 
 
@@ -558,6 +559,94 @@ def test_a_standalone_stratification_is_one_job(monkeypatch):
     memos.clear()
     assert stratify_proj_ext(zoo["T"], zoo["S4"], r_anchors(zoo), memo=shared) == strata
     assert memos and all(memo is shared for memo in memos)
+
+
+def record_anchor_work(monkeypatch, anchors):
+    """Patch the stratifier's reduction and count of rows to record, per
+    anchor name, the primes it reduced that anchor at (None standing for
+    a bad prime's count) and the primes it counted a reduced anchor at."""
+    names = {id(mod): name for name, mod in anchors.items()}
+    reduced, counted, made = [], [], {}
+    real_reduce, real_count = verify._reduce_rows, verify._count_row
+
+    def reduce_rows(m, p):
+        try:
+            rows = real_reduce(m, p)
+        except BadPrime:
+            if id(m) in names:
+                reduced.append((names[id(m)], p, None))
+            raise
+        if id(m) in names:
+            reduced.append((names[id(m)], p, rows))
+            made[id(rows)] = names[id(m)]
+        return rows
+
+    def count_row(rm, trie, memo):
+        if id(rm) in made:
+            counted.append((made[id(rm)], rm.field.p))
+        return real_count(rm, trie, memo)
+
+    monkeypatch.setattr(verify, "_reduce_rows", reduce_rows)
+    monkeypatch.setattr(verify, "_count_row", count_row)
+    return reduced, counted
+
+
+def centre_scaled(m, top):
+    """m with the first basis vector at the centre of the star scaled by
+    ``top``: the conjugate by diag(top, 1) there, isomorphic to m."""
+    centre = m.quiver.vertex_index["4"]
+    idx = m.quiver.vertex_index
+    action = {}
+    for a, x in zip(m.dq.arrows, m.action):
+        rows = [list(row) for row in x.entries]
+        if idx[a.target] == centre:
+            rows[0] = [top * v for v in rows[0]]
+        if idx[a.source] == centre:
+            rows = [[Fraction(row[0]) / top, *row[1:]] for row in rows]
+        action[a.name] = rows
+    return LambdaModule.build(m.dq, m.field, m.dim, action)
+
+
+def test_anchor_rows_come_from_their_fingerprints_pools(monkeypatch):
+    # an anchor's fingerprint drew its count row at most of the
+    # stratification's primes: the stratifier reads those rows from the
+    # pool and reduces and counts the anchor only at the other primes
+    zoo = d4.zoo(1)
+    anchors = {**m_anchors(zoo), **r_anchors(zoo)}
+    reduced, counted = record_anchor_work(monkeypatch, anchors)
+    rep = verify_thm_1_1(zoo["S4"], zoo["T"], m_anchors(zoo), r_anchors(zoo))
+    assert rep.passed
+    drawn = {
+        s.name: {p for p, _ in s.fingerprint._rows}
+        for s in rep.strata_fwd + rep.strata_bwd
+    }
+    assert all(p not in drawn[name] for name, p, _ in reduced), reduced
+    assert all(p not in drawn[name] for name, p in counted), counted
+    # every reduction that went through was counted, and some prime of
+    # the strata was read from the pools alone
+    assert counted == [(name, p) for name, p, rows in reduced if rows is not None]
+    sampled = {p for s in rep.strata_fwd + rep.strata_bwd for p, _ in s.sizes}
+    assert any(all(p in ps for ps in drawn.values()) for p in sampled)
+    # an anchor isomorphic to M(lam) with denominators 3: its fingerprint
+    # skips 3, so the stratifier reduces it there, meets the bad prime
+    # and skips 3 as it did when it reduced every anchor at every prime
+    reduced.clear()
+    counted.clear()
+    scaled = {**m_anchors(zoo), "M(lam)": centre_scaled(zoo["M(lam)"], 3)}
+    anchors["M(lam)"] = scaled["M(lam)"]
+    reduced, counted = record_anchor_work(monkeypatch, anchors)
+    rep = verify_thm_1_1(zoo["S4"], zoo["T"], scaled, r_anchors(zoo))
+    assert rep.passed
+    fwd = rep.strata_fwd
+    assert tuple(s.chi_proj for s in fwd) == (-1, 1, 1, 1)
+    assert tuple(s.sizes for s in fwd) == (
+        ((5, 3), (7, 5), (11, 9), (13, 11)),
+        ((5, 1), (7, 1), (11, 1), (13, 1)),
+        ((5, 1), (7, 1), (11, 1), (13, 1)),
+        ((5, 1), (7, 1), (11, 1), (13, 1)),
+    )
+    assert ("M(lam)", 3, None) in reduced
+    assert 3 not in {p for p, _ in fwd[0].fingerprint._rows}
 
 
 def test_pairwise_identity_needs_extensions():

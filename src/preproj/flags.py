@@ -87,10 +87,10 @@ count tuple on unchanged (:func:`_count`).  When the step peels the
 whole v-piece, that piece is zero: the arrows out of v lose their
 columns, and the arrows into v must be zero.  A one-dimensional v-piece
 has only that zero hyperplane, so a step of multiplicity 1 there needs
-no elimination: one pass over the arrows tests the arrows into v for
-zero and builds the zero piece as it goes (:func:`_zero_piece`).  A
-forced zero piece of a larger step takes the short branch of
-:func:`~preproj.module.restrict_rows` that does the same.  And on a
+no elimination: the zero branch of :func:`~preproj.module.restrict_rows`
+tests the arrows into v for zero and builds the zero piece in one pass
+over the arrows, for this step (:func:`_zero_piece`) as for a forced
+zero piece of a larger step.  And on a
 module whose arrows are all zero the flags of every untracked
 multiplicity-one sequence are counted in closed form (:func:`_count`).
 
@@ -249,6 +249,15 @@ class DeltaFingerprint:
     @cached_property
     def _chi_by_word(self) -> Dict[Word, int]:
         return dict(zip(self.words, self.chi))
+
+    @cached_property
+    def _row_by_prime(self) -> Dict[int, Tuple[int, ...]]:
+        return dict(self._rows)
+
+    def drawn_row(self, p: int) -> Optional[Tuple[int, ...]]:
+        """The count row the fits drew at p, one count per word of
+        ``words`` in their order, or None when the pool did not draw p."""
+        return self._row_by_prime.get(p)
 
     def chi_of(self, word: Word) -> int:
         try:
@@ -473,21 +482,13 @@ def _zero_piece(m: RowModule, v: int) -> List[RowModule]:
     """The hyperplane pieces of a one-dimensional v-piece that contain
     all incoming images, found with no elimination: the one hyperplane
     is zero, so there is none when an arrow into v has a nonzero entry
-    (entries are reduced mod p), and otherwise the zero piece.  One pass
-    over the arrows makes the test and the restriction together: the
-    arrows out of v lose their columns and the arrows into v their rows,
-    the same :class:`~preproj.module.RowModule` that
-    ``restrict_rows(m, v, (), ())`` makes, so memo keys agree."""
-    out = list(m.rows)
-    for a, (rows, (_, source, target)) in enumerate(zip(m.rows, m.arrows)):
-        if target == v:
-            if any(map(any, rows)):
-                return []
-            out[a] = ()
-        elif source == v:
-            out[a] = ((),) * len(rows)
-    dim = (*m.dim[:v], 0, *m.dim[v + 1 :])
-    return [RowModule(m.field, dim, tuple(out), m.arrows)]
+    (entries are reduced mod p), and otherwise the zero piece.  The zero
+    branch of :func:`~preproj.module.restrict_rows` makes the test and
+    the restriction in one pass over the arrows."""
+    try:
+        return [restrict_rows(m, v, (), ())]
+    except ValueError:
+        return []
 
 
 def _incoming(m: RowModule, v: int) -> Dict[int, List[int]]:

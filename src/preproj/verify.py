@@ -176,8 +176,8 @@ def stratify_proj_ext(
     one step table of the anchors' dimension vector, and the classes are
     grouped by count vector; each group must match exactly one anchor.
     An anchor's row at a prime its fingerprint drew is that fingerprint's
-    pool row, so the anchor is reduced and counted only at the other
-    primes.  A prime is skipped when something fails to reduce, when an
+    pool row (:meth:`~preproj.flags.DeltaFingerprint.drawn_row`), so the
+    anchor is reduced and counted only at the other primes.  A prime is skipped when something fails to reduce, when an
     arrow of xp or xpp acts with lower rank mod p than over Q (the
     reduced pair need not be the pair's own reduction up to isomorphism
     then), when a Hom or Ext^1 dimension jumps, or when two anchors
@@ -233,8 +233,9 @@ def stratify_proj_ext(
                 f"anchor {name} has dimension vector {mod.dim}, expected {want}"
             )
     fps = tuple(fingerprint(mod, prime_list, memo=memo) for mod in mods)
-    drawn = [dict(fp._rows) for fp in fps]
-    _, trie = _word_table(xp.quiver, want, memo)
+    words, trie = _word_table(xp.quiver, want, memo)
+    # a drawn row counts the fingerprint's words, these rows the trie's
+    assert all(fp.words == words for fp in fps)
     ranks = _arrow_ranks(xp), _arrow_ranks(xpp)
     collisions: List[int] = []
 
@@ -242,11 +243,12 @@ def stratify_proj_ext(
         try:
             xp_p = reduce_mod_p(xp, p)
             xpp_p = reduce_mod_p(xpp, p)
+            drawn = [fp.drawn_row(p) for fp in fps]
             # the anchors whose fingerprints did not sample p, mod p
             fresh = {
                 i: _reduce_rows(mod, p)
-                for i, (mod, rows) in enumerate(zip(mods, drawn))
-                if p not in rows
+                for i, (mod, row) in enumerate(zip(mods, drawn))
+                if row is None
             }
         except BadPrime:
             return None
@@ -262,8 +264,8 @@ def stratify_proj_ext(
         ):
             return None
         keys = [
-            _count_row(fresh[i], trie, memo) if i in fresh else rows[p]
-            for i, rows in enumerate(drawn)
+            _count_row(fresh[i], trie, memo) if row is None else row
+            for i, row in enumerate(drawn)
         ]
         if len(set(keys)) != len(keys):
             collisions.append(p)

@@ -1054,39 +1054,6 @@ def test_count_rows_match_the_oracles_through_forced_and_zero_pieces(
     assert eliminated_at and 1 not in eliminated_at, eliminated_at
 
 
-def test_the_zero_piece_is_restrict_rows_zero_piece(rng_seed):
-    # one pass over the arrows tests the arrows into a one-dimensional v
-    # for zero and builds the zero piece as it goes: the piece must be
-    # restrict_rows' zero piece, field, dimension vector, rows and arrows
-    # alike, so memo keys agree, and there is none exactly when
-    # restrict_rows refuses the zero piece
-    rng = random.Random(rng_seed + 47)
-    a3 = double(Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
-    kronecker = double(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
-    modules = list(d4.zoo().values())
-    for dq in (a3, kronecker) * 4:
-        left, right = modest_pair(dq, rng)
-        modules += [left, right, direct_sum(left, right)]
-    outcomes = Counter()
-    for p in (2, 3, 5):
-        for m in modules:
-            try:
-                rm = RowModule.of(reduce_mod_p(m, p))
-            except BadPrime:
-                continue
-            for v in (v for v, d in enumerate(rm.dim) if d == 1):
-                try:
-                    want = [restrict_rows(rm, v, (), ())]
-                except ValueError:
-                    want = []
-                got = flags._zero_piece(rm, v)
-                assert [tuple(piece) for piece in got] == [
-                    (piece.field, piece.dim, piece.rows, piece.arrows) for piece in want
-                ], (rm, v)
-                outcomes[bool(want)] += 1
-    assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
-
-
 def test_the_zero_piece_keeps_the_stability_check():
     # peeling the whole v-piece: the arrows out of v lose their columns,
     # and a nonzero arrow into v is refused by name (the first such one)

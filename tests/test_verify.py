@@ -620,6 +620,10 @@ def test_anchor_rows_come_from_their_fingerprints_pools(monkeypatch):
         s.name: {p for p, _ in s.fingerprint._rows}
         for s in rep.strata_fwd + rep.strata_bwd
     }
+    for s in rep.strata_fwd + rep.strata_bwd:
+        fp = s.fingerprint
+        assert all(fp.drawn_row(p) == row for p, row in fp._rows)
+        assert 97 not in drawn[s.name] and fp.drawn_row(97) is None
     assert all(p not in drawn[name] for name, p, _ in reduced), reduced
     assert all(p not in drawn[name] for name, p in counted), counted
     # every reduction that went through was counted, and some prime of
